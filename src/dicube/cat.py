@@ -451,7 +451,7 @@ def cube_functors(S, n, budget=None):
     """All functors from the n-cube poset to S, as morphism tables over
     the comparable vertex pairs."""
     S = as_cat(S)
-    b = Budget(budget) if not isinstance(budget, Budget) else budget
+    b = Budget.of(budget)
     pts = list(cube.points(n))
     pairs = _cube_pairs(n)
     pair_index = {p: i for i, p in enumerate(pairs)}
@@ -538,7 +538,7 @@ def cube_functors(S, n, budget=None):
 def nerve(S, trunc, budget=None):
     """The cubical set of functors from cube posets to S."""
     S = as_cat(S)
-    b = Budget(budget) if not isinstance(budget, Budget) else budget
+    b = Budget.of(budget)
     keys_by_dim = [cube_functors(S, n, b) for n in range(trunc + 1)]
     pair_indices = [
         {p: i for i, p in enumerate(_cube_pairs(n))} for n in range(trunc + 1)
@@ -617,7 +617,7 @@ def enumerate_functors(P, S, budget=None):
     """All functors from the presented category to S, deterministic order."""
     P.validate()
     S = as_cat(S)
-    b = Budget(budget) if not isinstance(budget, Budget) else budget
+    b = Budget.of(budget)
     results = []
     n_gen = len(P.gens)
     # relations become checkable once all their generators are assigned
@@ -667,7 +667,7 @@ def nat_trans_exists(P, S, F, G, budget=None):
     Naturality per generator e: x -> y reads F(e) then u_y == u_x then G(e).
     """
     S = as_cat(S)
-    b = Budget(budget) if not isinstance(budget, Budget) else budget
+    b = Budget.of(budget)
     objs = list(range(P.n_obj))
     gens_at = {o: [] for o in objs}
     for gi, (s, t) in enumerate(P.gens):
@@ -703,7 +703,7 @@ def functor_homotopy_classes(P, S, functors, budget=None):
     from exhaustive transformation search in both directions.
     """
     S_cat = as_cat(S)
-    b = Budget(budget) if not isinstance(budget, Budget) else budget
+    b = Budget.of(budget)
     index = {F: i for i, F in enumerate(functors)}
     uf = cset.UnionFind()
     for i in range(len(functors)):

@@ -366,16 +366,11 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already
-        raise
-    if args.budget is None:
-        args.budget = default_budget()
+    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
+        if args.budget is None:
+            args.budget = default_budget()
         args.fn(args, started)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,9 +19,12 @@ def default_budget():
     value = os.environ.get(BUDGET_ENV_VAR)
     if value is None:
         return DEFAULT_BUDGET
-    budget = int(value)
+    try:
+        budget = int(value)
+    except ValueError:
+        budget = 0
     if budget <= 0:
-        raise ValueError("budget must be positive")
+        raise ValueError(f"{BUDGET_ENV_VAR} must be a positive integer, got {value!r}")
     return budget
 
 
@@ -33,6 +36,11 @@ class Budget:
         if self.limit <= 0:
             raise ValueError("budget must be positive")
         self.used = 0
+
+    @classmethod
+    def of(cls, budget):
+        """`budget` itself when it is a Budget, else a new one with that limit."""
+        return budget if isinstance(budget, cls) else cls(budget)
 
     def spend(self, amount=1):
         self.used += amount

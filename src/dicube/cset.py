@@ -78,7 +78,7 @@ class CubicalSet:
     # -- structure ---------------------------------------------------------
 
     def structural_check(self):
-        if self.trunc < 0 or len(self.sizes) != self.trunc + 1:
+        if self.trunc < 0 or len(self.sizes) != self.trunc + 1 or min(self.sizes) < 0:
             raise CsetError("bad truncation data")
         for n in range(1, self.trunc + 1):
             for i in range(1, n + 1):
@@ -110,9 +110,6 @@ class CubicalSet:
         for n in range(self.trunc + 1):
             for i in self.cells(n):
                 yield (n, i)
-
-    def key(self, n, i):
-        return self.keys[n][i] if self.keys is not None else (n, i)
 
     def key_index(self, n):
         if n not in self._key_index_cache:
@@ -157,12 +154,6 @@ class CubicalSet:
 
     def act(self, phi, x):
         return self.action(phi)[x]
-
-    def face(self, n, i, eps, x):
-        return self.faces[(n, i, eps)][x]
-
-    def degen(self, n, i, x):
-        return self.degens[(n, i)][x]
 
     # -- degeneracy bookkeeping ---------------------------------------------
 
@@ -258,6 +249,12 @@ def _elementary_maps_into(m, trunc):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _maps_into(n, trunc):
+    """All cube maps with codomain [1]^n and domain within trunc."""
+    return tuple(phi for m in range(trunc + 1) for phi in cube.enumerate_maps(m, n))
+
+
 # ---------------------------------------------------------------------------
 # generic builder from canonical cell keys and a precomposition action
 
@@ -299,6 +296,46 @@ def build_presheaf(trunc, keys_by_dim, act, lattice=None):
     )
 
 
+def colimit(trunc, dims, pairs, act):
+    """Glue nodes into cells and induce the presheaf structure.
+
+    Nodes are the integers 0 .. len(dims) - 1, node x of dimension
+    dims[x]; `pairs` yields the node pairs to identify, and `act(phi, x)`
+    is the node that the cube map phi sends node x to.  Every class must
+    stay in one dimension and act must send all members of a class into a
+    single class.  The classes of each dimension are numbered in the order
+    of their least node, which is also their key.  Returns the cubical set,
+    the class index of every node and the member nodes of every class.
+    """
+    uf = UnionFind()
+    for x in range(len(dims)):
+        uf.add(x)
+    for x, y in pairs:
+        uf.union(x, y)
+    # the root of a class is its least member, so it comes first here
+    cls = [None] * len(dims)
+    members = [[] for _ in range(trunc + 1)]
+    for x, n in enumerate(dims):
+        root = uf.find(x)
+        if dims[root] != n:
+            raise CsetError("internal: colimit class spans dimensions")
+        if root == x:
+            cls[x] = len(members[n])
+            members[n].append([x])
+        else:
+            cls[x] = cls[root]
+            members[n][cls[x]].append(x)
+
+    def act_on_class(phi, key):
+        targets = {cls[act(phi, x)] for x in members[phi.cod][cls[key]]}
+        if len(targets) != 1:
+            raise CsetError("internal: colimit action not well defined")
+        return members[phi.dom][targets.pop()][0]
+
+    keys_by_dim = [[nodes[0] for nodes in level] for level in members]
+    return build_presheaf(trunc, keys_by_dim, act_on_class), cls, members
+
+
 def from_lattice(L, trunc):
     """The cubical set of a finite distributive lattice.
 
@@ -317,16 +354,7 @@ def from_lattice(L, trunc):
         for iv in intervals:
             rank = iv.rank
             # coordinatize the interval by its atoms
-            atoms = [
-                z
-                for z in iv.elements
-                if z != iv.lo
-                and all(
-                    w in (iv.lo, z)
-                    for w in lat.interval_elements(L, iv.lo, z)
-                )
-            ]
-            atoms.sort()
+            atoms = lat.interval_atoms(L, iv.lo, iv.hi)
             if len(atoms) != rank:
                 raise CsetError("internal: atom count does not match rank")
             for epi in cube.enumerate_maps(n, rank, cls=None):
@@ -382,9 +410,6 @@ class CubicalFunction:
         n, i = cell
         return (n, self.maps[n][i])
 
-    def level(self, n):
-        return self.maps[n]
-
     def validate(self):
         trunc = len(self.maps) - 1
         for n in range(trunc + 1):
@@ -435,10 +460,6 @@ class CubicalFunction:
         return Subpresheaf(self.cod, tuple(sel))
 
 
-def identity_function(C):
-    return CubicalFunction(C, C, tuple(tuple(C.cells(n)) for n in range(C.trunc + 1)))
-
-
 @dataclass(eq=False)
 class Subpresheaf:
     parent: CubicalSet
@@ -480,9 +501,6 @@ class Subpresheaf:
                 if tbl[x] not in self.sel[n]:
                     raise CsetError("subpresheaf not closed under transpositions")
         return True
-
-    def vertices(self):
-        return sorted(self.sel[0])
 
 
 def closure(C, cells):
@@ -611,79 +629,29 @@ def disjoint_union(A, B):
 def quotient(C, pairs):
     """Coequalize the given same-dimension cell pairs.
 
-    The identifications are closed under all generator actions by a
-    worklist congruence closure; the returned projection maps each cell to
-    its class (canonical representative = smallest index).
+    Presheaf colimits are computed level by level, so the congruence is
+    generated by the pulled-back pairs (C(phi) a, C(phi) b) over every cube
+    map phi into the dimension of a pair.  The returned projection maps
+    each cell to its class; classes are ordered by their smallest cell.
     """
     for (n1, _), (n2, _) in pairs:
         if n1 != n2:
             raise CsetError("cannot identify cells of different dimensions")
-    uf = UnionFind()
-    for cell in C.all_cells():
-        uf.add(cell)
-    worklist = []
-    for a, b in pairs:
-        if uf.union(a, b):
-            worklist.append((a, b))
+    levels = range(C.trunc + 1)
+    offset = [sum(C.sizes[:n]) for n in levels]
+    dims = [n for n in levels for _ in C.cells(n)]
 
-    def elementary_tables(n):
-        out = []
-        for i in range(1, n + 1):
-            for eps in (0, 1):
-                out.append((n - 1, C.faces[(n, i, eps)]))
-        if n < C.trunc:
-            for i in range(1, n + 2):
-                out.append((n + 1, C.degens[(n, i)]))
-        for i in range(1, n):
-            out.append((n, C.transps[(n, i)]))
-        return out
+    def relations():
+        for (n, a), (_, b) in pairs:
+            for phi in _maps_into(n, C.trunc):
+                tbl = C.action(phi)
+                yield offset[phi.dom] + tbl[a], offset[phi.dom] + tbl[b]
 
-    tables = {n: elementary_tables(n) for n in range(C.trunc + 1)}
-    while worklist:
-        (n, x), (_, y) = worklist.pop()
-        for m, tbl in tables[n]:
-            a, b = (m, tbl[x]), (m, tbl[y])
-            if uf.union(a, b):
-                worklist.append((a, b))
-    # classes must stay within one dimension
-    reps = {}
-    for root, members in uf.classes().items():
-        dims = {n for n, _ in members}
-        if len(dims) != 1:
-            raise CsetError("internal: identification merged dimensions")
-        reps[root] = root
-    new_index = [dict() for _ in range(C.trunc + 1)]
-    sizes = []
-    for n in range(C.trunc + 1):
-        roots = sorted({uf.find((n, i)) for i in C.cells(n)})
-        for k, r in enumerate(roots):
-            new_index[n][r] = k
-        sizes.append(len(roots))
-    proj = tuple(
-        tuple(new_index[n][uf.find((n, i))] for i in C.cells(n))
-        for n in range(C.trunc + 1)
-    )
+    def act(phi, x):
+        return offset[phi.dom] + C.action(phi)[x - offset[phi.cod]]
 
-    def induce(tbl_key, tables_dict, target_dim_of):
-        out = {}
-        for key, tbl in tables_dict.items():
-            n = key[0]
-            m = target_dim_of(key)
-            new_tbl = [None] * sizes[n]
-            for i in C.cells(n):
-                v = proj[m][tbl[i]]
-                slot = proj[n][i]
-                if new_tbl[slot] is None:
-                    new_tbl[slot] = v
-                elif new_tbl[slot] != v:
-                    raise CsetError("internal: quotient action not well defined")
-            out[key] = tuple(new_tbl)
-        return out
-
-    faces = induce("f", C.faces, lambda key: key[0] - 1)
-    degens = induce("s", C.degens, lambda key: key[0] + 1)
-    transps = induce("t", C.transps, lambda key: key[0])
-    Q = CubicalSet(C.trunc, tuple(sizes), faces, degens, transps)
+    Q, cls, _ = colimit(C.trunc, dims, relations(), act)
+    proj = tuple(tuple(cls[offset[n] : offset[n] + C.sizes[n]]) for n in levels)
     return Q, CubicalFunction(C, Q, proj)
 
 
@@ -741,7 +709,6 @@ class TensorSet:
     cset: CubicalSet
     left: CubicalSet
     right: CubicalSet
-    _class_of: dict
     _node_index: dict
 
     def pair_class(self, a, b):
@@ -756,9 +723,9 @@ class TensorSet:
 def tensor(A, B):
     """Day-convolution tensor product, truncated at min(A.trunc, B.trunc).
 
-    Cells are equivalence classes of triples (a, b, e) with e an epi; the
-    classes are computed by a union-find over the naturality relations
-    generated by elementary maps on either factor.
+    Cells are the colimit classes of triples (a, b, e) with e an epi, glued
+    by the naturality relations generated by elementary maps on either
+    factor; triples are numbered in sorted order.
     """
     trunc = min(A.trunc, B.trunc)
     nodes = []
@@ -769,99 +736,49 @@ def tensor(A, B):
                     for ia in A.cells(p):
                         for ib in B.cells(q):
                             nodes.append(((p, ia), (q, ib), e))
-    uf = UnionFind()
-    for node in nodes:
-        uf.add(node)
+    nodes.sort()
+    node_id = {node: x for x, node in enumerate(nodes)}
 
-    def add_relation(x, y):
-        uf.union(x, y)
+    def relations():
+        for n in range(trunc + 1):
+            # relations through the left factor
+            for p in range(A.trunc + 1):
+                for alpha in _elementary_maps_into(p, A.trunc):
+                    pp = alpha.dom  # alpha: [1]^pp -> [1]^p
+                    for q in range(0, B.trunc + 1):
+                        if pp + q > n:
+                            continue
+                        shifted = cube.tensor(alpha, cube.identity(q))
+                        for psi in _epis(n, pp + q):
+                            composed = cube.compose(shifted, psi)
+                            for ia in A.cells(p):
+                                lhs_cell = (pp, A.act(alpha, ia))
+                                for ib in B.cells(q):
+                                    rhs = _split_normalize(A, B, (p, ia), (q, ib), composed)
+                                    yield node_id[(lhs_cell, (q, ib), psi)], node_id[rhs]
+            # relations through the right factor
+            for q in range(B.trunc + 1):
+                for beta in _elementary_maps_into(q, B.trunc):
+                    qq = beta.dom
+                    for p in range(0, A.trunc + 1):
+                        if p + qq > n:
+                            continue
+                        shifted = cube.tensor(cube.identity(p), beta)
+                        for psi in _epis(n, p + qq):
+                            composed = cube.compose(shifted, psi)
+                            for ia in A.cells(p):
+                                for ib in B.cells(q):
+                                    lhs = ((p, ia), (qq, B.act(beta, ib)), psi)
+                                    rhs = _split_normalize(A, B, (p, ia), (q, ib), composed)
+                                    yield node_id[lhs], node_id[rhs]
 
-    for n in range(trunc + 1):
-        # relations through the left factor
-        for p in range(A.trunc + 1):
-            alphas = _elementary_maps_into(p, A.trunc)
-            for alpha in alphas:
-                pp = alpha.dom  # alpha: [1]^pp -> [1]^p
-                for q in range(0, B.trunc + 1):
-                    if pp + q > n:
-                        continue
-                    shifted = cube.tensor(alpha, cube.identity(q))
-                    for psi in _epis(n, pp + q):
-                        composed = cube.compose(shifted, psi)
-                        for ia in A.cells(p):
-                            lhs_cell = (pp, A.act(alpha, ia))
-                            for ib in B.cells(q):
-                                lhs = (lhs_cell, (q, ib), psi)
-                                rhs = _split_normalize(
-                                    A, B, (p, ia), (q, ib), composed
-                                )
-                                add_relation(lhs, rhs)
-        # relations through the right factor
-        for q in range(B.trunc + 1):
-            betas = _elementary_maps_into(q, B.trunc)
-            for beta in betas:
-                qq = beta.dom
-                for p in range(0, A.trunc + 1):
-                    if p + qq > n:
-                        continue
-                    shifted = cube.tensor(cube.identity(p), beta)
-                    for psi in _epis(n, p + qq):
-                        composed = cube.compose(shifted, psi)
-                        for ia in A.cells(p):
-                            for ib in B.cells(q):
-                                lhs = ((p, ia), (qq, B.act(beta, ib)), psi)
-                                rhs = _split_normalize(
-                                    A, B, (p, ia), (q, ib), composed
-                                )
-                                add_relation(lhs, rhs)
+    def act(phi, x):
+        a, b, e = nodes[x]
+        return node_id[_split_normalize(A, B, a, b, cube.compose(e, phi))]
 
-    node_dim = {node: node[2].dom for node in nodes}
-    class_members = {}
-    for node in node_dim:
-        root = uf.find(node)
-        class_members.setdefault(root, []).append(node)
-    roots_by_dim = [[] for _ in range(trunc + 1)]
-    for root, members in class_members.items():
-        dims = {node_dim[m] for m in members}
-        if len(dims) != 1:
-            raise CsetError("internal: tensor class spans dimensions")
-        roots_by_dim[dims.pop()].append(root)
-    for level in roots_by_dim:
-        level.sort()
-    node_index = {}
-    for n, level in enumerate(roots_by_dim):
-        for k, root in enumerate(level):
-            for m in class_members[root]:
-                node_index[m] = k
-    sizes = tuple(len(level) for level in roots_by_dim)
-
-    def induced(phi, n):
-        # the action of phi: [1]^{n'} -> [1]^n on class representatives
-        result = []
-        for root in roots_by_dim[n]:
-            targets = set()
-            for a, b, e in class_members[root]:
-                moved = _split_normalize(A, B, a, b, cube.compose(e, phi))
-                targets.add(node_index[moved])
-            if len(targets) != 1:
-                raise CsetError("internal: tensor action not well defined")
-            result.append(targets.pop())
-        return tuple(result)
-
-    faces, degens, transps = {}, {}, {}
-    for n in range(1, trunc + 1):
-        for i in range(1, n + 1):
-            for eps in (0, 1):
-                faces[(n, i, eps)] = induced(cube.coface(eps, i, n), n)
-    for n in range(0, trunc):
-        for i in range(1, n + 2):
-            degens[(n, i)] = induced(cube.codegeneracy(i, n + 1), n)
-    for n in range(2, trunc + 1):
-        for i in range(1, n):
-            transps[(n, i)] = induced(cube.transposition(i, n), n)
-    T = CubicalSet(trunc, sizes, faces, degens, transps)
-    class_of = {m: node_index[m] for m in node_index}
-    return TensorSet(T, A, B, class_of, node_index)
+    dims = [e.dom for _, _, e in nodes]
+    T, cls, _ = colimit(trunc, dims, relations(), act)
+    return TensorSet(T, A, B, {node: cls[x] for x, node in enumerate(nodes)})
 
 
 def cylinder(B):
@@ -899,20 +816,27 @@ def to_json(C):
 
 
 def from_json(text):
-    data = json.loads(text)
-    faces = {}
-    for key, tbl in data["faces"].items():
-        n, i, eps = (int(v) for v in key.split(","))
-        faces[(n, i, eps)] = tuple(tbl)
-    degens = {}
-    for key, tbl in data["degens"].items():
-        n, i = (int(v) for v in key.split(","))
-        degens[(n, i)] = tuple(tbl)
-    transps = {}
-    for key, tbl in data["transps"].items():
-        n, i = (int(v) for v in key.split(","))
-        transps[(n, i)] = tuple(tbl)
-    return CubicalSet(data["trunc"], tuple(data["cells"]), faces, degens, transps)
+    """Inverse of `to_json`; missing or malformed entries raise CsetError."""
+    try:
+        data = json.loads(text)
+        trunc, sizes = data["trunc"], tuple(data["cells"])
+        tables = []
+        for name, arity in (("faces", 3), ("degens", 2), ("transps", 2)):
+            table = {}
+            for key, tbl in data[name].items():
+                index = tuple(int(v) for v in key.split(","))
+                if len(index) != arity:
+                    raise ValueError(f"bad {name} key {key!r}")
+                table[index] = tuple(tbl)
+            tables.append(table)
+        entries = [trunc, *sizes, *(v for table in tables for tbl in table.values() for v in tbl)]
+        if any(type(v) is not int for v in entries):
+            raise ValueError("non-integer entry")
+    except KeyError as exc:
+        raise CsetError(f"cubical set JSON lacks the key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CsetError(f"malformed cubical set JSON: {exc}") from None
+    return CubicalSet(trunc, sizes, *tables)
 
 
 def dot_skeleton(C, name="cset"):

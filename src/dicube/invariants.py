@@ -62,7 +62,7 @@ def h1(C, tau, budget=None, with_table=True):
     member pairs (so the table computation has its own budget and can be
     switched off when only the count is wanted).
     """
-    b = Budget(budget) if not isinstance(budget, Budget) else budget
+    b = Budget.of(budget)
     P, _ = t1.fundamental_presentation(C)
     functors = cat.enumerate_functors(P, tau, b)
     classes = cat.functor_homotopy_classes(P, tau, functors, b)
@@ -102,19 +102,15 @@ def h1_monoid(result):
     """The class monoid of a commutative-coefficient computation."""
     if result.table is None:
         raise InvariantError("class monoid only defined for commutative coefficients")
-    unit_weighting = tuple(result.coeff.unit for _ in result.reps[0]) if result.reps else ()
-    unit_class = next(
-        ci for ci, rep in enumerate(result.reps) if _same_class(result, ci, unit_weighting)
-    )
-    M = cat.FinMonoid(result.table, unit_class)
+    # the class of the unit weighting is the table's two-sided identity,
+    # which is unique when it exists
+    T = result.table
+    units = [u for u in range(len(T)) if all(T[u][x] == x == T[x][u] for x in range(len(T)))]
+    if not units:
+        raise InvariantError("class table has no unit")
+    M = cat.FinMonoid(T, units[0])
     M.validate()
     return M
-
-
-def _same_class(result, ci, weighting):
-    # the unit weighting is its own class representative after sorting,
-    # but search defensively
-    return result.reps[ci] == weighting or weighting in result.reps[ci : ci + 1]
 
 
 @dataclass(frozen=True)
@@ -218,7 +214,7 @@ def hom_classes(B, S, budget=None):
     Computed as functors out of the fundamental category presentation of
     B, modulo zig-zags of natural transformations.
     """
-    b = Budget(budget) if not isinstance(budget, Budget) else budget
+    b = Budget.of(budget)
     P, _ = t1.fundamental_presentation(B)
     functors = cat.enumerate_functors(P, S, b)
     classes = cat.functor_homotopy_classes(P, S, functors, b)

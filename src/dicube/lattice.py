@@ -175,6 +175,15 @@ def interval_elements(L, lo, hi):
     return tuple(z for z in range(L.size) if L.leq(lo, z) and L.leq(z, hi))
 
 
+def interval_atoms(L, lo, hi):
+    """The atoms of [lo, hi] (the elements covering lo), in index order."""
+    return tuple(
+        z
+        for z in interval_elements(L, lo, hi)
+        if z != lo and len(interval_elements(L, lo, z)) == 2
+    )
+
+
 def boolean_rank(L, lo, hi):
     """Rank k when [lo, hi] is isomorphic to [1]^k, else None.
 

@@ -26,7 +26,7 @@ def all_monotone(p_leq, q_leq, budget=None):
 
     Refuses upfront when |Q| ** |P| exceeds the budget.
     """
-    b = Budget(budget) if not isinstance(budget, Budget) else budget
+    b = Budget.of(budget)
     np, nq = len(p_leq), len(q_leq)
     if nq**np > b.limit:
         b.spend(nq**np)  # raises
@@ -64,7 +64,7 @@ def _cube_leq(x, y):
 
 def cube_monotone_tables(m, n, budget=None):
     """All monotone tables [1]^m -> [1]^n, DFS over points in mask order."""
-    b = Budget(budget) if not isinstance(budget, Budget) else budget
+    b = Budget.of(budget)
     size = 1 << m
     out = []
     values = [0] * size
@@ -129,7 +129,7 @@ def interval_hom_tables(m, n, budget=None):
     be enforced incrementally; a final interval-image filter follows.
     This enumerator never consults the normal-form calculus it checks.
     """
-    b = Budget(budget) if not isinstance(budget, Budget) else budget
+    b = Budget.of(budget)
     size = 1 << m
     join_pairs = [
         [(x, y) for x in range(i) for y in range(x, i) if x | y == i]
@@ -167,7 +167,7 @@ def interval_hom_tables(m, n, budget=None):
 
 def monotone_bijection_tables(n, budget=None):
     """All monotone bijections [1]^n -> [1]^n (DFS with counting pruning)."""
-    b = Budget(budget) if not isinstance(budget, Budget) else budget
+    b = Budget.of(budget)
     size = 1 << n
     out = []
     values = [0] * size
@@ -210,17 +210,6 @@ def _compose_tables(g, f):
     return (fm, gp, tuple(gv[v] for v in fv))
 
 
-def _tensor_tables(f, g):
-    fm, fn, fv = f
-    gm, gn, gv = g
-    values = []
-    for x in range(1 << (fm + gm)):
-        xf = x & ((1 << fm) - 1)
-        xg = x >> fm
-        values.append(fv[xf] | (gv[xg] << fn))
-    return (fm + gm, fn + gn, tuple(values))
-
-
 def _generator_tables(max_dim):
     gens = []
     for d in range(0, max_dim + 1):
@@ -257,7 +246,7 @@ def _closure(generators, max_dim, budget):
     # into the generator set, and a tensor of composites is a composite of
     # identity-padded tensors (interchange), so composition reaches the
     # full monoidal closure.
-    b = Budget(budget) if not isinstance(budget, Budget) else budget
+    b = Budget.of(budget)
     tables = set(generators)
     by_dom = {d: [] for d in range(max_dim + 1)}
     by_cod = {d: [] for d in range(max_dim + 1)}
@@ -310,7 +299,7 @@ def epi_closure(m, n, budget=None):
 
 def transposition_closure(n, budget=None):
     """Composites of principal coordinate transpositions [1]^n -> [1]^n."""
-    b = Budget(budget) if not isinstance(budget, Budget) else budget
+    b = Budget.of(budget)
     gens = [t[2] for t in _generator_tables(n) if t[0] == t[1] == n]
     tables = set(gens)
     worklist = list(tables)
@@ -387,7 +376,7 @@ def enumerate_cubical_functions(B, C, budget=None):
     """
     from . import cset  # data types shared; evaluation paths are not
 
-    b = Budget(budget) if not isinstance(budget, Budget) else budget
+    b = Budget.of(budget)
     trunc = min(B.trunc, C.trunc)
     results = []
 
@@ -523,7 +512,7 @@ def homotopy_graph(B, C, budget=None):
     """
     from . import cset
 
-    b = Budget(budget) if not isinstance(budget, Budget) else budget
+    b = Budget.of(budget)
     maps = enumerate_cubical_functions(B, C, b)
     index = {f.maps: i for i, f in enumerate(maps)}
     cyl, incl0, incl1 = cset.cylinder(B)

@@ -3,9 +3,9 @@ sd3 C -> C, supports of subdivision vertices, and local lifting of the
 double collapse through representables.
 
 Subdivision of a lattice-backed cubical set is computed directly on the
-lattice; anything else is glued as a colimit of subdivided representable
-blocks over the category of elements, with a union-find over nodes
-(cell of C, cell of the block).  Both paths expose the same interface:
+lattice; anything else is glued by `cset.colimit` from subdivided
+representable blocks over the category of elements, whose nodes are the
+pairs (cell of C, cell of the block).  Both paths expose the same interface:
 carrier cells, subdivided subpresheaves, the collapse map, and induced
 maps of subdivided cubical functions.
 """
@@ -92,11 +92,7 @@ class Subdivision:
     def _interval_cell(self, lo, hi, rank):
         """Index of the canonical inclusion cell of the interval [lo, hi]."""
         L = self.base.lattice
-        atoms = sorted(
-            z
-            for z in lat.interval_elements(L, lo, hi)
-            if z != lo and len(lat.interval_elements(L, lo, z)) == 2
-        )
+        atoms = lat.interval_atoms(L, lo, hi)
         table = []
         for p in cube.points(rank):
             elem = lo
@@ -112,77 +108,49 @@ class Subdivision:
         self._fast = False
         base = self.base
         trunc = base.trunc
-        uf = cs.UnionFind()
-        blocks = {n: _block(n, self.k, trunc)[1] for n in range(trunc + 1)}
-        for n in range(trunc + 1):
-            for i in base.cells(n):
-                for j in range(trunc + 1):
-                    for u in blocks[n].cells(j):
-                        uf.add(((n, i), (j, u)))
-        for n in range(trunc + 1):
-            for phi in cs._elementary_maps_into(n, trunc):
-                npr = phi.dom
-                act = base.action(phi)
-                tables = _block_map(npr, n, phi, self.k, trunc)
-                for i in base.cells(n):
-                    ci = act[i]
-                    for j in range(trunc + 1):
-                        tbl = tables[j]
-                        for u in blocks[npr].cells(j):
-                            uf.union(((npr, ci), (j, u)), ((n, i), (j, tbl[u])))
-        groups = uf.classes()
-        members = {}
-        for root, nodes in groups.items():
-            dims = {node[1][0] for node in nodes}
-            if len(dims) != 1:
-                raise SdError("internal: subdivision class spans dimensions")
-            members[root] = sorted(nodes)
-        roots_by_dim = [[] for _ in range(trunc + 1)]
-        for root in members:
-            roots_by_dim[root[1][0]].append(root)
-        for level in roots_by_dim:
-            level.sort()
-        self._class_index = {}
-        self._members = [[] for _ in range(trunc + 1)]
-        for j, level in enumerate(roots_by_dim):
-            for idx, root in enumerate(level):
-                self._members[j].append(members[root])
-                for node in members[root]:
-                    self._class_index[node] = idx
-        sizes = tuple(len(level) for level in roots_by_dim)
-        self._blocks = blocks
+        levels = range(trunc + 1)
+        blocks = {n: _block(n, self.k, trunc)[1] for n in levels}
+        # node (cell of C, cell of its block), numbered by the block cell's
+        # dimension j, then by (n, i, u)
+        nodes, start = [], {}
+        for j in levels:
+            for n in levels:
+                start[(j, n)] = len(nodes)
+                us = [(j, u) for u in blocks[n].cells(j)]
+                nodes.extend((c, u) for c in ((n, i) for i in base.cells(n)) for u in us)
 
-        def induced(phi, j):
-            # phi: [1]^{j'} -> [1]^j acting blockwise
-            out = []
-            for idx in range(sizes[j]):
-                targets = set()
-                for (cell, (_, u)) in self._members[j][idx]:
-                    moved = blocks[cell[0]].act(phi, u)
-                    targets.add(self._class_index[(cell, (phi.dom, moved))])
-                if len(targets) != 1:
-                    raise SdError("internal: subdivision action not well defined")
-                out.append(targets.pop())
-            return tuple(out)
+        def node_id(c, u):
+            (n, i), (j, ub) = c, u
+            return start[(j, n)] + i * blocks[n].sizes[j] + ub
 
-        faces, degens, transps = {}, {}, {}
-        for n in range(1, trunc + 1):
-            for i in range(1, n + 1):
-                for eps in (0, 1):
-                    faces[(n, i, eps)] = induced(cube.coface(eps, i, n), n)
-        for n in range(0, trunc):
-            for i in range(1, n + 2):
-                degens[(n, i)] = induced(cube.codegeneracy(i, n + 1), n)
-        for n in range(2, trunc + 1):
-            for i in range(1, n):
-                transps[(n, i)] = induced(cube.transposition(i, n), n)
-        self.cset = cs.CubicalSet(trunc, sizes, faces, degens, transps)
+        def relations():
+            for n in levels:
+                for phi in cs._elementary_maps_into(n, trunc):
+                    npr = phi.dom
+                    moved = base.action(phi)
+                    tables = _block_map(npr, n, phi, self.k, trunc)
+                    for i in base.cells(n):
+                        for j in levels:
+                            tbl = tables[j]
+                            lhs = node_id((npr, moved[i]), (j, 0))
+                            rhs = node_id((n, i), (j, 0))
+                            for u in blocks[npr].cells(j):
+                                yield lhs + u, rhs + tbl[u]
+
+        def act(phi, x):
+            c, (_, u) = nodes[x]
+            return node_id(c, (phi.dom, blocks[c[0]].act(phi, u)))
+
+        dims = [u[0] for _, u in nodes]
+        self.cset, self._cell_index, members = cs.colimit(trunc, dims, relations(), act)
+        self._node_id = node_id
+        self._members = [[[nodes[x] for x in cls] for cls in level] for level in members]
         # carrier: the minimal-dimension member cell; all members must
         # contain it in their atoms, which makes sd_sub a carrier test
         self._carrier = {}
-        for j in range(trunc + 1):
-            for idx in range(sizes[j]):
-                cells = {node[0] for node in self._members[j][idx]}
+        for j, level in enumerate(self._members):
+            for idx, cls in enumerate(level):
+                cells = {node[0] for node in cls}
                 min_dim = min(c[0] for c in cells)
                 mins = sorted(c for c in cells if c[0] == min_dim)
                 c0 = mins[0]
@@ -217,7 +185,7 @@ class Subdivision:
                 to_index[tuple(ckey[b] for b in SLn.labels[v])] for v in ukey
             )
             return (j, self.cset.key_index(j)[table])
-        return (j, self._class_index[((n, i), (j, ub))])
+        return (j, self._cell_index[self._node_id(c, u)])
 
     def reps_over(self, cell, c):
         """Block cells u with class_of(c, u) == cell."""
@@ -404,13 +372,6 @@ class LocalLift:
     face: tuple  # carrier-block interval the retraction clamps to
 
 
-def _image_sub(f, S):
-    sel = [
-        frozenset(f.maps[n][x] for x in S.sel[n]) for n in range(len(f.maps))
-    ]
-    return cs.Subpresheaf(f.cod, tuple(sel))
-
-
 def local_lift(d9, S):
     """Factor the double collapse through a representable on S.
 
@@ -429,7 +390,7 @@ def local_lift(d9, S):
     ):
         raise SdError("subpresheaf is not contained in a closed star")
 
-    A = _image_sub(d9.eps2, S)
+    A = d9.eps2.image_of(S)
 
     # minimal atom of C whose subdivision meets A
     candidates = []
@@ -510,11 +471,7 @@ def local_lift(d9, S):
 
     def face_cell_atom(lo, hi):
         rank = lat.boolean_rank(bn, lo, hi)
-        atoms = sorted(
-            z
-            for z in lat.interval_elements(bn, lo, hi)
-            if z != lo and len(lat.interval_elements(bn, lo, z)) == 2
-        )
+        atoms = lat.interval_atoms(bn, lo, hi)
         outputs = []
         lo_pt = bn.labels[lo]
         atom_coord = {
@@ -595,11 +552,7 @@ def local_lift(d9, S):
     k_rank = lat.boolean_rank(SL, k_lo, k_hi)
     if k_rank != top_dim:
         raise SdError("internal: top interval rank mismatch")
-    k_atoms = sorted(
-        z
-        for z in lat.interval_elements(SL, k_lo, k_hi)
-        if z != k_lo and len(lat.interval_elements(SL, k_lo, z)) == 2
-    )
+    k_atoms = lat.interval_atoms(SL, k_lo, k_hi)
     bd = lat.boolean(top_dim)
 
     def coordinatize(v):

@@ -4,8 +4,8 @@ Objects are the vertices, generators the nondegenerate edges oriented
 from the lower face to the upper face, and each nondegenerate square
 contributes one commuting relation between its two boundary paths.  Path
 words read left to right.  The index convention for the square relation
-is pinned by a startup self-test: the presentation of the square must
-present the poset square (checked through functor counts).
+is pinned by `check_square_convention`: the presentation of the square
+must present the poset square (checked through functor counts).
 """
 
 from __future__ import annotations
@@ -58,18 +58,12 @@ def t1_functor_count(C, S, budget=None):
     return len(cat.enumerate_functors(P, S, budget))
 
 
-_CONVENTION_CHECKED = False
-
-
 def check_square_convention():
-    """Self-test: the presented square must collapse to the poset square.
+    """Oracle cross-check: the presented square must collapse to the poset square.
 
     Functors into the arrow poset are counted against direct enumeration
-    of monotone vertex labelings; run once per process.
+    of monotone vertex labelings.
     """
-    global _CONVENTION_CHECKED
-    if _CONVENTION_CHECKED:
-        return True
     square = cset.representable(2, 2)
     P, _ = fundamental_presentation(square)
     if P.n_obj != 4 or len(P.gens) != 4 or len(P.relations) != 1:
@@ -83,7 +77,6 @@ def check_square_convention():
     direct = len(oracle.all_monotone(b2.poset.leq, b1.poset.leq))
     if count != direct:
         raise T1Error(f"square convention broken: {count} functors vs {direct} monotone maps")
-    _CONVENTION_CHECKED = True
     return True
 
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from dicube import cli
+from dicube import cli, cset, spaces
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +125,50 @@ def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("DICUBE_BUDGET", "5")
     code, _, err = run_cli(capsys, "inv", "h1", "--space", "torus", "--monoid", "zmod4")
     assert code == 3
+
+
+def _torus_json(**changes):
+    """The torus as cubical-set JSON with entries replaced (None deletes)."""
+    data = json.loads(cset.to_json(spaces.torus()))
+    for key, value in changes.items():
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "budget_env, cset_text",
+    [
+        pytest.param("abc", None, id="budget-not-a-number"),
+        pytest.param("0", None, id="budget-zero"),
+        pytest.param("-1", None, id="budget-negative"),
+        pytest.param(None, "{", id="cset-not-json"),
+        pytest.param(None, "[]", id="cset-not-an-object"),
+        pytest.param(None, _torus_json(degens=None), id="cset-no-degens"),
+        pytest.param(None, _torus_json(faces={"1,x,0": [0]}), id="cset-bad-face-key"),
+        pytest.param(None, _torus_json(faces={"1,1": [0]}), id="cset-short-face-key"),
+        pytest.param(None, _torus_json(cells=[1, "2", 1]), id="cset-string-size"),
+        pytest.param(None, _torus_json(transps=[]), id="cset-tables-not-an-object"),
+        pytest.param(
+            None,
+            '{"trunc": 0, "cells": [-1], "faces": {}, "degens": {}, "transps": {}}',
+            id="cset-negative-size",
+        ),
+    ],
+)
+def test_bad_input_is_usage_error(tmp_path, capsys, monkeypatch, budget_env, cset_text):
+    space = "circle"
+    if budget_env is not None:
+        monkeypatch.setenv("DICUBE_BUDGET", budget_env)
+    if cset_text is not None:
+        space = str(tmp_path / "bad.json")
+        (tmp_path / "bad.json").write_text(cset_text)
+    code, out, err = run_cli(capsys, "cset", "validate", space)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_out_flag_writes_report(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from dicube import cset, cube, lattice as lat, sd, spaces
@@ -377,3 +380,118 @@ def test_disjoint_union_doubles_components():
     two = cset.disjoint_union(circ, circ)
     assert two.validate()
     assert inv.pi0(two).count == 2
+
+
+# SHA-256 of `to_json`, recorded from the quotient, tensor and subdivision
+# builders as they were before they shared `cset.colimit`.  The digests pin
+# cell order, which the census and size checks above do not.
+GOLDEN_DIGESTS = {
+    "circle@2": "7375eeb57ece3adf4a086fe5f721c66b2049cd481c502c046cc244a6ca49d3be",
+    "circle@3": "4fffc320d14a4f5a877ce4babb74f45164ef69a30873af562b2e59d5ab62f4ba",
+    "cube0@2": "8410409c37e2b8391f4af2f12bb52936625a4a859e45b1a15c631a036fa53902",
+    "cube0@3": "3e7d32564bd48355949bf4058c494e51cb5aa1b167da0fa7af376a5c43f0ab4f",
+    "cube1@2": "509a8b920a771761156f3322e2bfa019ce617daaf681c335fd8f0b17e391f8e2",
+    "cube1@3": "d30dc3e854b003ff6652b7900b427c234b23c8bf00e08fb5454719c04fcfba0a",
+    "cube2@2": "d19ce3e0c6055297e86d89cbd5547ae3274377a149978bffc412e6e243e56dfb",
+    "cube2@3": "fee8325df503dd372a5d1b84c0b4985b6198d6039a2229f8aaa8285d23acc731",
+    "cube3@2": "a002cebaef49a77c6283c995b9b820a6f718812f0b954f4b7a5014c4bd51bbe0",
+    "cube3@3": "a002cebaef49a77c6283c995b9b820a6f718812f0b954f4b7a5014c4bd51bbe0",
+    "cylinder(circle)": "2015cb568c2c8b21c01ae2514a1d637bd2da13f5caa15449c53bb2021e0007ea",
+    "edge@2": "509a8b920a771761156f3322e2bfa019ce617daaf681c335fd8f0b17e391f8e2",
+    "edge@3": "d30dc3e854b003ff6652b7900b427c234b23c8bf00e08fb5454719c04fcfba0a",
+    "edge_boundary@2": "c127f60d08230bb824ded1947d08a7d16100469d9e07bfad8785f1ad1b2b014e",
+    "edge_boundary@3": "6baec1db31738ebaf99c13e8521115a3826f1842327c40aa228e6067ebd0d614",
+    "klein@2": "e106f384da1d305cb68c6bcdb34f4058b08badb547ecb5a15b25f74f79b78156",
+    "klein@3": "511a78708beabd788980aeb0a73fdb286ada32dd40d0fb49f2123e0473ce62bc",
+    "point@2": "8410409c37e2b8391f4af2f12bb52936625a4a859e45b1a15c631a036fa53902",
+    "point@3": "3e7d32564bd48355949bf4058c494e51cb5aa1b167da0fa7af376a5c43f0ab4f",
+    "sd3 circle": "3e1dbc3ec5171f8ffd7f02856e7f2e96835b299fb15b636385c9253642caffe8",
+    "sd3 klein": "9071f3ac32f6c870f003a3aa4fbf3c2959d1c7773936dd384540ea6760c09957",
+    "sd3 sphere2": "1c66bac8f1fc8374c83d28f922d1004fcb724eae87afb6dc41953f807882cfda",
+    "sd3 torus": "b1f15585726e7c0cd7dfbd76d15ad14f05c1bf5cf4e9718e7448ab24640e0944",
+    "sd3 torus_by_quotient": "b1f15585726e7c0cd7dfbd76d15ad14f05c1bf5cf4e9718e7448ab24640e0944",
+    "sd9 circle": "e55aa05445225baa7b2ddecd0c9a86050f0248e0c4ed0866b322422eaee4d8aa",
+    "sphere2@2": "af60ebae780e72126b7a445ec55d9c1ad09d63e490df9033490a315b2126e501",
+    "sphere2@3": "4e744f36e4ca23cecda406949f4ffc259bc7dcf8c97c39ec2fc158536d98192c",
+    "torus@2": "af3329bb266533ebb724b332ab34cf77ad9bc0c842d56b076eb7bf99c78642be",
+    "torus@3": "c13372e0b20291e8d0314180768639a0dec7a0c71c4645c27d5ef35770ffa45a",
+}
+
+
+def _golden_space(name):
+    if name == "cylinder(circle)":
+        return cset.cylinder(spaces.circle())[0]
+    if name.startswith("sd3 "):
+        return sd.sd3(getattr(spaces, name[4:])()).cset
+    if name.startswith("sd9 "):
+        return sd.sd9(getattr(spaces, name[4:])()).cset
+    space, trunc = name.split("@")
+    return spaces.by_name(space, int(trunc))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_golden_digest(name):
+    text = cset.to_json(_golden_space(name))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[name]
+
+
+def _quotient_by_worklist(C, pairs):
+    """Reference quotient: close the pairs under the generator actions with
+    a worklist, then induce the tables; classes ordered by least cell."""
+    uf = cset.UnionFind()
+    for cell in C.all_cells():
+        uf.add(cell)
+    worklist = [(a, b) for a, b in pairs if uf.union(a, b)]
+
+    def moves(n):
+        out = [(n - 1, C.faces[(n, i, eps)]) for i in range(1, n + 1) for eps in (0, 1)]
+        if n < C.trunc:
+            out += [(n + 1, C.degens[(n, i)]) for i in range(1, n + 2)]
+        return out + [(n, C.transps[(n, i)]) for i in range(1, n)]
+
+    while worklist:
+        (n, x), (_, y) = worklist.pop()
+        for m, tbl in moves(n):
+            if uf.union((m, tbl[x]), (m, tbl[y])):
+                worklist.append(((m, tbl[x]), (m, tbl[y])))
+    levels = range(C.trunc + 1)
+    roots = [sorted({uf.find((n, i)) for i in C.cells(n)}) for n in levels]
+    index = [{r: k for k, r in enumerate(roots[n])} for n in levels]
+    proj = tuple(tuple(index[n][uf.find((n, i))] for i in C.cells(n)) for n in levels)
+
+    def induce(tables, target):
+        out = {}
+        for key, tbl in tables.items():
+            n, new = key[0], [None] * len(roots[key[0]])
+            for i in C.cells(n):
+                v = proj[target(n)][tbl[i]]
+                assert new[proj[n][i]] in (None, v)
+                new[proj[n][i]] = v
+            out[key] = tuple(new)
+        return out
+
+    Q = cset.CubicalSet(
+        C.trunc,
+        tuple(len(r) for r in roots),
+        induce(C.faces, lambda n: n - 1),
+        induce(C.degens, lambda n: n + 1),
+        induce(C.transps, lambda n: n),
+    )
+    return Q, proj
+
+
+@pytest.mark.parametrize("space", ["representable(2, 3)", "torus(2)"])
+def test_quotient_matches_worklist_closure(space):
+    C = cset.representable(2, 3) if space == "representable(2, 3)" else spaces.torus(2)
+    rng = random.Random(space)
+    for _ in range(12):
+        pairs = []
+        for _ in range(rng.randint(1, 3)):
+            n = rng.randrange(C.trunc + 1)
+            pairs.append(((n, rng.randrange(C.sizes[n])), (n, rng.randrange(C.sizes[n]))))
+        Q, proj_fn = cset.quotient(C, pairs)
+        ref, ref_proj = _quotient_by_worklist(C, pairs)
+        assert cset.to_json(Q) == cset.to_json(ref), pairs
+        assert proj_fn.maps == ref_proj
+        assert Q.validate()
+

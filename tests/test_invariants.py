@@ -28,6 +28,21 @@ def test_h1_klein():
     assert cat.monoid_isomorphic(M, cat.equal_doubles_pairs(z4)) is not None
 
 
+@pytest.mark.parametrize("name", ["cube2", "edge"])
+def test_h1_monoid_unit_not_label_zero(name):
+    # Z/2 with its unit labelled 1: the unit weighting is not the first
+    # member of its class on these multi-vertex spaces
+    z2 = cat.FinMonoid(((1, 0), (0, 1)), 1)
+    M = inv.h1_monoid(inv.h1(spaces.by_name(name), z2))
+    assert cat.monoid_isomorphic(M, cat.trivial_monoid()) is not None
+
+
+def test_h1_monoid_needs_a_unit():
+    r = inv.H1Result(cat.zmod(2), 2, ((0,), (1,)), ((0,), (1,)), ((0, 0), (0, 0)))
+    with pytest.raises(inv.InvariantError):
+        inv.h1_monoid(r)
+
+
 def test_h1_trivial_coefficients():
     for name in ("circle", "torus", "klein", "sphere2"):
         assert inv.h1(spaces.by_name(name), cat.trivial_monoid()).count == 1
