@@ -1,6 +1,11 @@
 """Finite categories and monoids by table, nerves, conjugacy, and homotopy
 classes of functors under zig-zags of natural transformations.
 
+The n-cells of the nerve N(S) are the functors t1(cube n) -> S out of the
+fundamental category presentation of the representable n-cube (the poset
+[1]^n), found by the same `enumerate_functors` that `invariants.h1` and
+`invariants.hom_classes` use.
+
 Composition is read diagrammatically throughout: `then(f, g)` is "f, then
 g", and a monoid table `op[x][y]` means "x, then y".  Path words in
 presentations are read left to right in the same way.
@@ -13,8 +18,8 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import cset, cube
-from .config import Budget
+from . import cset, cube, t1
+from .config import Budget, check_ints, json_errors
 
 
 class CatError(ValueError):
@@ -44,6 +49,8 @@ class FinMonoid:
             raise CatError("ragged monoid table")
         if any(not 0 <= v < n for row in self.table for v in row):
             raise CatError("monoid table value out of range")
+        if not 0 <= self.unit < n:
+            raise CatError("monoid unit out of range")
         e = self.unit
         for x in range(n):
             if self.table[e][x] != x or self.table[x][e] != x:
@@ -171,9 +178,14 @@ def monoid_to_json(M):
 
 
 def monoid_from_json(text):
-    data = json.loads(text)
-    M = FinMonoid(tuple(tuple(r) for r in data["table"]), data["unit"])
-    if M.size != data["size"]:
+    """Inverse of `monoid_to_json`; missing or malformed entries raise CatError."""
+    with json_errors(CatError, "monoid"):
+        data = json.loads(text)
+        table = tuple(tuple(r) for r in data["table"])
+        unit, size = data["unit"], data["size"]
+        check_ints([unit, size, *itertools.chain(*table)])
+    M = FinMonoid(table, unit)
+    if M.size != size:
         raise CatError("size field does not match table")
     M.validate()
     return M
@@ -206,13 +218,10 @@ def conjugacy_classes(M):
         for y in range(M.size):
             if any(M.table[x][z] == M.table[z][y] for z in range(M.size)):
                 uf.union(x, y)
-    groups = sorted(sorted(g) for g in uf.classes().values())
+    groups = uf.classes()
     quotient = None
     if M.is_commutative():
-        class_of = {}
-        for ci, grp in enumerate(groups):
-            for x in grp:
-                class_of[x] = ci
+        class_of = {x: ci for ci, grp in enumerate(groups) for x in grp}
         table = []
         for g1 in groups:
             row = []
@@ -322,6 +331,17 @@ class FinCat:
         return [f for f in range(self.n_mor) if self.src[f] == x and self.tgt[f] == y]
 
     def validate(self):
+        n, m = self.n_obj, self.n_mor
+        if len(self.tgt) != m or len(self.ident) != n or len(self.comp) != m:
+            raise CatError("category tables have inconsistent sizes")
+        if any(len(row) != m for row in self.comp):
+            raise CatError("ragged composition table")
+        if (
+            any(not 0 <= o < n for o in self.src + self.tgt)
+            or any(not 0 <= f < m for f in self.ident)
+            or any(h is not None and not 0 <= h < m for row in self.comp for h in row)
+        ):
+            raise CatError("category table entry out of range")
         for o in range(self.n_obj):
             e = self.ident[o]
             if self.src[e] != o or self.tgt[e] != o:
@@ -420,14 +440,18 @@ def cat_to_json(S):
 
 
 def cat_from_json(text):
-    data = json.loads(text)
-    C = FinCat(
-        data["objects"],
-        tuple(data["src"]),
-        tuple(data["tgt"]),
-        tuple(data["identities"]),
-        tuple(tuple(row) for row in data["compose"]),
-    )
+    """Inverse of `cat_to_json`; missing or malformed entries raise CatError."""
+    with json_errors(CatError, "category"):
+        data = json.loads(text)
+        C = FinCat(
+            data["objects"],
+            tuple(data["src"]),
+            tuple(data["tgt"]),
+            tuple(data["identities"]),
+            tuple(tuple(row) for row in data["compose"]),
+        )
+        check_ints([C.n_obj, *C.src, *C.tgt, *C.ident])
+        check_ints(itertools.chain(*C.comp), blank=True)
     C.validate()
     return C
 
@@ -436,116 +460,67 @@ def cat_from_json(text):
 # cubical nerves
 
 
+@lru_cache(maxsize=None)
 def _cube_pairs(n):
-    """Comparable vertex pairs of the n-cube poset in lexicographic order."""
+    """Comparable vertex pairs of the n-cube poset, in lexicographic order,
+    mapped to their index."""
     pts = cube.points(n)
-    return [
-        (a, b)
-        for a in pts
-        for b in pts
-        if all(x <= y for x, y in zip(a, b))
-    ]
+    pairs = [(a, b) for a in pts for b in pts if all(x <= y for x, y in zip(a, b))]
+    return {p: i for i, p in enumerate(pairs)}
+
+
+@lru_cache(maxsize=None)
+def _cube_t1(n):
+    """t1 of the n-cube with, per comparable vertex pair (a, b), the index of
+    a and the staircase word of edge generators from a to b (coordinates
+    raised in increasing order), plus the comparable triples as pair indices."""
+    P, _ = t1.fundamental_presentation(cset.representable(n, max(n, 2)))
+    gen_of = {edge: g for g, edge in enumerate(P.gens)}
+    pairs = _cube_pairs(n)
+    words = []
+    for a, b_ in pairs:
+        stairs = [cube.point_index(b_[:j] + a[j:]) for j in range(n + 1)]
+        word = tuple(gen_of[e] for e in zip(stairs, stairs[1:]) if e[0] != e[1])
+        words.append((stairs[0], word))
+    triples = tuple(
+        (i, pairs[(b_, c)], pairs[(a, c)])
+        for (a, b_), i in pairs.items()
+        for c in cube.points(n)
+        if (b_, c) in pairs
+    )
+    return P, tuple(words), triples
 
 
 def cube_functors(S, n, budget=None):
     """All functors from the n-cube poset to S, as morphism tables over
-    the comparable vertex pairs."""
+    the comparable vertex pairs.
+
+    The n-cube poset is t1 of the representable n-cube, so these are the
+    functors `enumerate_functors` finds out of its presentation, each
+    evaluated along staircase paths.  Functoriality on every comparable
+    triple is checked again, independently of t1's square convention.
+    """
     S = as_cat(S)
-    b = Budget.of(budget)
-    pts = list(cube.points(n))
-    pairs = _cube_pairs(n)
-    pair_index = {p: i for i, p in enumerate(pairs)}
-    covers = []
-    for a in pts:
-        for j in range(n):
-            if a[j] == 0:
-                b_ = a[:j] + (1,) + a[j + 1 :]
-                covers.append((a, b_))
-    results = []
-
-    def paths_value(obj_of, mor_of, a, b_):
-        # compose cover morphisms along the canonical staircase from a to b_
-        cur = a
-        f = S.ident[obj_of[a]]
-        for j in range(n):
-            if a[j] < b_[j]:
-                nxt = cur[:j] + (1,) + cur[j + 1 :]
-                f = S.then(f, mor_of[(cur, nxt)])
-                cur = nxt
-        return f
-
-    def assign_objects(i, obj_of):
-        if i == len(pts):
-            assign_covers(0, obj_of, {})
-            return
-        for o in range(S.n_obj):
-            b.spend()
-            obj_of[pts[i]] = o
-            assign_objects(i + 1, obj_of)
-            del obj_of[pts[i]]
-
-    def assign_covers(i, obj_of, mor_of):
-        if i == len(covers):
-            finish(obj_of, mor_of)
-            return
-        a, b_ = covers[i]
-        for f in S.hom(obj_of[a], obj_of[b_]):
-            b.spend()
-            mor_of[(a, b_)] = f
-            # prune on squares whose four edges are now all assigned;
-            # the final triple check below is the complete test
-            if _squares_ok(S, mor_of, a, b_, n):
-                assign_covers(i + 1, obj_of, mor_of)
-            del mor_of[(a, b_)]
-
-    def _squares_ok(S, mor_of, a, b_, n):
-        # check every fully assigned square containing the new edge a -> b_
-        j0 = next(j for j in range(n) if a[j] != b_[j])
-
-        def plus(p, j):
-            return p[:j] + (1,) + p[j + 1 :]
-
-        for k in range(n):
-            if k == j0:
-                continue
-            base = a if a[k] == 0 else a[:k] + (0,) + a[k + 1 :]
-            e1 = (base, plus(base, j0))
-            e2 = (plus(base, j0), plus(plus(base, j0), k))
-            f1 = (base, plus(base, k))
-            f2 = (plus(base, k), plus(plus(base, k), j0))
-            if all(e in mor_of for e in (e1, e2, f1, f2)):
-                if S.then(mor_of[e1], mor_of[e2]) != S.then(mor_of[f1], mor_of[f2]):
-                    return False
-        return True
-
-    def finish(obj_of, mor_of):
-        table = []
-        for a, b_ in pairs:
-            table.append(paths_value(obj_of, mor_of, a, b_))
-        # full functoriality: composites along any comparable triple agree
-        for a, b_ in pairs:
-            for c in cube.points(n):
-                if all(x <= y for x, y in zip(b_, c)):
-                    lhs = S.then(table[pair_index[(a, b_)]], table[pair_index[(b_, c)]])
-                    if lhs != table[pair_index[(a, c)]]:
-                        return
-        results.append(tuple(table))
-
-    assign_objects(0, {})
-    return sorted(set(results))
+    P, words, triples = _cube_t1(n)
+    tables = []
+    for F in enumerate_functors(P, S, budget):
+        table = tuple(_eval_word(S, P, F, word, a) for a, word in words)
+        for ab, bc, ac in triples:
+            if S.then(table[ab], table[bc]) != table[ac]:
+                raise CatError(f"internal: {n}-cube functor fails on a comparable triple")
+        tables.append(table)
+    return sorted(tables)
 
 
 def nerve(S, trunc, budget=None):
-    """The cubical set of functors from cube posets to S."""
+    """The cubical nerve of S: its n-cells are the functors out of t1 of the
+    n-cube (`cube_functors`), and cube maps act by precomposition."""
     S = as_cat(S)
     b = Budget.of(budget)
     keys_by_dim = [cube_functors(S, n, b) for n in range(trunc + 1)]
-    pair_indices = [
-        {p: i for i, p in enumerate(_cube_pairs(n))} for n in range(trunc + 1)
-    ]
 
     def act(phi, key):
-        pidx = pair_indices[phi.cod]
+        pidx = _cube_pairs(phi.cod)
         return tuple(
             key[pidx[(phi(a), phi(b_))]] for a, b_ in _cube_pairs(phi.dom)
         )
@@ -742,4 +717,4 @@ def functor_homotopy_classes(P, S, functors, budget=None):
                         P, S_cat, G, F, b
                     ):
                         uf.union(i, j)
-    return sorted(sorted(g) for g in uf.classes().values())
+    return uf.classes()

@@ -1,6 +1,7 @@
-"""Shared enumeration budgets and error types."""
+"""Shared enumeration budgets, error types and JSON input checks."""
 
 import os
+from contextlib import contextmanager
 
 DEFAULT_BUDGET = 10**6
 
@@ -48,3 +49,21 @@ class Budget:
             raise BudgetExceeded(
                 f"enumeration budget exceeded ({self.used} > {self.limit})"
             )
+
+
+@contextmanager
+def json_errors(error, what):
+    """Report a missing key or a malformed value met while reading `what`
+    JSON as one `error`, never as a bare KeyError or TypeError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise error(f"{what} JSON lacks the key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise error(f"malformed {what} JSON: {exc}") from None
+
+
+def check_ints(values, blank=False):
+    """Raise ValueError unless every value is an int (or None where `blank`)."""
+    if any(not (type(v) is int or (blank and v is None)) for v in values):
+        raise ValueError("non-integer entry")

@@ -19,6 +19,7 @@ from functools import lru_cache
 
 from . import cube
 from . import lattice as lat
+from .config import check_ints, json_errors
 
 
 class CsetError(ValueError):
@@ -52,10 +53,11 @@ class UnionFind:
         return True
 
     def classes(self):
+        """The partition: sorted classes, each sorted."""
         groups = {}
         for x in self.parent:
             groups.setdefault(self.find(x), []).append(x)
-        return groups
+        return sorted(sorted(g) for g in groups.values())
 
 
 @dataclass(eq=False)
@@ -193,7 +195,7 @@ class CubicalSet:
                 if tbl[x] not in nondeg:
                     raise CsetError("transposition does not preserve nondegeneracy")
                 uf.union(x, tbl[x])
-        return sorted(sorted(g) for g in uf.classes().values())
+        return uf.classes()
 
     def census(self):
         """Counts of nondegenerate cells up to coordinate transposition."""
@@ -634,6 +636,7 @@ def quotient(C, pairs):
     map phi into the dimension of a pair.  The returned projection maps
     each cell to its class; classes are ordered by their smallest cell.
     """
+    pairs = list(pairs)
     for (n1, _), (n2, _) in pairs:
         if n1 != n2:
             raise CsetError("cannot identify cells of different dimensions")
@@ -817,7 +820,7 @@ def to_json(C):
 
 def from_json(text):
     """Inverse of `to_json`; missing or malformed entries raise CsetError."""
-    try:
+    with json_errors(CsetError, "cubical set"):
         data = json.loads(text)
         trunc, sizes = data["trunc"], tuple(data["cells"])
         tables = []
@@ -829,13 +832,7 @@ def from_json(text):
                     raise ValueError(f"bad {name} key {key!r}")
                 table[index] = tuple(tbl)
             tables.append(table)
-        entries = [trunc, *sizes, *(v for table in tables for tbl in table.values() for v in tbl)]
-        if any(type(v) is not int for v in entries):
-            raise ValueError("non-integer entry")
-    except KeyError as exc:
-        raise CsetError(f"cubical set JSON lacks the key {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise CsetError(f"malformed cubical set JSON: {exc}") from None
+        check_ints([trunc, *sizes, *(v for table in tables for tbl in table.values() for v in tbl)])
     return CubicalSet(trunc, sizes, *tables)
 
 

@@ -34,12 +34,11 @@ def pi0(C):
         uf.add(v)
     for e in C.cells(1):
         uf.union(C.faces[(1, 1, 0)][e], C.faces[(1, 1, 1)][e])
-    groups = sorted(sorted(g) for g in uf.classes().values())
-    class_of = [None] * C.sizes[0]
-    for ci, g in enumerate(groups):
-        for v in g:
-            class_of[v] = ci
-    return Pi0Result(len(groups), tuple(g[0] for g in groups), tuple(class_of))
+    groups = uf.classes()
+    class_of = {v: ci for ci, g in enumerate(groups) for v in g}
+    return Pi0Result(
+        len(groups), tuple(g[0] for g in groups), tuple(class_of[v] for v in C.cells(0))
+    )
 
 
 @dataclass(frozen=True)
@@ -57,21 +56,17 @@ def h1(C, tau, budget=None, with_table=True):
     Weightings are functors from the fundamental category presentation to
     tau (unit on degenerate edges, one square relation per nondegenerate
     square); two weightings are identified by zig-zags of natural
-    transformations.  For commutative tau the classes carry the pointwise
+    transformations, exactly as in `hom_classes`.  h1 adds a representative
+    per class and, for commutative tau, the class table of the pointwise
     monoid structure; well-definedness is asserted exhaustively over
     member pairs (so the table computation has its own budget and can be
     switched off when only the count is wanted).
     """
     b = Budget.of(budget)
-    P, _ = t1.fundamental_presentation(C)
-    functors = cat.enumerate_functors(P, tau, b)
-    classes = cat.functor_homotopy_classes(P, tau, functors, b)
+    functors, classes = _functor_classes(C, tau, b)
     table = None
     if with_table and tau.is_commutative():
-        class_of = {}
-        for ci, grp in enumerate(classes):
-            for i in grp:
-                class_of[i] = ci
+        class_of = {i: ci for ci, grp in enumerate(classes) for i in grp}
         index = {F: i for i, F in enumerate(functors)}
         rows = []
         for g1 in classes:
@@ -156,13 +151,10 @@ def loop_classes(C, v, n, budget=None):
             hi = C.faces[(n + 1, n + 1, 1)][y]
             if lo in zero_set and hi in zero_set:
                 uf.union(lo, hi)
-    groups = sorted(sorted(g) for g in uf.classes().values())
+    groups = uf.classes()
     table = None
     if n == 1 and C.sizes[0] == 1:
-        class_of = {}
-        for ci, g in enumerate(groups):
-            for x in g:
-                class_of[x] = ci
+        class_of = {x: ci for ci, g in enumerate(groups) for x in g}
         sv = next(iter(vs.sel[1]))
         rows = []
         total = True
@@ -214,11 +206,15 @@ def hom_classes(B, S, budget=None):
     Computed as functors out of the fundamental category presentation of
     B, modulo zig-zags of natural transformations.
     """
-    b = Budget.of(budget)
-    P, _ = t1.fundamental_presentation(B)
-    functors = cat.enumerate_functors(P, S, b)
-    classes = cat.functor_homotopy_classes(P, S, functors, b)
+    functors, classes = _functor_classes(B, S, Budget.of(budget))
     return HomClassesResult(len(classes), tuple(tuple(g) for g in classes), len(functors))
+
+
+def _functor_classes(B, S, budget):
+    """Functors out of t1(B) into S and their homotopy classes (index lists)."""
+    P, _ = t1.fundamental_presentation(B)
+    functors = cat.enumerate_functors(P, S, budget)
+    return functors, cat.functor_homotopy_classes(P, S, functors, budget)
 
 
 def hom_classes_presheaf_oracle(B, C, budget=None):
@@ -231,5 +227,5 @@ def hom_classes_presheaf_oracle(B, C, budget=None):
         uf.add(i)
     for i, j in edges:
         uf.union(i, j)
-    groups = sorted(sorted(g) for g in uf.classes().values())
+    groups = uf.classes()
     return HomClassesResult(len(groups), tuple(tuple(g) for g in groups), len(maps))

@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .config import json_errors
+
 
 class LatticeError(ValueError):
     pass
@@ -546,9 +548,13 @@ def to_json(L):
 
 
 def from_json(text):
-    data = json.loads(text)
-    leq = data["leq"]
-    if len(leq) != data["size"]:
+    """Inverse of `to_json`; missing or malformed entries raise LatticeError."""
+    with json_errors(LatticeError, "lattice"):
+        data = json.loads(text)
+        leq, size = [list(row) for row in data["leq"]], data["size"]
+    if any(type(v) is not bool for row in leq for v in row):
+        raise LatticeError("leq table entries must be true or false")
+    if len(leq) != size:
         raise LatticeError("size field does not match leq table")
     return lattice_from_leq(leq)
 

@@ -63,6 +63,12 @@ def test_nerve_counts():
     # square, so the square level has |M|^3 cells
     nz2 = cat.nerve(cat.zmod(2), 2)
     assert nz2.sizes == (1, 2, 8)
+    # a functor from the connected poset [1]^n into a group is free on the
+    # 2^n - 1 edges of a spanning tree
+    for k in (2, 3):
+        assert cat.nerve(cat.zmod(k), 3).sizes == tuple(k ** (2**n - 1) for n in range(4))
+    # monotone maps [1]^n -> [1]: the Dedekind numbers
+    assert cat.nerve(cat.arrow_cat(), 3).sizes == (2, 3, 6, 20)
 
 
 def test_nerve_validates():

@@ -1,10 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from dicube import cli, cset, spaces
+from dicube import cat, cli, cset, spaces
 
 
 def run_cli(capsys, *argv):
@@ -26,6 +27,30 @@ def test_cube_enumerate_class_filter(capsys):
         capsys, "cube", "enumerate", "--dom", "2", "--cod", "2", "--class", "iso"
     )
     assert json.loads(out)["result"]["count"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cat", "nerve", "--cat", "idem2", "--trunc", "3"),
+        ("inv", "h1", "--space", "klein", "--monoid", "zmod4"),
+        ("inv", "homclasses", "--b", "circle", "--s", "s3"),
+        ("cset", "sd", "circle"),
+    ],
+    ids=" ".join,
+)
+def test_reports_do_not_depend_on_hash_seed(argv):
+    outputs = set()
+    for seed in ("0", "1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dicube.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            check=True,
+        )
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
 
 
 def test_reports_are_deterministic(capsys):
@@ -127,9 +152,9 @@ def test_budget_env_override(capsys, monkeypatch):
     assert code == 3
 
 
-def _torus_json(**changes):
-    """The torus as cubical-set JSON with entries replaced (None deletes)."""
-    data = json.loads(cset.to_json(spaces.torus()))
+def _edited_json(text, **changes):
+    """JSON text with entries replaced (None deletes)."""
+    data = json.loads(text)
     for key, value in changes.items():
         if value is None:
             del data[key]
@@ -138,34 +163,60 @@ def _torus_json(**changes):
     return json.dumps(data)
 
 
+TORUS = cset.to_json(spaces.torus())
+ARROW = cat.cat_to_json(cat.arrow_cat())
+CSET = ("cset", "validate")
+MONOID = ("cat", "classes", "--monoid")
+CAT = ("cat", "nerve", "--cat")
+LATTICE = ("lattice", "check")
+
+
 @pytest.mark.parametrize(
-    "budget_env, cset_text",
+    "budget_env, command, text",
     [
-        pytest.param("abc", None, id="budget-not-a-number"),
-        pytest.param("0", None, id="budget-zero"),
-        pytest.param("-1", None, id="budget-negative"),
-        pytest.param(None, "{", id="cset-not-json"),
-        pytest.param(None, "[]", id="cset-not-an-object"),
-        pytest.param(None, _torus_json(degens=None), id="cset-no-degens"),
-        pytest.param(None, _torus_json(faces={"1,x,0": [0]}), id="cset-bad-face-key"),
-        pytest.param(None, _torus_json(faces={"1,1": [0]}), id="cset-short-face-key"),
-        pytest.param(None, _torus_json(cells=[1, "2", 1]), id="cset-string-size"),
-        pytest.param(None, _torus_json(transps=[]), id="cset-tables-not-an-object"),
+        pytest.param("abc", CSET, None, id="budget-not-a-number"),
+        pytest.param("0", CSET, None, id="budget-zero"),
+        pytest.param("-1", CSET, None, id="budget-negative"),
+        pytest.param(None, CSET, "{", id="cset-not-json"),
+        pytest.param(None, CSET, "[]", id="cset-not-an-object"),
+        pytest.param(None, CSET, _edited_json(TORUS, degens=None), id="cset-no-degens"),
+        pytest.param(None, CSET, _edited_json(TORUS, faces={"1,x,0": [0]}), id="cset-bad-face-key"),
+        pytest.param(None, CSET, _edited_json(TORUS, faces={"1,1": [0]}), id="cset-short-face-key"),
+        pytest.param(None, CSET, _edited_json(TORUS, cells=[1, "2", 1]), id="cset-string-size"),
+        pytest.param(None, CSET, _edited_json(TORUS, transps=[]), id="cset-tables-not-an-object"),
         pytest.param(
             None,
+            CSET,
             '{"trunc": 0, "cells": [-1], "faces": {}, "degens": {}, "transps": {}}',
             id="cset-negative-size",
         ),
+        pytest.param(None, MONOID, '{"size": 1, "table": [[0]]}', id="monoid-no-unit"),
+        pytest.param(None, MONOID, "[1, 2]", id="monoid-not-an-object"),
+        pytest.param(
+            None, MONOID, '{"size": 1, "table": [[0]], "unit": 1}', id="monoid-unit-out-of-range"
+        ),
+        pytest.param(
+            None, MONOID, '{"size": 1, "table": [["0"]], "unit": 0}', id="monoid-string-entry"
+        ),
+        pytest.param(None, CAT, _edited_json(ARROW, src=None), id="cat-no-src"),
+        pytest.param(None, CAT, "[1, 2]", id="cat-not-an-object"),
+        pytest.param(
+            None, CAT, _edited_json(ARROW, identities=[0, 3]), id="cat-identity-out-of-range"
+        ),
+        pytest.param(None, CAT, _edited_json(ARROW, compose=[[0, 1]]), id="cat-short-compose"),
+        pytest.param(None, LATTICE, "[1, 2]", id="lattice-not-an-object"),
+        pytest.param(None, LATTICE, '{"size": 1}', id="lattice-no-leq"),
+        pytest.param(None, LATTICE, '{"size": 1, "leq": [["yes"]]}', id="lattice-string-entry"),
     ],
 )
-def test_bad_input_is_usage_error(tmp_path, capsys, monkeypatch, budget_env, cset_text):
-    space = "circle"
+def test_bad_input_is_usage_error(tmp_path, capsys, monkeypatch, budget_env, command, text):
+    path = "circle"
     if budget_env is not None:
         monkeypatch.setenv("DICUBE_BUDGET", budget_env)
-    if cset_text is not None:
-        space = str(tmp_path / "bad.json")
-        (tmp_path / "bad.json").write_text(cset_text)
-    code, out, err = run_cli(capsys, "cset", "validate", space)
+    if text is not None:
+        path = str(tmp_path / "bad.json")
+        (tmp_path / "bad.json").write_text(text)
+    code, out, err = run_cli(capsys, *command, path)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from dicube import cset, cube, lattice as lat, sd, spaces
+from dicube import cat, cset, cube, lattice as lat, sd, spaces
 
 
 def test_representable_counts():
@@ -160,6 +160,9 @@ def test_quotient_circle():
     assert len(circ.nondegenerate(1)) == 1
     proj_fn.validate()
     assert proj_fn.is_epi()
+    # the pairs are read once, so a generator identifies as much as a list
+    from_gen, _ = cset.quotient(r1, (p for p in [((0, 0), (0, 1))]))
+    assert from_gen.sizes[0] == 1
 
 
 def test_quotient_dimension_mismatch():
@@ -383,8 +386,10 @@ def test_disjoint_union_doubles_components():
 
 
 # SHA-256 of `to_json`, recorded from the quotient, tensor and subdivision
-# builders as they were before they shared `cset.colimit`.  The digests pin
-# cell order, which the census and size checks above do not.
+# builders as they were before they shared `cset.colimit`, and from the
+# nerves as they were before `cat.cube_functors` ran on
+# `cat.enumerate_functors`.  The digests pin cell order, which the census
+# and size checks above do not.
 GOLDEN_DIGESTS = {
     "circle@2": "7375eeb57ece3adf4a086fe5f721c66b2049cd481c502c046cc244a6ca49d3be",
     "circle@3": "4fffc320d14a4f5a877ce4babb74f45164ef69a30873af562b2e59d5ab62f4ba",
@@ -403,6 +408,11 @@ GOLDEN_DIGESTS = {
     "edge_boundary@3": "6baec1db31738ebaf99c13e8521115a3826f1842327c40aa228e6067ebd0d614",
     "klein@2": "e106f384da1d305cb68c6bcdb34f4058b08badb547ecb5a15b25f74f79b78156",
     "klein@3": "511a78708beabd788980aeb0a73fdb286ada32dd40d0fb49f2123e0473ce62bc",
+    "nerve arrow@3": "da3f5551b3bc10f781f565f76768c529fc9ea0faa36bc46f9d409788fd99df27",
+    "nerve discrete2@2": "c127f60d08230bb824ded1947d08a7d16100469d9e07bfad8785f1ad1b2b014e",
+    "nerve idem2@3": "6c0c9da0efbc02c5c4c8561f86abfae367eb6cc0b2ac6669ce0d3d54d6c4b8e4",
+    "nerve s3@2": "fbaa37f072cb767726569c817e356d8c586cd491c197198e92c6c544cc4de643",
+    "nerve zmod2@3": "3427563f6b59d4edfd3abe11940bd9006624338fac7f34732ffa701241e27f84",
     "point@2": "8410409c37e2b8391f4af2f12bb52936625a4a859e45b1a15c631a036fa53902",
     "point@3": "3e7d32564bd48355949bf4058c494e51cb5aa1b167da0fa7af376a5c43f0ab4f",
     "sd3 circle": "3e1dbc3ec5171f8ffd7f02856e7f2e96835b299fb15b636385c9253642caffe8",
@@ -425,6 +435,11 @@ def _golden_space(name):
         return sd.sd3(getattr(spaces, name[4:])()).cset
     if name.startswith("sd9 "):
         return sd.sd9(getattr(spaces, name[4:])()).cset
+    if name.startswith("nerve "):
+        target, trunc = name[6:].split("@")
+        named = {"arrow": cat.arrow_cat, "discrete2": lambda: cat.discrete_cat(2)}
+        S = named[target]() if target in named else cat.monoid_by_name(target)
+        return cat.nerve(S, int(trunc))
     space, trunc = name.split("@")
     return spaces.by_name(space, int(trunc))
 
