@@ -529,13 +529,32 @@ def nerve(S, trunc, budget=None):
 
 
 def nerve_map(F_obj, F_mor, S, T, nerve_S, nerve_T):
-    """The cubical function of nerves induced by a functor S -> T."""
+    """The cubical function of nerves induced by the functor S -> T with
+    object and morphism tables F_obj, F_mor; a non-functor raises CatError."""
+    S, T = as_cat(S), as_cat(T)
+    if len(F_obj) != S.n_obj or len(F_mor) != S.n_mor:
+        raise CatError("functor tables do not match the source category")
+    if any(not 0 <= o < T.n_obj for o in F_obj) or any(not 0 <= f < T.n_mor for f in F_mor):
+        raise CatError("functor table entry out of range")
+    for f in range(S.n_mor):
+        if (T.src[F_mor[f]], T.tgt[F_mor[f]]) != (F_obj[S.src[f]], F_obj[S.tgt[f]]):
+            raise CatError(f"functor moves the endpoints of morphism {f}")
+    for o in range(S.n_obj):
+        if F_mor[S.ident[o]] != T.ident[F_obj[o]]:
+            raise CatError(f"functor does not preserve the identity of object {o}")
+    for f, row in enumerate(S.comp):
+        for g, h in enumerate(row):
+            if h is not None and F_mor[h] != T.comp[F_mor[f]][F_mor[g]]:
+                raise CatError(f"functor does not preserve the composite of {f}, {g}")
     maps = []
-    for n in range(nerve_S.trunc + 1):
+    for n in range(min(nerve_S.trunc, nerve_T.trunc) + 1):
         idx = nerve_T.key_index(n)
         level = []
         for key in nerve_S.keys[n]:
-            level.append(idx[tuple(F_mor[f] for f in key)])
+            cell = idx.get(tuple(F_mor[f] for f in key))
+            if cell is None:
+                raise CatError("the nerves are not those of the two categories")
+            level.append(cell)
         maps.append(tuple(level))
     f = cset.CubicalFunction(nerve_S, nerve_T, tuple(maps))
     f.validate()

@@ -2,10 +2,13 @@
 
 A cubical set stores every cell up to the truncation dimension, including
 degenerate ones, together with the elementary generator actions: faces
-d_{eps,i}, degeneracies s_i and adjacent transpositions t_i.  The action
-of an arbitrary cube-category morphism is assembled from a canonical
-decomposition into generators, and validation checks that this assembly
-is functorial, which pins down all generator relations at once.
+d_{eps,i}, degeneracies s_i and adjacent transpositions t_i.
+`_elementary_maps_into` is the one list of these generator tables: it pairs
+each elementary cube map with the family (`faces`, `degens`, `transps`)
+and key of its table, and every builder and checker here walks it.  The
+action of an arbitrary cube-category morphism is assembled from a
+canonical decomposition into generators, and validation checks that this
+assembly is functorial, which pins down all generator relations at once.
 
 Cells are plain integer indices per dimension; constructors carry
 canonical keys so results are reproducible bit for bit.
@@ -82,28 +85,17 @@ class CubicalSet:
     def structural_check(self):
         if self.trunc < 0 or len(self.sizes) != self.trunc + 1 or min(self.sizes) < 0:
             raise CsetError("bad truncation data")
-        for n in range(1, self.trunc + 1):
-            for i in range(1, n + 1):
-                for eps in (0, 1):
-                    tbl = self.faces.get((n, i, eps))
-                    if tbl is None or len(tbl) != self.sizes[n]:
-                        raise CsetError(f"missing face table ({n},{i},{eps})")
-                    if any(not 0 <= v < self.sizes[n - 1] for v in tbl):
-                        raise CsetError(f"face table ({n},{i},{eps}) out of range")
-        for n in range(0, self.trunc):
-            for i in range(1, n + 2):
-                tbl = self.degens.get((n, i))
-                if tbl is None or len(tbl) != self.sizes[n]:
-                    raise CsetError(f"missing degeneracy table ({n},{i})")
-                if any(not 0 <= v < self.sizes[n + 1] for v in tbl):
-                    raise CsetError(f"degeneracy table ({n},{i}) out of range")
-        for n in range(2, self.trunc + 1):
-            for i in range(1, n):
-                tbl = self.transps.get((n, i))
-                if tbl is None or len(tbl) != self.sizes[n]:
-                    raise CsetError(f"missing transposition table ({n},{i})")
-                if any(not 0 <= v < self.sizes[n] for v in tbl):
-                    raise CsetError(f"transposition table ({n},{i}) out of range")
+        for family, key, g in _generator_tables(self.trunc):
+            tbl = getattr(self, family).get(key)
+            if tbl is None or len(tbl) != self.sizes[g.cod]:
+                raise CsetError(f"missing {family} table {key}")
+            if any(not 0 <= v < self.sizes[g.dom] for v in tbl):
+                raise CsetError(f"{family} table {key} out of range")
+        expected = set(_generator_keys(self.trunc).values())
+        for family in FAMILIES:
+            for key in getattr(self, family):
+                if (family, key) not in expected:
+                    raise CsetError(f"{family} table {key} outside truncation {self.trunc}")
 
     def cells(self, n):
         return range(self.sizes[n])
@@ -122,21 +114,11 @@ class CubicalSet:
 
     def elementary_action(self, g):
         """The table of C(g) for an elementary cube map g."""
-        if all(cube.is_proj(s) for s in g.outputs) and g.dom == g.cod + 1:
-            used = g.used_inputs()
-            i = next(k for k in range(1, g.dom + 1) if k not in used)
-            return self.degens[(g.cod, i)]
-        if g.dom + 1 == g.cod:
-            j = next(k for k, s in enumerate(g.outputs) if cube.is_const(s))
-            return self.faces[(g.cod, j + 1, g.outputs[j][1])]
-        if g.dom == g.cod:
-            if g.is_identity():
-                return tuple(range(self.sizes[g.dom]))
-            i = next(
-                k + 1 for k, s in enumerate(g.outputs) if s != cube.proj(k + 1)
-            )
-            return self.transps[(g.dom, i)]
-        raise CsetError(f"not an elementary map: {g.text()}")
+        found = _generator_keys(self.trunc).get(g)
+        if found is None:
+            raise CsetError(f"not an elementary map: {g.text()}")
+        family, key = found
+        return getattr(self, family)[key]
 
     def action(self, phi):
         """The table of C(phi): C_cod -> C_dom for any cube map phi."""
@@ -224,7 +206,7 @@ class CubicalSet:
             for n in range(self.trunc + 1):
                 for phi in cube.enumerate_maps(m, n):
                     base = self.action(phi)
-                    for g in _elementary_maps_into(m, self.trunc):
+                    for _, _, g in _elementary_maps_into(m, self.trunc):
                         # g: [1]^k -> [1]^m; check C(phi o g) == C(g) o C(phi)
                         whole = self.action(cube.compose(phi, g))
                         step = self.action(g)
@@ -235,20 +217,40 @@ class CubicalSet:
         return True
 
 
+FAMILIES = ("faces", "degens", "transps")
+
+
 @lru_cache(maxsize=None)
 def _elementary_maps_into(m, trunc):
-    """Elementary maps with codomain [1]^m and dimensions within trunc."""
-    out = []
-    if m >= 1:
-        for i in range(1, m + 1):
-            for eps in (0, 1):
-                out.append(cube.coface(eps, i, m))
-    if m + 1 <= trunc:
-        for i in range(1, m + 2):
-            out.append(cube.codegeneracy(i, m + 1))
-    for i in range(1, m):
-        out.append(cube.transposition(i, m))
+    """The generator tables on m-cells, as (family, key, g) triples.
+
+    g: [1]^k -> [1]^m is an elementary map with k, m <= trunc, and
+    `getattr(C, family)[key]` is the table of C(g): C_m -> C_k.
+    """
+    out = [("faces", (m, i, eps), cube.coface(eps, i, m)) for i in range(1, m + 1) for eps in (0, 1)]
+    if m < trunc:
+        out += [("degens", (m, i), cube.codegeneracy(i, m + 1)) for i in range(1, m + 2)]
+    out += [("transps", (m, i), cube.transposition(i, m)) for i in range(1, m)]
     return tuple(out)
+
+
+def _generator_tables(trunc):
+    """Every generator table of a cubical set truncated at trunc."""
+    return [t for m in range(trunc + 1) for t in _elementary_maps_into(m, trunc)]
+
+
+@lru_cache(maxsize=None)
+def _generator_keys(trunc):
+    """Elementary map -> (family, key) of its table."""
+    return {g: (family, key) for family, key, g in _generator_tables(trunc)}
+
+
+def _tabulate(trunc, sizes, table, **kwargs):
+    """The cubical set whose (family, key, g) table is `table(family, key, g)`."""
+    tables = {family: {} for family in FAMILIES}
+    for family, key, g in _generator_tables(trunc):
+        tables[family][key] = table(family, key, g)
+    return CubicalSet(trunc, sizes, **tables, **kwargs)
 
 
 @lru_cache(maxsize=None)
@@ -267,32 +269,11 @@ def build_presheaf(trunc, keys_by_dim, act, lattice=None):
     keys_by_dim[n] lists the canonical keys of the n-cells in index order;
     `act` implements precomposition with an arbitrary cube map.
     """
-    index = [
-        {k: i for i, k in enumerate(keys)} for keys in keys_by_dim
-    ]
-    sizes = tuple(len(keys) for keys in keys_by_dim)
-    faces, degens, transps = {}, {}, {}
-    for n in range(1, trunc + 1):
-        for i in range(1, n + 1):
-            for eps in (0, 1):
-                phi = cube.coface(eps, i, n)
-                faces[(n, i, eps)] = tuple(
-                    index[n - 1][act(phi, k)] for k in keys_by_dim[n]
-                )
-    for n in range(0, trunc):
-        for i in range(1, n + 2):
-            phi = cube.codegeneracy(i, n + 1)
-            degens[(n, i)] = tuple(index[n + 1][act(phi, k)] for k in keys_by_dim[n])
-    for n in range(2, trunc + 1):
-        for i in range(1, n):
-            phi = cube.transposition(i, n)
-            transps[(n, i)] = tuple(index[n][act(phi, k)] for k in keys_by_dim[n])
-    return CubicalSet(
+    index = [{k: i for i, k in enumerate(keys)} for keys in keys_by_dim]
+    return _tabulate(
         trunc,
-        sizes,
-        faces,
-        degens,
-        transps,
+        tuple(len(keys) for keys in keys_by_dim),
+        lambda family, key, g: tuple(index[g.dom][act(g, k)] for k in keys_by_dim[g.cod]),
         keys=tuple(tuple(keys) for keys in keys_by_dim),
         lattice=lattice,
     )
@@ -413,31 +394,14 @@ class CubicalFunction:
         return (n, self.maps[n][i])
 
     def validate(self):
-        trunc = len(self.maps) - 1
-        for n in range(trunc + 1):
+        levels = range(len(self.maps))
+        for n in levels:
             if len(self.maps[n]) != self.dom.sizes[n]:
                 raise CsetError(f"level {n} has wrong length")
-        for (n, i, eps), tbl in self.dom.faces.items():
-            if n > trunc:
-                continue
-            cod_tbl = self.cod.faces[(n, i, eps)]
-            for x in self.dom.cells(n):
-                if cod_tbl[self.maps[n][x]] != self.maps[n - 1][tbl[x]]:
-                    raise CsetError(f"face equivariance fails at ({n},{i},{eps},{x})")
-        for (n, i), tbl in self.dom.degens.items():
-            if n + 1 > trunc:
-                continue
-            cod_tbl = self.cod.degens[(n, i)]
-            for x in self.dom.cells(n):
-                if cod_tbl[self.maps[n][x]] != self.maps[n + 1][tbl[x]]:
-                    raise CsetError(f"degeneracy equivariance fails at ({n},{i},{x})")
-        for (n, i), tbl in self.dom.transps.items():
-            if n > trunc:
-                continue
-            cod_tbl = self.cod.transps[(n, i)]
-            for x in self.dom.cells(n):
-                if cod_tbl[self.maps[n][x]] != self.maps[n][tbl[x]]:
-                    raise CsetError(f"transposition equivariance fails at ({n},{i},{x})")
+        cells = [self.dom.cells(n) for n in levels]
+        failure = equivariance_failure(self.dom, self.cod, cells, lambda n, x: self.maps[n][x])
+        if failure is not None:
+            raise CsetError("{} equivariance fails at table {} cell {}".format(*failure))
         return True
 
     def compose_after(self, other):
@@ -489,20 +453,24 @@ class Subpresheaf:
         return Subpresheaf(self.parent, tuple(a & b for a, b in zip(self.sel, other.sel)))
 
     def check_closed(self):
-        C = self.parent
-        for (n, i, eps), tbl in C.faces.items():
-            for x in self.sel[n]:
-                if tbl[x] not in self.sel[n - 1]:
-                    raise CsetError("subpresheaf not closed under faces")
-        for (n, i), tbl in C.degens.items():
-            for x in self.sel[n]:
-                if tbl[x] not in self.sel[n + 1]:
-                    raise CsetError("subpresheaf not closed under degeneracies")
-        for (n, i), tbl in C.transps.items():
-            for x in self.sel[n]:
-                if tbl[x] not in self.sel[n]:
-                    raise CsetError("subpresheaf not closed under transpositions")
+        for family, key, g in _generator_tables(self.parent.trunc):
+            tbl = getattr(self.parent, family)[key]
+            if any(tbl[x] not in self.sel[g.dom] for x in self.sel[g.cod]):
+                raise CsetError(f"subpresheaf not closed under {family} table {key}")
         return True
+
+
+def equivariance_failure(dom, cod, cells, image):
+    """The first (family, key, x) at which `image(n, x)`, the cod index of
+    the image of the n-cell x of dom, fails to commute with a generator
+    table, over the n-cells x in cells[n]; None if there is none."""
+    trunc = min(dom.trunc, cod.trunc, len(cells) - 1)
+    for family, key, g in _generator_tables(trunc):
+        tbl, cod_tbl = getattr(dom, family)[key], getattr(cod, family)[key]
+        for x in cells[g.cod]:
+            if cod_tbl[image(g.cod, x)] != image(g.dom, tbl[x]):
+                return family, key, x
+    return None
 
 
 def closure(C, cells):
@@ -513,16 +481,8 @@ def closure(C, cells):
         sel[n].add(i)
     while stack:
         n, i = stack.pop()
-        moves = []
-        for j in range(1, n + 1):
-            for eps in (0, 1):
-                moves.append((n - 1, C.faces[(n, j, eps)][i]))
-        if n < C.trunc:
-            for j in range(1, n + 2):
-                moves.append((n + 1, C.degens[(n, j)][i]))
-        for j in range(1, n):
-            moves.append((n, C.transps[(n, j)][i]))
-        for m, x in moves:
+        for family, key, g in _elementary_maps_into(n, C.trunc):
+            m, x = g.dom, getattr(C, family)[key][i]
             if x not in sel[m]:
                 sel[m].add(x)
                 stack.append((m, x))
@@ -580,22 +540,15 @@ def sub_to_cset(S):
     C = S.parent
     idx = [sorted(S.sel[n]) for n in range(C.trunc + 1)]
     pos = [{x: k for k, x in enumerate(level)} for level in idx]
-    faces = {
-        key: tuple(pos[key[0] - 1][tbl[x]] for x in idx[key[0]])
-        for key, tbl in C.faces.items()
-    }
-    degens = {
-        key: tuple(pos[key[0] + 1][tbl[x]] for x in idx[key[0]])
-        for key, tbl in C.degens.items()
-    }
-    transps = {
-        key: tuple(pos[key[0]][tbl[x]] for x in idx[key[0]])
-        for key, tbl in C.transps.items()
-    }
     keys = None
     if C.keys is not None:
         keys = tuple(tuple(C.keys[n][x] for x in idx[n]) for n in range(C.trunc + 1))
-    sub = CubicalSet(C.trunc, tuple(len(v) for v in idx), faces, degens, transps, keys=keys)
+
+    def table(family, key, g):
+        tbl = getattr(C, family)[key]
+        return tuple(pos[g.dom][tbl[x]] for x in idx[g.cod])
+
+    sub = _tabulate(C.trunc, tuple(len(v) for v in idx), table, keys=keys)
     incl = CubicalFunction(sub, C, tuple(tuple(level) for level in idx))
     return sub, incl
 
@@ -603,25 +556,12 @@ def sub_to_cset(S):
 def disjoint_union(A, B):
     if A.trunc != B.trunc:
         raise CsetError("truncation mismatch")
-    trunc = A.trunc
-    sizes = tuple(a + b for a, b in zip(A.sizes, B.sizes))
 
-    def shift(tbl_a, tbl_b, offset):
-        return tuple(tbl_a) + tuple(v + offset for v in tbl_b)
+    def table(family, key, g):
+        offset = A.sizes[g.dom]
+        return tuple(getattr(A, family)[key]) + tuple(v + offset for v in getattr(B, family)[key])
 
-    faces = {
-        key: shift(A.faces[key], B.faces[key], A.sizes[key[0] - 1])
-        for key in A.faces
-    }
-    degens = {
-        key: shift(A.degens[key], B.degens[key], A.sizes[key[0] + 1])
-        for key in A.degens
-    }
-    transps = {
-        key: shift(A.transps[key], B.transps[key], A.sizes[key[0]])
-        for key in A.transps
-    }
-    return CubicalSet(trunc, sizes, faces, degens, transps)
+    return _tabulate(A.trunc, tuple(a + b for a, b in zip(A.sizes, B.sizes)), table)
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +686,7 @@ def tensor(A, B):
         for n in range(trunc + 1):
             # relations through the left factor
             for p in range(A.trunc + 1):
-                for alpha in _elementary_maps_into(p, A.trunc):
+                for _, _, alpha in _elementary_maps_into(p, A.trunc):
                     pp = alpha.dom  # alpha: [1]^pp -> [1]^p
                     for q in range(0, B.trunc + 1):
                         if pp + q > n:
@@ -761,7 +701,7 @@ def tensor(A, B):
                                     yield node_id[(lhs_cell, (q, ib), psi)], node_id[rhs]
             # relations through the right factor
             for q in range(B.trunc + 1):
-                for beta in _elementary_maps_into(q, B.trunc):
+                for _, _, beta in _elementary_maps_into(q, B.trunc):
                     qq = beta.dom
                     for p in range(0, A.trunc + 1):
                         if p + qq > n:

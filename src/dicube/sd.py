@@ -125,7 +125,7 @@ class Subdivision:
 
         def relations():
             for n in levels:
-                for phi in cs._elementary_maps_into(n, trunc):
+                for _, _, phi in cs._elementary_maps_into(n, trunc):
                     npr = phi.dom
                     moved = base.action(phi)
                     tables = _block_map(npr, n, phi, self.k, trunc)
@@ -235,19 +235,21 @@ class Subdivision:
         """The collapse sd3 C -> C (middle evaluation); requires k == 2."""
         if self.k != 2:
             raise SdError("the collapse is defined for threefold subdivision")
-        base = self.base
+        return self._descend(self._eps_node, self.base, "internal: collapse not well defined")
+
+    def _descend(self, target, cod, error):
+        """The cubical function to cod sending each cell to the one index
+        `target(c, u)` that all of its nodes (c, u) agree on."""
         maps = []
         for j in range(self.cset.trunc + 1):
             level = []
             for i in self.cset.cells(j):
-                targets = set()
-                for c, u in self._cell_nodes((j, i)):
-                    targets.add(self._eps_node(c, u))
+                targets = {target(c, u) for c, u in self._cell_nodes((j, i))}
                 if len(targets) != 1:
-                    raise SdError("internal: collapse not well defined")
+                    raise SdError(error)
                 level.append(targets.pop())
             maps.append(tuple(level))
-        f = cs.CubicalFunction(self.cset, base, tuple(maps))
+        f = cs.CubicalFunction(self.cset, cod, tuple(maps))
         f.validate()
         return f
 
@@ -274,20 +276,11 @@ class Subdivision:
         """sd f : sd(dom) -> sd(cod) for a cubical function f from the base."""
         if f.dom is not self.base:
             raise SdError("function domain does not match the subdivided base")
-        maps = []
-        for j in range(self.cset.trunc + 1):
-            level = []
-            for i in self.cset.cells(j):
-                targets = set()
-                for c, u in self._cell_nodes((j, i)):
-                    targets.add(sd_cod.class_of(f(c), u)[1])
-                if len(targets) != 1:
-                    raise SdError("internal: induced map not well defined")
-                level.append(targets.pop())
-            maps.append(tuple(level))
-        g = cs.CubicalFunction(self.cset, sd_cod.cset, tuple(maps))
-        g.validate()
-        return g
+        return self._descend(
+            lambda c, u: sd_cod.class_of(f(c), u)[1],
+            sd_cod.cset,
+            "internal: induced map not well defined",
+        )
 
 
 def subdivide(C, k):
@@ -338,26 +331,13 @@ class SubFunction:
 
     def validate(self):
         S = self.dom_sub
-        C = S.parent
-        for n in range(C.trunc + 1):
-            for i in S.sel[n]:
-                if (n, i) not in self.values:
-                    raise SdError("partial map misses a cell of its domain")
-        for (n, i, eps), tbl in C.faces.items():
-            cod_tbl = self.cod.faces[(n, i, eps)]
-            for x in S.sel[n]:
-                if cod_tbl[self.values[(n, x)][1]] != self.values[(n - 1, tbl[x])][1]:
-                    raise SdError("partial map not face-equivariant")
-        for (n, i), tbl in C.degens.items():
-            cod_tbl = self.cod.degens[(n, i)]
-            for x in S.sel[n]:
-                if cod_tbl[self.values[(n, x)][1]] != self.values[(n + 1, tbl[x])][1]:
-                    raise SdError("partial map not degeneracy-equivariant")
-        for (n, i), tbl in C.transps.items():
-            cod_tbl = self.cod.transps[(n, i)]
-            for x in S.sel[n]:
-                if cod_tbl[self.values[(n, x)][1]] != self.values[(n, tbl[x])][1]:
-                    raise SdError("partial map not transposition-equivariant")
+        if any((n, i) not in self.values for n, level in enumerate(S.sel) for i in level):
+            raise SdError("partial map misses a cell of its domain")
+        failure = cs.equivariance_failure(
+            S.parent, self.cod, S.sel, lambda n, x: self.values[(n, x)][1]
+        )
+        if failure is not None:
+            raise SdError("partial map not {}-equivariant at table {} cell {}".format(*failure))
         return True
 
 

@@ -87,6 +87,20 @@ def test_nerve_functorial():
     assert f.validate()
 
 
+def test_nerve_map_rejects_a_non_functor():
+    z2, z4 = cat.zmod(2), cat.zmod(4)
+    n2, n4 = cat.nerve(z2, 2), cat.nerve(z4, 2)
+    # 1 + 1 = 0 in Z/2 but 1 + 1 = 2 in Z/4
+    with pytest.raises(cat.CatError):
+        cat.nerve_map((0,), (0, 1), z2, z4, n2, n4)
+    # the identity of Z/2 must go to the identity of Z/4
+    with pytest.raises(cat.CatError):
+        cat.nerve_map((0,), (2, 0), z2, z4, n2, n4)
+    # the target nerve must be the nerve of the target category
+    with pytest.raises(cat.CatError):
+        cat.nerve_map((0,), (0, 2), z2, z4, n2, n2)
+
+
 def test_enumerate_functors_commuting_pair():
     P = cat.CatPresentation(1, ((0, 0), (0, 0)), (((0, 1), (1, 0)),))
     assert len(cat.enumerate_functors(P, cat.zmod(4))) == 16

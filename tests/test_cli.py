@@ -163,6 +163,13 @@ def _edited_json(text, **changes):
     return json.dumps(data)
 
 
+def _with_table(text, family, key):
+    """Cubical-set JSON text with one more table, shaped like a real one."""
+    data = json.loads(text)
+    data[family][key] = [0] * data["cells"][int(key.split(",")[0])]
+    return json.dumps(data)
+
+
 TORUS = cset.to_json(spaces.torus())
 ARROW = cat.cat_to_json(cat.arrow_cat())
 CSET = ("cset", "validate")
@@ -184,6 +191,9 @@ LATTICE = ("lattice", "check")
         pytest.param(None, CSET, _edited_json(TORUS, faces={"1,1": [0]}), id="cset-short-face-key"),
         pytest.param(None, CSET, _edited_json(TORUS, cells=[1, "2", 1]), id="cset-string-size"),
         pytest.param(None, CSET, _edited_json(TORUS, transps=[]), id="cset-tables-not-an-object"),
+        pytest.param(None, CSET, _with_table(TORUS, "faces", "1,3,0"), id="cset-extra-face"),
+        pytest.param(None, CSET, _with_table(TORUS, "degens", "2,1"), id="cset-degen-at-trunc"),
+        pytest.param(None, CSET, _with_table(TORUS, "transps", "1,1"), id="cset-extra-transp"),
         pytest.param(
             None,
             CSET,

@@ -79,6 +79,69 @@ def test_validation_catches_broken_transposition():
         broken.validate()
 
 
+# one table per family of representable(2, 2): (family, key, target dimension)
+FAMILY_TABLES = [
+    ("faces", (2, 1, 0), 1),
+    ("degens", (1, 1), 2),
+    ("transps", (2, 1), 2),
+]
+
+
+def _with_table(C, family, key, tbl):
+    """A copy of C's tables with one entry replaced (None deletes it)."""
+    tables = {name: dict(getattr(C, name)) for name in ("faces", "degens", "transps")}
+    if tbl is None:
+        del tables[family][key]
+    else:
+        tables[family][key] = tuple(tbl)
+    return cset.CubicalSet(C.trunc, C.sizes, tables["faces"], tables["degens"], tables["transps"])
+
+
+@pytest.mark.parametrize("family, key, target", FAMILY_TABLES, ids=lambda v: str(v))
+def test_walkers_reject_a_broken_table_entry(family, key, target):
+    C = cset.representable(2, 2)
+    S = cset.vertex_sub(C, 0)
+    n = key[0]
+    x = min(S.sel[n])
+    y = min(set(C.cells(target)) - S.sel[target])
+    tbl = list(getattr(C, family)[key])
+    tbl[x] = y
+    broken = _with_table(C, family, key, tbl)
+    identity = tuple(tuple(C.cells(m)) for m in range(C.trunc + 1))
+    with pytest.raises(cset.CsetError):
+        cset.CubicalFunction(C, broken, identity).validate()
+    with pytest.raises(cset.CsetError):
+        cset.Subpresheaf(broken, S.sel).check_closed()
+    values = {(m, i): (m, i) for m in range(C.trunc + 1) for i in S.sel[m]}
+    with pytest.raises(sd.SdError):
+        sd.SubFunction(S, broken, values).validate()
+    # the unbroken tables pass all three
+    assert cset.CubicalFunction(C, C, identity).validate()
+    assert cset.Subpresheaf(C, S.sel).check_closed()
+    assert sd.SubFunction(S, C, values).validate()
+
+
+@pytest.mark.parametrize("family, key, target", FAMILY_TABLES, ids=lambda v: str(v))
+def test_structural_check_rejects_missing_and_out_of_range_tables(family, key, target):
+    C = cset.representable(2, 2)
+    with pytest.raises(cset.CsetError):
+        _with_table(C, family, key, None)
+    tbl = list(getattr(C, family)[key])
+    tbl[0] = C.sizes[target]
+    with pytest.raises(cset.CsetError):
+        _with_table(C, family, key, tbl)
+    with pytest.raises(cset.CsetError):
+        _with_table(C, family, key, tbl[1:])
+
+
+# keys of tables that no cubical set truncated at 2 has
+@pytest.mark.parametrize("family, key", [("faces", (1, 3, 0)), ("degens", (2, 1)), ("transps", (1, 1))])
+def test_structural_check_rejects_tables_outside_the_truncation(family, key):
+    C = cset.representable(2, 2)
+    with pytest.raises(cset.CsetError, match="outside truncation 2"):
+        _with_table(C, family, key, [0] * C.sizes[key[0]])
+
+
 def test_catalog_validates():
     for name in ("cube0", "cube1", "cube2", "circle", "torus", "klein", "sphere2"):
         C = spaces.by_name(name)
@@ -386,13 +449,16 @@ def test_disjoint_union_doubles_components():
 
 
 # SHA-256 of `to_json`, recorded from the quotient, tensor and subdivision
-# builders as they were before they shared `cset.colimit`, and from the
-# nerves as they were before `cat.cube_functors` ran on
-# `cat.enumerate_functors`.  The digests pin cell order, which the census
-# and size checks above do not.
+# builders as they were before they shared `cset.colimit`, from the nerves
+# as they were before `cat.cube_functors` ran on `cat.enumerate_functors`,
+# and from `disjoint_union` and `sub_to_cset` as they were before they
+# walked `_elementary_maps_into`.  The digests pin cell order, which the
+# census and size checks above do not.
 GOLDEN_DIGESTS = {
+    "boundary(2, 3)": "e1cbaeb0862dc1615483559b96d04f9e7cfda716671e85aacb7099c78c2d468c",
     "circle@2": "7375eeb57ece3adf4a086fe5f721c66b2049cd481c502c046cc244a6ca49d3be",
     "circle@3": "4fffc320d14a4f5a877ce4babb74f45164ef69a30873af562b2e59d5ab62f4ba",
+    "circle+circle": "934aac2a6bea330f0ffe10180b1c13f033a29732b98b794540bc3e1df61e0445",
     "cube0@2": "8410409c37e2b8391f4af2f12bb52936625a4a859e45b1a15c631a036fa53902",
     "cube0@3": "3e7d32564bd48355949bf4058c494e51cb5aa1b167da0fa7af376a5c43f0ab4f",
     "cube1@2": "509a8b920a771761156f3322e2bfa019ce617daaf681c335fd8f0b17e391f8e2",
@@ -431,6 +497,10 @@ GOLDEN_DIGESTS = {
 def _golden_space(name):
     if name == "cylinder(circle)":
         return cset.cylinder(spaces.circle())[0]
+    if name == "circle+circle":
+        return cset.disjoint_union(spaces.circle(), spaces.circle())
+    if name == "boundary(2, 3)":
+        return cset.sub_to_cset(cset.boundary(2, 3)[1])[0]
     if name.startswith("sd3 "):
         return sd.sd3(getattr(spaces, name[4:])()).cset
     if name.startswith("sd9 "):
