@@ -374,18 +374,23 @@ def criterion_9():
 def criterion_10():
     """Invariants are unchanged under threefold subdivision."""
     out = []
-    z2 = cat.zmod(2)
+    z2, z4 = cat.zmod(2), cat.zmod(4)
     idem = cat.idempotent2()
+    z4_h1 = (z4, cat.product_monoid(z4, z4), cat.equal_doubles_pairs(z4), cat.trivial_monoid())
     for name, C in _catalog().items():
         s = sd.sd3(C)
         ok = inv.pi0(C).count == inv.pi0(s.cset).count
         out.append((f"components invariance: {name}", ok, f"{inv.pi0(C).count}"))
-    for name in ("circle", "torus", "klein", "sphere2"):
+    for name, expected in zip(("circle", "torus", "klein", "sphere2"), z4_h1):
         C = spaces.by_name(name)
         s = sd.sd3(C)
         base = inv.h1(C, z2, budget=10**8, with_table=False).count
         subd = inv.h1(s.cset, z2, budget=10**8, with_table=False).count
         out.append((f"cohomology invariance: {name}", base == subd, f"{base} = {subd}"))
+        base = inv.h1_monoid(inv.h1(C, z4))
+        subd = inv.h1_monoid(inv.h1(s.cset, z4))
+        ok = None not in (cat.monoid_isomorphic(base, expected), cat.monoid_isomorphic(subd, base))
+        out.append((f"Z/4 class monoid invariance: {name}", ok, f"{subd.size} classes"))
         for tn, S in (("arrow", cat.arrow_cat()), ("zmod2", z2)):
             b = inv.hom_classes(C, S, budget=10**8).count
             s_ = inv.hom_classes(s.cset, S, budget=10**8).count
@@ -393,6 +398,11 @@ def criterion_10():
     base = inv.h1(spaces.circle(), idem, with_table=False).count
     subd = inv.h1(sd.sd3(spaces.circle()).cset, idem, with_table=False).count
     out.append(("cohomology invariance: circle, idempotent coefficients", base == subd, f"{base} = {subd}"))
+    for name in ("circle", "torus"):
+        C = spaces.by_name(name)
+        base = inv.h1(C, z2, with_table=False).count
+        subd = inv.h1(sd.sd9(C).cset, z2, with_table=False).count
+        out.append((f"cohomology invariance under sd9: {name}", base == subd, f"{base} = {subd}"))
     return out
 
 

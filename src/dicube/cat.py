@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import cset, cube, t1
-from .config import Budget, check_ints, json_errors
+from .config import Budget, check_ints, find_bijection, json_errors
 
 
 class CatError(ValueError):
@@ -238,71 +238,29 @@ def conjugacy_classes(M):
 
 def monoid_isomorphic(A, B):
     """An isomorphism A -> B as an index tuple, or None (backtracking)."""
-    if A.size != B.size:
-        return None
 
     def profile(M):
         out = []
         for x in range(M.size):
             # element order data: iterate the element against itself
-            seen = {x}
-            y = x
-            while True:
-                y = M.table[y][x]
-                if y in seen:
-                    break
+            seen, y = {x}, M.table[x][x]
+            while y not in seen:
                 seen.add(y)
-            out.append((len(seen), sorted(M.table[x]).count(x)))
+                y = M.table[y][x]
+            out.append((len(seen), M.table[x].count(x), x == M.unit))
         return out
 
-    pa, pb = profile(A), profile(B)
-    if sorted(pa) != sorted(pb):
-        return None
-    assign = [None] * A.size
-    used = [False] * B.size
+    def consistent(x, y, assign):
+        # each product p q = r is checked once p, q and r are all placed
+        assign = {**assign, x: y}
+        return all(
+            assign[r] == B.table[assign[p]][assign[q]]
+            for p in assign
+            for q in assign
+            if (r := A.table[p][q]) in assign and x in (p, q, r)
+        )
 
-    def full_check():
-        for x in range(A.size):
-            for y in range(A.size):
-                if assign[A.table[x][y]] != B.table[assign[x]][assign[y]]:
-                    return False
-        return True
-
-    def rec(x):
-        if x == A.size:
-            return full_check()
-        for y in range(B.size):
-            if used[y] or pa[x] != pb[y]:
-                continue
-            if (x == A.unit) != (y == B.unit):
-                continue
-            ok = True
-            for x2 in range(x + 1):
-                y2 = assign[x2] if x2 < x else y
-                tx, ty = A.table[x][x2], B.table[y][y2]
-                if tx <= x:
-                    im = assign[tx] if tx < x else y
-                    if im != ty:
-                        ok = False
-                        break
-                tx, ty = A.table[x2][x], B.table[y2][y]
-                if tx <= x:
-                    im = assign[tx] if tx < x else y
-                    if im != ty:
-                        ok = False
-                        break
-            if ok:
-                assign[x] = y
-                used[y] = True
-                if rec(x + 1):
-                    return True
-                assign[x] = None
-                used[y] = False
-        return False
-
-    if not rec(0):
-        return None
-    return tuple(assign)
+    return find_bijection(profile(A), profile(B), consistent)
 
 
 # ---------------------------------------------------------------------------
@@ -607,23 +565,25 @@ def _eval_word(S, P, F, word, at_obj):
     return f
 
 
-def enumerate_functors(P, S, budget=None):
-    """All functors from the presented category to S, deterministic order."""
+def enumerate_functors(P, S, budget=None, fixed=()):
+    """All functors from the presented category to S, deterministic order.
+
+    `fixed` maps generators to the one morphism they may take; only the
+    values tried on the other generators are charged to the budget.
+    """
     P.validate()
     S = as_cat(S)
     b = Budget.of(budget)
     results = []
     n_gen = len(P.gens)
     # relations become checkable once all their generators are assigned
-    last_gen = []
+    checks = {}
     for w1, w2 in P.relations:
-        last_gen.append(max(w1 + w2, default=-1))
+        checks.setdefault(max(w1 + w2, default=-1), []).append((w1, w2))
 
     def check_relations(upto, obj_map, gen_map):
-        for (w1, w2), last in zip(P.relations, last_gen):
-            if last != upto:
-                continue
-            F = Functor(tuple(obj_map), tuple(gen_map))
+        for w1, w2 in checks.get(upto, ()):
+            F = Functor(obj_map, gen_map)
             src = P.gens[w1[0]][0] if w1 else (P.gens[w2[0]][0] if w2 else 0)
             if _eval_word(S, P, F, w1, src) != _eval_word(S, P, F, w2, src):
                 return False
@@ -634,8 +594,10 @@ def enumerate_functors(P, S, budget=None):
             results.append(Functor(tuple(obj_map), tuple(gen_map)))
             return
         s, t = P.gens[i]
-        for f in S.hom(obj_map[s], obj_map[t]):
-            b.spend()
+        free = i not in fixed
+        for f in S.hom(obj_map[s], obj_map[t]) if free else (fixed[i],):
+            if free:
+                b.spend()
             gen_map.append(f)
             if check_relations(i, obj_map, gen_map):
                 assign_gens(i + 1, obj_map, gen_map)
@@ -692,48 +654,79 @@ def nat_trans_exists(P, S, F, G, budget=None):
 def functor_homotopy_classes(P, S, functors, budget=None):
     """Partition of functors under zig-zags of natural transformations.
 
-    For a group target the single-step relation is already a group action,
-    so classes are orbits under elementary gauges; otherwise edges come
-    from exhaustive transformation search in both directions.
+    Edges come from transformation search in both directions, for any
+    target; `gauge_classes` is the fast route into a group.
     """
-    S_cat = as_cat(S)
-    b = Budget.of(budget)
-    index = {F: i for i, F in enumerate(functors)}
+    S, b = as_cat(S), Budget.of(budget)
     uf = cset.UnionFind()
     for i in range(len(functors)):
         uf.add(i)
-    if isinstance(S, FinMonoid) and S.is_group():
-        inv = {
-            x: next(
-                y for y in range(S.size) if S.table[x][y] == S.unit
-            )
-            for x in range(S.size)
-        }
-        for F in functors:
-            i = index[F]
-            for o in range(P.n_obj):
-                for u in range(S.size):
-                    b.spend()
-                    gen_map = []
-                    for gi, (s, t) in enumerate(P.gens):
-                        val = F.gen_map[gi]
-                        if t == o:
-                            val = S.table[val][u]
-                        if s == o:
-                            val = S.table[inv[u]][val]
-                        gen_map.append(val)
-                    G = Functor(F.obj_map, tuple(gen_map))
-                    j = index.get(G)
-                    if j is None:
-                        raise CatError("internal: gauge image is not a functor")
-                    uf.union(i, j)
-    else:
-        for i, F in enumerate(functors):
-            for j, G in enumerate(functors):
-                if i < j:
-                    b.spend()
-                    if nat_trans_exists(P, S_cat, F, G, b) or nat_trans_exists(
-                        P, S_cat, G, F, b
-                    ):
-                        uf.union(i, j)
+    for (i, F), (j, G) in itertools.combinations(enumerate(functors), 2):
+        b.spend()
+        if nat_trans_exists(P, S, F, G, b) or nat_trans_exists(P, S, G, F, b):
+            uf.union(i, j)
     return uf.classes()
+
+
+def gauge_classes(P, G, budget=None):
+    """Homotopy classes of functors from P into the group G, by gauge fixing.
+
+    Transformations between functors into a group are the gauges u in
+    G^objects, acting by F(e) -> u_src^-1 F(e) u_tgt, so the classes are
+    the orbits.  Each orbit meets the functors that are the unit on a
+    spanning forest of the generator graph (generators in index order),
+    and only those are enumerated.  Returns (reps, class_of,
+    functor_count): the lex-least member of each class over its full
+    orbit (the member the exhaustive enumeration lists first), in that
+    order; the class index of a functor (None for a non-functor); and
+    |fixed| * |G|^(objects - components), the forest's edge count.
+    """
+    forest = cset.UnionFind()
+    for o in range(P.n_obj):
+        forest.add(o)
+    tree = {g: G.unit for g, (s, t) in enumerate(P.gens) if forest.union(s, t)}
+    fixed = enumerate_functors(P, G, budget, tree)
+    reps = sorted({_least_gauge_member(P, G, F.gen_map) for F in fixed})
+    index = {w: k for k, w in enumerate(reps)}
+    count = len(fixed) * G.size ** len(tree)
+    class_of = lambda F: index.get(_least_gauge_member(P, G, F.gen_map))
+    return [Functor((0,) * P.n_obj, w) for w in reps], class_of, count
+
+
+def _least_gauge_member(P, G, gen_map):
+    """The lex-least (u_src^-1 F(e) u_tgt)_e over all gauges u in G^objects.
+
+    Generators are read in index order.  The objects they have joined so
+    far form blocks, each with a root: u_v = left[v] u_root right[v], the
+    smaller block relabelled on a merge.  Per block only the root values
+    reaching the least prefix so far are kept, at most |G| of them.
+    """
+    T, n, e, V = G.table, G.size, G.unit, P.n_obj
+    inv = [row.index(e) for row in T]
+    root, left, right, members = list(range(V)), [e] * V, [e] * V, [[v] for v in range(V)]
+    allowed = [set(range(n)) for _ in range(V)]
+    out = []
+    for (s, t), f in zip(P.gens, gen_map):
+        rs, rt = root[s], root[t]
+        mid, r_s, r_t = T[T[inv[left[s]]][f]][left[t]], right[s], right[t]
+
+        def value(a, b):  # u_s^-1 f u_t at root values a, b
+            return T[T[inv[r_s]][T[inv[a]][mid]]][T[b][r_t]]
+
+        alpha, beta = allowed[rs], allowed[rt]
+        if rs == rt:
+            m = min(value(a, a) for a in alpha)
+            allowed[rs] = {a for a in alpha if value(a, a) == m}
+        else:
+            full = n in (len(alpha), len(beta))  # then every value is reached
+            m = 0 if full else min(value(a, b) for a in alpha for b in beta)
+            # value(a, b) == m exactly when b = mid^-1 a r_s m r_t^-1
+            L, R = inv[mid], T[T[r_s][m]][inv[r_t]]
+            if len(members[rs]) < len(members[rt]):
+                rs, rt, alpha, beta, L, R = rt, rs, beta, alpha, mid, inv[R]
+            for v in members[rt]:
+                root[v], left[v], right[v] = rs, T[left[v]][L], T[R][right[v]]
+            members[rs] += members[rt]
+            allowed[rs] = {a for a in alpha if T[T[L][a]][R] in beta}
+        out.append(m)
+    return tuple(out)

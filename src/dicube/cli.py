@@ -204,6 +204,7 @@ def cmd_inv_h1(args, started):
     }
     if r.table is not None:
         result["monoid_table"] = [list(row) for row in r.table]
+        result["unit_class"] = r.unit
     _emit(args, "inv h1", {"space": args.space, "monoid": args.monoid}, result, started)
 
 

@@ -1,4 +1,5 @@
-"""Shared enumeration budgets, error types and JSON input checks."""
+"""Shared enumeration budgets, the isomorphism search, error types and JSON
+input checks."""
 
 import os
 from contextlib import contextmanager
@@ -49,6 +50,33 @@ class Budget:
             raise BudgetExceeded(
                 f"enumeration budget exceeded ({self.used} > {self.limit})"
             )
+
+
+def find_bijection(pa, pb, consistent):
+    """A bijection x -> y with pa[x] == pb[y] at every x (an index tuple),
+    or None.  Backtracking places x in order of fewest candidates and keeps
+    y only when consistent(x, y, assign) holds for the partial `assign`."""
+    if sorted(pa) != sorted(pb):
+        return None
+    candidates = [[y for y, q in enumerate(pb) if q == p] for p in pa]
+    order = sorted(range(len(pa)), key=lambda x: len(candidates[x]))
+    assign, used = {}, set()
+
+    def rec(pos):
+        if pos == len(order):
+            return True
+        x = order[pos]
+        for y in candidates[x]:
+            if y not in used and consistent(x, y, assign):
+                assign[x] = y
+                used.add(y)
+                if rec(pos + 1):
+                    return True
+                del assign[x]
+                used.discard(y)
+        return False
+
+    return tuple(assign[x] for x in range(len(pa))) if rec(0) else None
 
 
 @contextmanager

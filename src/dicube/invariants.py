@@ -46,8 +46,8 @@ class H1Result:
     coeff: cat.FinMonoid
     count: int
     reps: tuple  # one weighting (generator-value tuple) per class
-    classes: tuple
     table: tuple  # class monoid table when coefficients are commutative
+    unit: int  # the class of the all-unit weighting
 
 
 def h1(C, tau, budget=None, with_table=True):
@@ -56,55 +56,46 @@ def h1(C, tau, budget=None, with_table=True):
     Weightings are functors from the fundamental category presentation to
     tau (unit on degenerate edges, one square relation per nondegenerate
     square); two weightings are identified by zig-zags of natural
-    transformations, exactly as in `hom_classes`.  h1 adds a representative
-    per class and, for commutative tau, the class table of the pointwise
-    monoid structure; well-definedness is asserted exhaustively over
-    member pairs (so the table computation has its own budget and can be
-    switched off when only the count is wanted).
+    transformations, exactly as in `hom_classes`.  Each class is reported
+    by its lex-least weighting, in that order; `unit` is the class of the
+    all-unit weighting.  For commutative tau, `table` is the class table
+    of the pointwise product.  Zig-zags are a congruence then, so a
+    group's table is read off the products of representatives; other
+    monoids check every member pair (switch the table off when only the
+    count is wanted).
     """
     b = Budget.of(budget)
-    functors, classes = _functor_classes(C, tau, b)
+    classes, class_of, _ = _functor_classes(C, tau, b)
+    obj, n_gen = classes[0][0].obj_map, len(classes[0][0].gen_map)
+
+    def product_class(g1, g2):
+        b.spend(len(g1) * len(g2))
+        found = {
+            class_of(cat.Functor(obj, tuple(map(tau.op, F.gen_map, G.gen_map))))
+            for F in g1
+            for G in g2
+        }
+        if len(found) != 1 or None in found:
+            raise InvariantError("class monoid not well defined")
+        return found.pop()
+
     table = None
     if with_table and tau.is_commutative():
-        class_of = {i: ci for ci, grp in enumerate(classes) for i in grp}
-        index = {F: i for i, F in enumerate(functors)}
-        rows = []
-        for g1 in classes:
-            row = []
-            for g2 in classes:
-                targets = set()
-                for i in g1:
-                    for j in g2:
-                        b.spend()
-                        prod = cat.Functor(
-                            functors[i].obj_map,
-                            tuple(
-                                tau.table[x][y]
-                                for x, y in zip(functors[i].gen_map, functors[j].gen_map)
-                            ),
-                        )
-                        targets.add(class_of[index[prod]])
-                if len(targets) != 1:
-                    raise InvariantError("class monoid not well defined")
-                row.append(targets.pop())
-            rows.append(tuple(row))
-        table = tuple(rows)
-    reps = tuple(functors[grp[0]].gen_map for grp in classes)
-    return H1Result(tau, len(classes), reps, tuple(tuple(g) for g in classes), table)
+        table = tuple(tuple(product_class(g1, g2) for g2 in classes) for g1 in classes)
+    unit = class_of(cat.Functor(obj, (tau.unit,) * n_gen))
+    reps = tuple(members[0].gen_map for members in classes)
+    return H1Result(tau, len(classes), reps, table, unit)
 
 
 def h1_monoid(result):
     """The class monoid of a commutative-coefficient computation."""
     if result.table is None:
         raise InvariantError("class monoid only defined for commutative coefficients")
-    # the class of the unit weighting is the table's two-sided identity,
-    # which is unique when it exists
-    T = result.table
-    units = [u for u in range(len(T)) if all(T[u][x] == x == T[x][u] for x in range(len(T)))]
-    if not units:
-        raise InvariantError("class table has no unit")
-    M = cat.FinMonoid(T, units[0])
-    M.validate()
+    M = cat.FinMonoid(result.table, result.unit)
+    try:
+        M.validate()
+    except cat.CatError as exc:
+        raise InvariantError(f"class table is not a monoid: {exc}") from None
     return M
 
 
@@ -196,7 +187,6 @@ def loop_monoid(C, v, budget=None):
 @dataclass(frozen=True)
 class HomClassesResult:
     count: int
-    classes: tuple
     functor_count: int
 
 
@@ -204,17 +194,29 @@ def hom_classes(B, S, budget=None):
     """Directed homotopy classes of maps from B into the nerve of S.
 
     Computed as functors out of the fundamental category presentation of
-    B, modulo zig-zags of natural transformations.
+    B, modulo zig-zags of natural transformations.  A group given as a
+    FinMonoid is gauge fixed (`cat.gauge_classes`); any other target,
+    a group given as a FinCat included, is enumerated in full and
+    classified by pairwise transformation search.
     """
-    functors, classes = _functor_classes(B, S, Budget.of(budget))
-    return HomClassesResult(len(classes), tuple(tuple(g) for g in classes), len(functors))
+    classes, _, functor_count = _functor_classes(B, S, Budget.of(budget))
+    return HomClassesResult(len(classes), functor_count)
 
 
 def _functor_classes(B, S, budget):
-    """Functors out of t1(B) into S and their homotopy classes (index lists)."""
+    """(classes, class_of, functor_count) for the functors t1(B) -> S: the
+    members of each class, first the one enumeration lists first (the
+    gauge route lists only that one), and the class index of a functor
+    (None for a non-functor)."""
     P, _ = t1.fundamental_presentation(B)
+    if isinstance(S, cat.FinMonoid) and S.is_group():
+        reps, class_of, functor_count = cat.gauge_classes(P, S, budget)
+        return [[F] for F in reps], class_of, functor_count
     functors = cat.enumerate_functors(P, S, budget)
-    return functors, cat.functor_homotopy_classes(P, S, functors, budget)
+    groups = cat.functor_homotopy_classes(P, S, functors, budget)
+    classes = [[functors[i] for i in grp] for grp in groups]
+    index = {F: k for k, members in enumerate(classes) for F in members}
+    return classes, index.get, len(functors)
 
 
 def hom_classes_presheaf_oracle(B, C, budget=None):
@@ -227,5 +229,4 @@ def hom_classes_presheaf_oracle(B, C, budget=None):
         uf.add(i)
     for i, j in edges:
         uf.union(i, j)
-    groups = uf.classes()
-    return HomClassesResult(len(groups), tuple(tuple(g) for g in groups), len(maps))
+    return HomClassesResult(len(uf.classes()), len(maps))

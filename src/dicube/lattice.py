@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .config import json_errors
+from .config import find_bijection, json_errors
 
 
 class LatticeError(ValueError):
@@ -494,50 +494,20 @@ def lattice_isomorphic(L, M):
     Backtracking guided by up-degree/down-degree invariants; intended for
     the desk-scale lattices in the test catalogs.
     """
-    if L.size != M.size:
-        return None
 
     def profile(K):
-        prof = []
-        for x in range(K.size):
-            ups = sum(1 for y in range(K.size) if K.leq(x, y))
-            downs = sum(1 for y in range(K.size) if K.leq(y, x))
-            prof.append((ups, downs))
-        return prof
+        return [
+            (sum(K.leq(x, y) for y in range(K.size)), sum(K.leq(y, x) for y in range(K.size)))
+            for x in range(K.size)
+        ]
 
-    pl, pm = profile(L), profile(M)
-    if sorted(pl) != sorted(pm):
-        return None
-    candidates = [
-        [y for y in range(M.size) if pm[y] == pl[x]] for x in range(L.size)
-    ]
-    order = sorted(range(L.size), key=lambda x: len(candidates[x]))
-    assign = [None] * L.size
-    used = [False] * M.size
+    def consistent(x, y, assign):
+        return all(
+            L.leq(x, x2) == M.leq(y, y2) and L.leq(x2, x) == M.leq(y2, y)
+            for x2, y2 in assign.items()
+        )
 
-    def rec(pos):
-        if pos == L.size:
-            return True
-        x = order[pos]
-        for y in candidates[x]:
-            if used[y]:
-                continue
-            ok = True
-            for x2 in order[:pos]:
-                y2 = assign[x2]
-                if L.leq(x, x2) != M.leq(y, y2) or L.leq(x2, x) != M.leq(y2, y):
-                    ok = False
-                    break
-            if ok:
-                assign[x] = y
-                used[y] = True
-                if rec(pos + 1):
-                    return True
-                assign[x] = None
-                used[y] = False
-        return False
-
-    return tuple(assign) if rec(0) else None
+    return find_bijection(profile(L), profile(M), consistent)
 
 
 def to_json(L):

@@ -333,6 +333,10 @@ class SubFunction:
         S = self.dom_sub
         if any((n, i) not in self.values for n, level in enumerate(S.sel) for i in level):
             raise SdError("partial map misses a cell of its domain")
+        try:
+            S.check_closed()
+        except cs.CsetError as exc:
+            raise SdError(f"partial map domain is not a subpresheaf: {exc}") from None
         failure = cs.equivariance_failure(
             S.parent, self.cod, S.sel, lambda n, x: self.values[(n, x)][1]
         )

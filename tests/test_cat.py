@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from dicube import cat
@@ -155,12 +158,20 @@ def test_homotopy_classes_discrete():
 
 
 def test_group_fast_path_matches_generic():
-    P = cat.CatPresentation(1, ((0, 0), (0, 0)), (((0, 0), (1, 1)),))
     z4 = cat.zmod(4)
-    fs = cat.enumerate_functors(P, z4)
-    fast = cat.functor_homotopy_classes(P, z4, fs)
-    generic = cat.functor_homotopy_classes(P, cat.cat_from_monoid(z4), fs)
-    assert fast == generic
+    for P in (
+        cat.CatPresentation(1, ((0, 0), (0, 0)), (((0, 0), (1, 1)),)),
+        # a triangle with a chord and an isolated object: c = 2 components
+        cat.CatPresentation(4, ((0, 1), (1, 2), (0, 2), (2, 0)), (((0, 1), (2,)),)),
+    ):
+        fs = cat.enumerate_functors(P, z4)
+        generic = cat.functor_homotopy_classes(P, cat.cat_from_monoid(z4), fs)
+        reps, class_of, count = cat.gauge_classes(P, z4)
+        assert [F.gen_map for F in reps] == [fs[grp[0]].gen_map for grp in generic]
+        assert count == len(fs)
+        assert all(class_of(fs[i]) == k for k, grp in enumerate(generic) for i in grp)
+        # (0, 1, 0, ...) breaks the relation of either presentation
+        assert class_of(cat.Functor((0,) * P.n_obj, (0, 1) + (0,) * (len(P.gens) - 2))) is None
 
 
 def test_homotopy_classes_relabeling_invariant():
@@ -216,6 +227,31 @@ def test_monoid_isomorphic():
         [3, 1, 0, 2], lambda a, b: (a + b) % 4, 0
     )
     assert cat.monoid_isomorphic(z4, relabeled) is not None
+
+
+def test_monoid_isomorphic_returns_an_isomorphism():
+    # the element profiles agree under any relabelling, so only the product
+    # checks tell an isomorphism from the other profile-preserving bijections
+    rng = random.Random(5)
+    for elements, op, unit in (
+        (list(range(4)), lambda x, y: (x + y) % 4, 0),
+        (
+            [(a, b) for a in range(4) for b in range(4)],
+            lambda x, y: ((x[0] + y[0]) % 4, (x[1] + y[1]) % 4),
+            (0, 0),
+        ),
+        (sorted(itertools.permutations(range(3))), lambda x, y: tuple(y[i] for i in x), (0, 1, 2)),
+    ):
+        A = cat.monoid_from_op(elements, op, unit)
+        rng.shuffle(elements)
+        B = cat.monoid_from_op(elements, op, unit)
+        iso = cat.monoid_isomorphic(A, B)
+        assert sorted(iso) == list(range(A.size)) and iso[A.unit] == B.unit
+        assert all(
+            iso[A.table[x][y]] == B.table[iso[x]][iso[y]]
+            for x in range(A.size)
+            for y in range(A.size)
+        )
 
 
 def test_equal_doubles_pairs():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -34,6 +35,8 @@ def test_cube_enumerate_class_filter(capsys):
     [
         ("cat", "nerve", "--cat", "idem2", "--trunc", "3"),
         ("inv", "h1", "--space", "klein", "--monoid", "zmod4"),
+        ("inv", "h1", "--space", "torus", "--monoid", "zmod4"),
+        ("inv", "h1", "--space", "torus", "--monoid", "s3"),
         ("inv", "homclasses", "--b", "circle", "--s", "s3"),
         ("cset", "sd", "circle"),
     ],
@@ -63,6 +66,46 @@ def test_h1_klein_report(capsys):
     code, out, _ = run_cli(capsys, "inv", "h1", "--space", "klein", "--monoid", "zmod4")
     assert code == 0
     assert json.loads(out)["result"]["class_count"] == 8
+
+
+# sha256 of the reports as they were before h1 was gauge fixed and before
+# the report named its unit class
+GOLDEN_H1_REPORTS = {
+    ("inv", "h1", "--space", "klein", "--monoid", "zmod4"):
+        "e3d9603ac3191da8237d1f05f2155f5dc7c1e26de84f77550076ebbb82b5ca1e",
+    ("inv", "h1", "--space", "torus", "--monoid", "s3"):
+        "d91fb429eb5ccb88f7a7a05d51453445679ec086fb0f6fa6b45a4a2ac495bebf",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_H1_REPORTS), ids=" ".join)
+def test_h1_report_bytes(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    result = json.loads(out)["result"]
+    if "monoid_table" in result:
+        # the one key added since, after the representatives; zmod4 has its
+        # unit at label 0, so the all-zero weighting's class 0 is the unit
+        assert result["unit_class"] == 0
+        out = out.replace(',\n    "unit_class": 0\n', "\n")
+    else:
+        assert "unit_class" not in result
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_H1_REPORTS[argv]
+
+
+def test_h1_report_names_the_unit_class(tmp_path, capsys):
+    # Z/4 with its labels shuffled so that the unit is 3
+    z4 = cat.FinMonoid(((2, 3, 1, 0), (3, 2, 0, 1), (1, 0, 3, 2), (0, 1, 2, 3)), 3)
+    path = tmp_path / "z4.json"
+    path.write_text(cat.monoid_to_json(z4))
+    code, out, _ = run_cli(capsys, "inv", "h1", "--space", "torus", "--monoid", str(path))
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["class_count"] == 16
+    assert result["representatives"][result["unit_class"]] == [3, 3]
+    table = result["monoid_table"]
+    u = result["unit_class"]
+    assert all(table[u][x] == x == table[x][u] for x in range(16))
 
 
 def test_pi0_report(capsys):

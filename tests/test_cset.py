@@ -121,6 +121,15 @@ def test_walkers_reject_a_broken_table_entry(family, key, target):
     assert sd.SubFunction(S, C, values).validate()
 
 
+def test_subfunction_rejects_a_domain_that_is_not_closed():
+    # the lone nondegenerate edge of the 1-cube, without its end vertices
+    C = cset.representable(1, 1)
+    edges = frozenset(C.nondegenerate(1))
+    S = cset.Subpresheaf(C, (frozenset(), edges))
+    with pytest.raises(sd.SdError, match="not a subpresheaf"):
+        sd.SubFunction(S, C, {(1, e): (1, e) for e in edges}).validate()
+
+
 @pytest.mark.parametrize("family, key, target", FAMILY_TABLES, ids=lambda v: str(v))
 def test_structural_check_rejects_missing_and_out_of_range_tables(family, key, target):
     C = cset.representable(2, 2)

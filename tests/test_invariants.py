@@ -38,9 +38,30 @@ def test_h1_monoid_unit_not_label_zero(name):
 
 
 def test_h1_monoid_needs_a_unit():
-    r = inv.H1Result(cat.zmod(2), 2, ((0,), (1,)), ((0,), (1,)), ((0, 0), (0, 0)))
+    r = inv.H1Result(cat.zmod(2), 2, ((0,), (1,)), table=((0, 0), (0, 0)), unit=0)
     with pytest.raises(inv.InvariantError):
         inv.h1_monoid(r)
+
+
+# Z/4 with its labels shuffled so that the unit is 3
+Z4_UNIT_3 = cat.FinMonoid(((2, 3, 1, 0), (3, 2, 0, 1), (1, 0, 3, 2), (0, 1, 2, 3)), 3)
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("torus", cat.product_monoid(cat.zmod(4), cat.zmod(4))),
+        ("klein", cat.equal_doubles_pairs(cat.zmod(4))),
+    ],
+)
+def test_h1_names_its_unit_class(name, expected):
+    r = inv.h1(spaces.by_name(name), Z4_UNIT_3)
+    # one vertex: every class is a single weighting, so the unit class is
+    # the one whose representative is all units, and it is not class 0
+    assert r.reps[r.unit] == (3, 3) and r.unit != 0
+    M = inv.h1_monoid(r)
+    assert M.unit == r.unit
+    assert cat.monoid_isomorphic(M, expected) is not None
 
 
 def test_h1_trivial_coefficients():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -107,6 +108,22 @@ def test_subdivide_examples():
     sd3sq = lat.subdivide_lattice(lat.boolean(2), 2)
     assert sd3sq.size == 16
     assert lat.lattice_isomorphic(sd3sq, lat.product(lat.chain(3), lat.chain(3)))
+
+
+def test_lattice_isomorphic_returns_an_isomorphism():
+    # [3]x[3] with its elements shuffled: (i, j) and (j, i) share their
+    # up- and down-degrees, so only the order checks pick an isomorphism
+    grid = lat.product(lat.chain(3), lat.chain(3))
+    perm = list(range(16))
+    random.Random(3).shuffle(perm)
+    leq = [[None] * 16 for _ in range(16)]
+    for x in range(16):
+        for y in range(16):
+            leq[perm[x]][perm[y]] = grid.leq(x, y)
+    for A, B in ((lat.subdivide_lattice(lat.boolean(2), 2), grid), (grid, lat.lattice_from_leq(leq))):
+        iso = lat.lattice_isomorphic(A, B)
+        assert sorted(iso) == list(range(16))
+        assert all(A.leq(x, y) == B.leq(iso[x], iso[y]) for x in range(16) for y in range(16))
 
 
 def test_subdivide_rejects_non_distributive():
