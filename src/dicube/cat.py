@@ -1,10 +1,14 @@
 """Finite categories and monoids by table, nerves, conjugacy, and homotopy
 classes of functors under zig-zags of natural transformations.
 
-The n-cells of the nerve N(S) are the functors t1(cube n) -> S out of the
-fundamental category presentation of the representable n-cube (the poset
-[1]^n), found by the same `enumerate_functors` that `invariants.h1` and
-`invariants.hom_classes` use.
+One depth-first search (`_search`) finds every functor out of a finite
+presentation.  The n-cells of the nerve N(S) are the functors t1(cube n)
+-> S out of the fundamental category presentation of the representable
+n-cube (the poset [1]^n), found by the same `enumerate_functors` that
+`invariants.h1` and `invariants.hom_classes` use.  A natural
+transformation F -> G is a functor out of `cylinder_presentation`, P x
+[1], with its ends fixed to F and G; a functor S -> T is a functor out of
+`presentation_of(S)`.
 
 Composition is read diagrammatically throughout: `then(f, g)` is "f, then
 g", and a monoid table `op[x][y]` means "x, then y".  Path words in
@@ -16,7 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 
 from . import cset, cube, t1
 from .config import Budget, check_ints, find_bijection, json_errors
@@ -158,6 +162,8 @@ MONOID_NAMES = ("trivial", "zmod2", "zmod3", "zmod4", "zmod6", "s3", "idem2", "c
 
 def monoid_by_name(name):
     if name.startswith("zmod"):
+        if not name[4:].isdecimal() or int(name[4:]) < 1:
+            raise CatError(f"zmod needs an order k >= 1, got {name!r}")
         return zmod(int(name[4:]))
     builders = {
         "trivial": trivial_monoid,
@@ -285,8 +291,13 @@ class FinCat:
             raise CatError(f"morphisms {f}, {g} not composable")
         return h
 
-    def hom(self, x, y):
-        return [f for f in range(self.n_mor) if self.src[f] == x and self.tgt[f] == y]
+    @cached_property
+    def homs(self):
+        """The morphisms x -> y, in index order, by (x, y)."""
+        homs = {}
+        for f in range(self.n_mor):
+            homs.setdefault((self.src[f], self.tgt[f]), []).append(f)
+        return homs
 
     def validate(self):
         n, m = self.n_obj, self.n_mor
@@ -462,7 +473,9 @@ def cube_functors(S, n, budget=None):
     P, words, triples = _cube_t1(n)
     tables = []
     for F in enumerate_functors(P, S, budget):
-        table = tuple(_eval_word(S, P, F, word, a) for a, word in words)
+        table = tuple(
+            reduce(S.then, (F.gen_map[g] for g in word), S.ident[F.obj_map[a]]) for a, word in words
+        )
         for ab, bc, ac in triples:
             if S.then(table[ab], table[bc]) != table[ac]:
                 raise CatError(f"internal: {n}-cube functor fails on a comparable triple")
@@ -490,20 +503,9 @@ def nerve_map(F_obj, F_mor, S, T, nerve_S, nerve_T):
     """The cubical function of nerves induced by the functor S -> T with
     object and morphism tables F_obj, F_mor; a non-functor raises CatError."""
     S, T = as_cat(S), as_cat(T)
-    if len(F_obj) != S.n_obj or len(F_mor) != S.n_mor:
-        raise CatError("functor tables do not match the source category")
-    if any(not 0 <= o < T.n_obj for o in F_obj) or any(not 0 <= f < T.n_mor for f in F_mor):
-        raise CatError("functor table entry out of range")
-    for f in range(S.n_mor):
-        if (T.src[F_mor[f]], T.tgt[F_mor[f]]) != (F_obj[S.src[f]], F_obj[S.tgt[f]]):
-            raise CatError(f"functor moves the endpoints of morphism {f}")
-    for o in range(S.n_obj):
-        if F_mor[S.ident[o]] != T.ident[F_obj[o]]:
-            raise CatError(f"functor does not preserve the identity of object {o}")
-    for f, row in enumerate(S.comp):
-        for g, h in enumerate(row):
-            if h is not None and F_mor[h] != T.comp[F_mor[f]][F_mor[g]]:
-                raise CatError(f"functor does not preserve the composite of {f}, {g}")
+    F = Functor(tuple(F_obj), tuple(F_mor))  # fully fixed: nothing is charged
+    if not _search(presentation_of(S), T, Budget(1), F, lambda _: True):
+        raise CatError("the tables are not a functor between the two categories")
     maps = []
     for n in range(min(nerve_S.trunc, nerve_T.trunc) + 1):
         idx = nerve_T.key_index(n)
@@ -554,101 +556,109 @@ class CatPresentation:
 
 @dataclass(frozen=True)
 class Functor:
+    """Object and generator tables; a partial functor has None where free."""
+
     obj_map: tuple
     gen_map: tuple
 
 
-def _eval_word(S, P, F, word, at_obj):
-    f = S.ident[F.obj_map[at_obj]]
-    for g in word:
-        f = S.then(f, F.gen_map[g])
-    return f
-
-
-def enumerate_functors(P, S, budget=None, fixed=()):
-    """All functors from the presented category to S, deterministic order.
-
-    `fixed` maps generators to the one morphism they may take; only the
-    values tried on the other generators are charged to the budget.
-    """
-    P.validate()
+def presentation_of(S):
+    """S presented by all its morphisms: one relation f, g = h per
+    composable pair with composite h, and e = () per identity e."""
     S = as_cat(S)
-    b = Budget.of(budget)
-    results = []
-    n_gen = len(P.gens)
-    # relations become checkable once all their generators are assigned
+    composites = tuple(
+        ((f, g), (h,)) for f, row in enumerate(S.comp) for g, h in enumerate(row) if h is not None
+    )
+    identities = tuple(((e,), ()) for e in S.ident)
+    return CatPresentation(S.n_obj, tuple(zip(S.src, S.tgt)), composites + identities)
+
+
+@lru_cache(maxsize=None)
+def cylinder_presentation(P):
+    """P x [1]: object x at end e is x + e*|objects|; the generators of
+    end 0, then of end 1, then one rung x -> x + |objects| per object.
+    P's relations hold at both ends, and each generator g: s -> t closes
+    the naturality square (g, rung t) = (rung s, g at end 1)."""
+    n, m = P.n_obj, len(P.gens)
+    shift = lambda word: tuple(g + m for g in word)
+    gens = P.gens + tuple((s + n, t + n) for s, t in P.gens) + tuple((x, x + n) for x in range(n))
+    squares = tuple(((g, 2 * m + t), (2 * m + s, g + m)) for g, (s, t) in enumerate(P.gens))
+    ends = P.relations + tuple((shift(w1), shift(w2)) for w1, w2 in P.relations)
+    return CatPresentation(2 * n, gens, ends + squares)
+
+
+@lru_cache(maxsize=None)
+def _relation_checks(P):
+    """P's relations as (source, word, word), by their last generator."""
+    P.validate()
     checks = {}
     for w1, w2 in P.relations:
-        checks.setdefault(max(w1 + w2, default=-1), []).append((w1, w2))
+        src = P.gens[w1[0]][0] if w1 else (P.gens[w2[0]][0] if w2 else 0)
+        checks.setdefault(max(w1 + w2, default=-1), []).append((src, w1, w2))
+    return checks
 
-    def check_relations(upto, obj_map, gen_map):
-        for w1, w2 in checks.get(upto, ()):
-            F = Functor(obj_map, gen_map)
-            src = P.gens[w1[0]][0] if w1 else (P.gens[w2[0]][0] if w2 else 0)
-            if _eval_word(S, P, F, w1, src) != _eval_word(S, P, F, w2, src):
-                return False
-        return True
 
-    def assign_gens(i, obj_map, gen_map):
-        if i == n_gen:
-            results.append(Functor(tuple(obj_map), tuple(gen_map)))
-            return
-        s, t = P.gens[i]
-        free = i not in fixed
-        for f in S.hom(obj_map[s], obj_map[t]) if free else (fixed[i],):
-            if free:
-                b.spend()
-            gen_map.append(f)
-            if check_relations(i, obj_map, gen_map):
-                assign_gens(i + 1, obj_map, gen_map)
-            gen_map.pop()
+def _search(P, S, budget, fixed, found):
+    """Depth-first search over the functors P -> S that agree with the
+    partial functor `fixed` (None where free), in deterministic order.
 
-    def assign_objs(i, obj_map):
-        if i == P.n_obj:
-            assign_gens(0, obj_map, [])
-            return
-        for o in range(S.n_obj):
-            b.spend()
-            obj_map.append(o)
-            assign_objs(i + 1, obj_map)
-            obj_map.pop()
+    Objects are assigned in index order, then generators, and a relation
+    is checked once its last generator is set.  A fixed entry takes only
+    its own value, and only if that value fits; each value tried on a free
+    entry is charged to `budget`.  Each functor found goes to `found`, and
+    the search stops, returning True, at the first one that it accepts.
+    """
+    checks = _relation_checks(P)
+    if len(fixed.obj_map) != P.n_obj or len(fixed.gen_map) != len(P.gens):
+        raise CatError("partial functor does not match the presentation")
+    ident, comp, homs, n_obj = S.ident, S.comp, S.homs, P.n_obj
+    pins, obj_map, gen_map = fixed.obj_map + fixed.gen_map, [], []
 
-    assign_objs(0, [])
+    def holds(src, w1, w2):
+        f = g = ident[obj_map[src]]
+        for x in w1:
+            f = comp[f][gen_map[x]]
+        for x in w2:
+            g = comp[g][gen_map[x]]
+        return f == g
+
+    def assign(i):  # slot i: object i, then generator i - n_obj
+        if i == len(pins):
+            return found(Functor(tuple(obj_map), tuple(gen_map)))
+        if i < n_obj:
+            values, row = range(S.n_obj), obj_map
+        else:
+            s, t = P.gens[i - n_obj]
+            values, row = homs.get((obj_map[s], obj_map[t]), ()), gen_map
+        pin, rels = pins[i], checks.get(i - n_obj)
+        for f in values if pin is None else [pin] if pin in values else ():
+            if pin is None:
+                budget.spend()
+            row.append(f)
+            if (not rels or all(holds(*c) for c in rels)) and assign(i + 1):
+                return True
+            row.pop()
+        return False
+
+    return assign(0)
+
+
+def enumerate_functors(P, S, budget=None, fixed=None):
+    """All functors from the presented category to S that agree with the
+    partial functor `fixed` (all free by default), in deterministic order;
+    only the values tried on free entries are charged to the budget."""
+    results = []
+    fixed = fixed or Functor((None,) * P.n_obj, (None,) * len(P.gens))
+    _search(P, as_cat(S), Budget.of(budget), fixed, results.append)
     return results
 
 
 def nat_trans_exists(P, S, F, G, budget=None):
-    """Whether a natural transformation F -> G exists (componentwise DFS).
-
-    Naturality per generator e: x -> y reads F(e) then u_y == u_x then G(e).
-    """
-    S = as_cat(S)
-    b = Budget.of(budget)
-    objs = list(range(P.n_obj))
-    gens_at = {o: [] for o in objs}
-    for gi, (s, t) in enumerate(P.gens):
-        gens_at[s].append((gi, s, t))
-        gens_at[t].append((gi, s, t))
-
-    def rec(i, comps):
-        if i == P.n_obj:
-            return True
-        x = objs[i]
-        for u in S.hom(F.obj_map[x], G.obj_map[x]):
-            b.spend()
-            comps[x] = u
-            ok = True
-            for gi, s, t in gens_at[x]:
-                if s in comps and t in comps:
-                    if S.then(F.gen_map[gi], comps[t]) != S.then(comps[s], G.gen_map[gi]):
-                        ok = False
-                        break
-            if ok and rec(i + 1, comps):
-                return True
-            del comps[x]
-        return False
-
-    return rec(0, {})
+    """Whether a natural transformation F -> G exists: a functor out of
+    `cylinder_presentation(P)` with its ends fixed to F and G, the rungs
+    being the components."""
+    fixed = Functor(F.obj_map + G.obj_map, F.gen_map + G.gen_map + (None,) * P.n_obj)
+    return _search(cylinder_presentation(P), as_cat(S), Budget.of(budget), fixed, lambda _: True)
 
 
 def functor_homotopy_classes(P, S, functors, budget=None):
@@ -684,11 +694,11 @@ def gauge_classes(P, G, budget=None):
     forest = cset.UnionFind()
     for o in range(P.n_obj):
         forest.add(o)
-    tree = {g: G.unit for g, (s, t) in enumerate(P.gens) if forest.union(s, t)}
-    fixed = enumerate_functors(P, G, budget, tree)
+    tree = tuple(G.unit if forest.union(s, t) else None for s, t in P.gens)
+    fixed = enumerate_functors(P, G, budget, Functor((None,) * P.n_obj, tree))
     reps = sorted({_least_gauge_member(P, G, F.gen_map) for F in fixed})
     index = {w: k for k, w in enumerate(reps)}
-    count = len(fixed) * G.size ** len(tree)
+    count = len(fixed) * G.size ** (len(tree) - tree.count(None))
     class_of = lambda F: index.get(_least_gauge_member(P, G, F.gen_map))
     return [Functor((0,) * P.n_obj, w) for w in reps], class_of, count
 

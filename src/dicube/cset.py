@@ -683,37 +683,25 @@ def tensor(A, B):
     node_id = {node: x for x, node in enumerate(nodes)}
 
     def relations():
-        for n in range(trunc + 1):
-            # relations through the left factor
-            for p in range(A.trunc + 1):
-                for _, _, alpha in _elementary_maps_into(p, A.trunc):
-                    pp = alpha.dom  # alpha: [1]^pp -> [1]^p
-                    for q in range(0, B.trunc + 1):
-                        if pp + q > n:
-                            continue
-                        shifted = cube.tensor(alpha, cube.identity(q))
-                        for psi in _epis(n, pp + q):
-                            composed = cube.compose(shifted, psi)
-                            for ia in A.cells(p):
-                                lhs_cell = (pp, A.act(alpha, ia))
-                                for ib in B.cells(q):
-                                    rhs = _split_normalize(A, B, (p, ia), (q, ib), composed)
-                                    yield node_id[(lhs_cell, (q, ib), psi)], node_id[rhs]
-            # relations through the right factor
-            for q in range(B.trunc + 1):
-                for _, _, beta in _elementary_maps_into(q, B.trunc):
-                    qq = beta.dom
-                    for p in range(0, A.trunc + 1):
-                        if p + qq > n:
-                            continue
-                        shifted = cube.tensor(cube.identity(p), beta)
-                        for psi in _epis(n, p + qq):
-                            composed = cube.compose(shifted, psi)
-                            for ia in A.cells(p):
-                                for ib in B.cells(q):
-                                    lhs = ((p, ia), (qq, B.act(beta, ib)), psi)
-                                    rhs = _split_normalize(A, B, (p, ia), (q, ib), composed)
-                                    yield node_id[lhs], node_id[rhs]
+        # an elementary map alpha into a cell x of either factor, a cell y
+        # of the other and an epi psi: (x alpha, y, psi) is glued to the
+        # normal form of (x, y, (alpha (x) id) psi), factors in their order
+        for X, Y, pair in ((A, B, lambda u, v: (u, v)), (B, A, lambda u, v: (v, u))):
+            for p in range(X.trunc + 1):
+                for _, _, alpha in _elementary_maps_into(p, X.trunc):
+                    for q in range(min(Y.trunc, trunc - alpha.dom) + 1):
+                        shifted = cube.tensor(*pair(alpha, cube.identity(q)))
+                        for n in range(alpha.dom + q, trunc + 1):
+                            for psi in _epis(n, alpha.dom + q):
+                                composed = cube.compose(shifted, psi)
+                                for ix in X.cells(p):
+                                    moved = (alpha.dom, X.act(alpha, ix))
+                                    for iy in Y.cells(q):
+                                        lhs = (*pair(moved, (q, iy)), psi)
+                                        rhs = _split_normalize(
+                                            A, B, *pair((p, ix), (q, iy)), composed
+                                        )
+                                        yield node_id[lhs], node_id[rhs]
 
     def act(phi, x):
         a, b, e = nodes[x]

@@ -118,6 +118,8 @@ def loop_classes(C, v, n, budget=None):
     """
     if n < 1 or C.trunc < n + 1:
         raise InvariantError("truncation too small for this loop degree")
+    if not 0 <= v < C.sizes[0]:
+        raise InvariantError(f"vertex {v} out of range 0..{C.sizes[0] - 1}")
     vs = cset.vertex_sub(C, v)
     zero_cells = [
         x
@@ -145,31 +147,24 @@ def loop_classes(C, v, n, budget=None):
     groups = uf.classes()
     table = None
     if n == 1 and C.sizes[0] == 1:
+        # a square whose (1, 0) face is the degenerate loop composes the
+        # classes of its (2, 0) and (1, 1) faces into that of its (2, 1) face
         class_of = {x: ci for ci, g in enumerate(groups) for x in g}
         sv = next(iter(vs.sel[1]))
-        rows = []
-        total = True
-        for g1 in groups:
-            row = []
-            for g2 in groups:
-                targets = set()
-                for sq in C.cells(2):
-                    if (
-                        C.faces[(2, 1, 0)][sq] == sv
-                        and C.faces[(2, 2, 0)][sq] in g1
-                        and C.faces[(2, 1, 1)][sq] in g2
-                    ):
-                        tgt = C.faces[(2, 2, 1)][sq]
-                        if tgt in class_of:
-                            targets.add(class_of[tgt])
-                if len(targets) > 1:
-                    raise InvariantError("loop composition not well defined")
-                row.append(targets.pop() if targets else None)
-            if None in row:
-                total = False
-            rows.append(tuple(row))
-        if total:
-            table = tuple(rows)
+        targets = {}
+        for sq in C.cells(2):
+            if C.faces[(2, 1, 0)][sq] == sv:
+                a, b, c = (
+                    class_of.get(C.faces[key][sq]) for key in ((2, 2, 0), (2, 1, 1), (2, 2, 1))
+                )
+                if None not in (a, b, c):
+                    targets.setdefault((a, b), set()).add(c)
+        if any(len(found) > 1 for found in targets.values()):
+            raise InvariantError("loop composition not well defined")
+        product, k = {pair: found.pop() for pair, found in targets.items()}, len(groups)
+        rows = tuple(tuple(product.get((a, b)) for b in range(k)) for a in range(k))
+        if all(None not in row for row in rows):
+            table = rows
     return TauResult(n, len(groups), tuple(tuple(g) for g in groups), table)
 
 
@@ -194,10 +189,11 @@ def hom_classes(B, S, budget=None):
     """Directed homotopy classes of maps from B into the nerve of S.
 
     Computed as functors out of the fundamental category presentation of
-    B, modulo zig-zags of natural transformations.  A group given as a
-    FinMonoid is gauge fixed (`cat.gauge_classes`); any other target,
-    a group given as a FinCat included, is enumerated in full and
-    classified by pairwise transformation search.
+    B, modulo zig-zags of natural transformations.  A group, that is a
+    one-object target whose morphisms are all invertible, whether given
+    as a FinMonoid or a FinCat, is gauge fixed (`cat.gauge_classes`);
+    any other target is enumerated in full and classified by pairwise
+    transformation search.
     """
     classes, _, functor_count = _functor_classes(B, S, Budget.of(budget))
     return HomClassesResult(len(classes), functor_count)
@@ -209,6 +205,8 @@ def _functor_classes(B, S, budget):
     gauge route lists only that one), and the class index of a functor
     (None for a non-functor)."""
     P, _ = t1.fundamental_presentation(B)
+    if isinstance(S, cat.FinCat) and S.n_obj == 1:
+        S = cat.FinMonoid(S.comp, S.ident[0])  # the monoid of its morphisms
     if isinstance(S, cat.FinMonoid) and S.is_group():
         reps, class_of, functor_count = cat.gauge_classes(P, S, budget)
         return [[F] for F in reps], class_of, functor_count

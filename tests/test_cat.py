@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from dicube import cat
+from dicube import cat, lattice as lat
+from dicube.config import Budget
 
 
 def small_monoids():
@@ -216,6 +217,138 @@ def test_nat_trans_direction_matters():
     hi = cat.Functor((1,), ())
     assert cat.nat_trans_exists(P, S, lo, hi)
     assert not cat.nat_trans_exists(P, S, hi, lo)
+
+
+def test_fixed_values_must_fit_their_hom_sets():
+    P = cat.CatPresentation(2, ((0, 1),), ())
+    S = cat.arrow_cat()  # morphisms 0: 0 -> 0, 1: 0 -> 1, 2: 1 -> 1
+    b = Budget(100)
+    pinned = cat.Functor((None, None), (1,))
+    assert cat.enumerate_functors(P, S, b, pinned) == [cat.Functor((0, 1), (1,))]
+    assert b.used == 2 + 2 * 2  # the object values only
+    assert cat.enumerate_functors(P, S, fixed=cat.Functor((None, 0), (None,))) == [
+        cat.Functor((0, 0), (0,))
+    ]
+    for fixed in (
+        cat.Functor((1, None), (1,)),  # the arrow does not start at 1
+        cat.Functor((None, None), (3,)),  # no such morphism
+        cat.Functor((None, 2), (None,)),  # no such object
+    ):
+        assert cat.enumerate_functors(P, S, fixed=fixed) == []
+    with pytest.raises(cat.CatError):
+        cat.enumerate_functors(P, S, fixed=cat.Functor((None,), (None,)))
+
+
+def test_presentation_of_a_category():
+    # functors out of presentation_of(S) are the functors out of S
+    arrow = cat.arrow_cat()
+    assert len(cat.enumerate_functors(cat.presentation_of(arrow), arrow)) == 3
+    homs = cat.enumerate_functors(cat.presentation_of(cat.zmod(2)), cat.zmod(4))
+    assert [F.gen_map for F in homs] == [(0, 0), (0, 2)]
+
+
+def test_cylinder_presentation_layout():
+    P = cat.CatPresentation(2, ((0, 0), (0, 1)), (((0, 1), (1,)),))
+    assert cat.cylinder_presentation(P) == cat.CatPresentation(
+        4,
+        ((0, 0), (0, 1), (2, 2), (2, 3), (0, 2), (1, 3)),
+        (
+            ((0, 1), (1,)),
+            ((2, 3), (3,)),
+            ((0, 4), (4, 2)),
+            ((1, 5), (4, 3)),
+        ),
+    )
+
+
+def componentwise_nat_trans_exists(P, S, F, G, budget):
+    """The componentwise search nat_trans_exists ran before it became a
+    search out of the cylinder presentation: components in object order,
+    each generator's square checked once both its ends have one."""
+    S = cat.as_cat(S)
+    gens_at = {o: [] for o in range(P.n_obj)}
+    for gi, (s, t) in enumerate(P.gens):
+        gens_at[s].append((gi, s, t))
+        gens_at[t].append((gi, s, t))
+
+    def rec(x, comps):
+        if x == P.n_obj:
+            return True
+        hom = (F.obj_map[x], G.obj_map[x])
+        for u in [f for f in range(S.n_mor) if (S.src[f], S.tgt[f]) == hom]:
+            budget.spend()
+            comps[x] = u
+            if all(
+                S.then(F.gen_map[gi], comps[t]) == S.then(comps[s], G.gen_map[gi])
+                for gi, s, t in gens_at[x]
+                if s in comps and t in comps
+            ) and rec(x + 1, comps):
+                return True
+            del comps[x]
+        return False
+
+    return rec(0, {})
+
+
+def random_presentation(rng):
+    """Up to 4 objects and 4 generators, loops and isolated objects
+    included, with up to two relations between paths from one object."""
+    n_obj = rng.randint(1, 4)
+    gens = tuple((rng.randrange(n_obj), rng.randrange(n_obj)) for _ in range(rng.randint(0, 4)))
+
+    def walk(at, length):
+        word = []
+        for _ in range(length):
+            out = [g for g, (s, _) in enumerate(gens) if s == at]
+            if not out:
+                break
+            word.append(rng.choice(out))
+            at = gens[word[-1]][1]
+        return tuple(word), at
+
+    relations = []
+    for _ in range(rng.randint(0, 2)):
+        start = rng.randrange(n_obj)
+        (w1, end1), (w2, end2) = walk(start, rng.randint(1, 2)), walk(start, rng.randint(0, 2))
+        if end1 == end2 and w1 + w2:
+            relations.append((w1, w2))
+    P = cat.CatPresentation(n_obj, gens, tuple(relations))
+    P.validate()
+    return P
+
+
+def test_nat_trans_exists_matches_the_componentwise_search():
+    rng = random.Random(17)
+    targets = [
+        cat.arrow_cat(),
+        cat.poset_cat(lat.chain(3).poset.leq),
+        cat.poset_cat(lat.boolean(2).poset.leq),
+        cat.discrete_cat(2),
+        cat.idempotent2(),
+        cat.capped_add(),
+        cat.cat_from_monoid(cat.sym3()),
+    ]
+    answers = []
+    shapes = set()
+    for _ in range(60):
+        P = random_presentation(rng)
+        shapes.add((
+            any(s == t for s, t in P.gens),
+            len({o for e in P.gens for o in e}) < P.n_obj,
+            bool(P.relations),
+        ))
+        for S in targets:
+            functors = cat.enumerate_functors(P, S, 10**6)
+            for _ in range(20 if functors else 0):
+                F, G = rng.choice(functors), rng.choice(functors)
+                b1, b2 = Budget(10**6), Budget(10**6)
+                found = cat.nat_trans_exists(P, S, F, G, b1)
+                assert found == componentwise_nat_trans_exists(P, S, F, G, b2)
+                assert b1.used == b2.used
+                answers.append(found)
+    # loops, isolated objects and relations each occur, and both answers
+    assert all(any(shape[k] for shape in shapes) for k in range(3))
+    assert True in answers and False in answers
 
 
 def test_monoid_isomorphic():

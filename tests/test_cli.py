@@ -260,6 +260,10 @@ LATTICE = ("lattice", "check")
         pytest.param(None, LATTICE, "[1, 2]", id="lattice-not-an-object"),
         pytest.param(None, LATTICE, '{"size": 1}', id="lattice-no-leq"),
         pytest.param(None, LATTICE, '{"size": 1, "leq": [["yes"]]}', id="lattice-string-entry"),
+        pytest.param(None, ("inv", "tau", "--vertex", "5", "--space"), None, id="tau-vertex-5"),
+        pytest.param(None, ("inv", "tau", "--vertex", "-1", "--space"), None, id="tau-vertex-neg"),
+        pytest.param(None, ("inv", "h1", "--monoid", "zmod0", "--space"), None, id="h1-zmod0"),
+        pytest.param(None, ("inv", "homclasses", "--s", "zmod-2", "--b"), None, id="homclasses-zmod-2"),
     ],
 )
 def test_bad_input_is_usage_error(tmp_path, capsys, monkeypatch, budget_env, command, text):

@@ -174,6 +174,16 @@ def test_gauge_route_matches_the_exhaustive_route(name, group):
     assert hashlib.sha256(key.encode()).hexdigest() == GOLDEN_DIGESTS[name, group]
 
 
+@pytest.mark.parametrize("name", SPACES)
+def test_a_group_given_as_a_category_is_gauge_fixed(name):
+    for group in GROUPS:
+        G = relabelled(*GROUPS[group])
+        b_cat, b_monoid = Budget(10**8), Budget(10**8)
+        as_cat = inv.hom_classes(space(name), cat.cat_from_monoid(G), b_cat)
+        assert as_cat == inv.hom_classes(space(name), G, b_monoid)
+        assert b_cat.used == b_monoid.used
+
+
 def check_gauge_classes(P, G):
     reps, class_of, functor_count = cat.gauge_classes(P, G)
     expected_reps, _, expected_count, _, expected_class = exhaustive(P, G)

@@ -95,6 +95,41 @@ def test_loop_classes_truncation_guard():
         inv.loop_classes(spaces.cube_space(1, 1), 0, 1)
 
 
+def test_loop_classes_vertex_guard():
+    for v in (-1, 1):
+        with pytest.raises(inv.InvariantError):
+            inv.loop_classes(spaces.circle(), v, 1)
+
+
+def scanned_loop_table(C, res):
+    """The degree-1 loop table by a scan of every square per class pair."""
+    class_of = {x: ci for ci, g in enumerate(res.classes) for x in g}
+    sv = C.degens[(0, 1)][0]
+    rows = []
+    for g1 in res.classes:
+        row = []
+        for g2 in res.classes:
+            found = {
+                class_of[C.faces[(2, 2, 1)][sq]]
+                for sq in C.cells(2)
+                if C.faces[(2, 1, 0)][sq] == sv
+                and C.faces[(2, 2, 0)][sq] in g1
+                and C.faces[(2, 1, 1)][sq] in g2
+                and C.faces[(2, 2, 1)][sq] in class_of
+            }
+            assert len(found) <= 1
+            row.append(found.pop() if found else None)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_loop_table_matches_a_scan_per_class_pair():
+    for M in (cat.zmod(2), cat.zmod(3), cat.sym3(), cat.idempotent2(), cat.capped_add()):
+        ner = cat.nerve(M, 2)
+        res = inv.loop_classes(ner, 0, 1)
+        assert res.table == scanned_loop_table(ner, res)
+
+
 def test_hom_classes_examples():
     assert inv.hom_classes(spaces.edge(), cat.arrow_cat()).count == 1
     assert inv.hom_classes(spaces.edge_boundary(), cat.discrete_cat(2)).count == 4
