@@ -400,9 +400,14 @@ def criterion_10():
     out.append(("cohomology invariance: circle, idempotent coefficients", base == subd, f"{base} = {subd}"))
     for name in ("circle", "torus"):
         C = spaces.by_name(name)
+        d9 = sd.sd9(C).cset
         base = inv.h1(C, z2, with_table=False).count
-        subd = inv.h1(sd.sd9(C).cset, z2, with_table=False).count
+        subd = inv.h1(d9, z2, with_table=False).count
         out.append((f"cohomology invariance under sd9: {name}", base == subd, f"{base} = {subd}"))
+    for k in (3, 4):  # d9 is sd9 of the torus; the class monoid is (Z/k)^2
+        subd = inv.h1_monoid(inv.h1(d9, cat.zmod(k)))
+        ok = cat.monoid_isomorphic(subd, cat.product_monoid(cat.zmod(k), cat.zmod(k))) is not None
+        out.append((f"Z/{k} class monoid under sd9: torus", ok, f"{subd.size} classes"))
     return out
 
 

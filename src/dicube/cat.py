@@ -2,13 +2,14 @@
 classes of functors under zig-zags of natural transformations.
 
 One depth-first search (`_search`) finds every functor out of a finite
-presentation.  The n-cells of the nerve N(S) are the functors t1(cube n)
--> S out of the fundamental category presentation of the representable
-n-cube (the poset [1]^n), found by the same `enumerate_functors` that
-`invariants.h1` and `invariants.hom_classes` use.  A natural
-transformation F -> G is a functor out of `cylinder_presentation`, P x
-[1], with its ends fixed to F and G; a functor S -> T is a functor out of
-`presentation_of(S)`.
+presentation: it reads objects off generator values, takes the open
+generator with the fewest candidates next, solves a relation's last open
+letter by division and charges every value it tries.  `enumerate_functors`
+lists what it finds by object map, then generator map; the n-cells of the
+nerve N(S) are its functors t1(cube n) -> S, and `invariants.h1` and
+`invariants.hom_classes` use it too.  A natural transformation F -> G is a
+functor out of `cylinder_presentation`, P x [1], its ends fixed to F and
+G; a functor S -> T is a functor out of `presentation_of(S)`.
 
 Composition is read diagrammatically throughout: `then(f, g)` is "f, then
 g", and a monoid table `op[x][y]` means "x, then y".  Path words in
@@ -217,9 +218,7 @@ def conjugacy_classes(M):
     monoid is returned alongside the partition (None otherwise).  A
     failure of well-definedness is reported, never patched.
     """
-    uf = cset.UnionFind()
-    for x in range(M.size):
-        uf.add(x)
+    uf = cset.UnionFind(range(M.size))
     for x in range(M.size):
         for y in range(M.size):
             if any(M.table[x][z] == M.table[z][y] for z in range(M.size)):
@@ -293,11 +292,17 @@ class FinCat:
 
     @cached_property
     def homs(self):
-        """The morphisms x -> y, in index order, by (x, y)."""
+        """The morphisms x -> y, in index order, by (x, y); None for x or y
+        stands for any object, and the key None gives the endomorphisms."""
         homs = {}
-        for f in range(self.n_mor):
-            homs.setdefault((self.src[f], self.tgt[f]), []).append(f)
+        for f, x, y in zip(range(self.n_mor), self.src, self.tgt):
+            for key in ((x, y), (x, None), (None, y), (None, None)) + ((None,) if x == y else ()):
+                homs.setdefault(key, []).append(f)
         return homs
+
+    @cached_property
+    def divisions(self):  # the functor search's cache: (L, R, Y) -> the f with L;f;R = Y
+        return {}
 
     def validate(self):
         n, m = self.n_obj, self.n_mor
@@ -341,6 +346,7 @@ class FinCat:
         return True
 
 
+@lru_cache(maxsize=None)
 def cat_from_monoid(M):
     n = M.size
     comp = tuple(tuple(M.table[f][g] for g in range(n)) for f in range(n))
@@ -588,69 +594,146 @@ def cylinder_presentation(P):
 
 
 @lru_cache(maxsize=None)
-def _relation_checks(P):
-    """P's relations as (source, word, word), by their last generator."""
+def _layout(P):
+    """Per relation with a letter: source, words, letters and, per letter
+    occurring once, the words left and right of it and the other side; per
+    generator the relations it occurs in; per object its generators."""
     P.validate()
-    checks = {}
+    rels, rels_of, at = [], [[] for _ in P.gens], [[] for _ in range(P.n_obj)]
+    for g, (s, t) in enumerate(P.gens):
+        at[s].append(g)
+        at[t].append(g)
     for w1, w2 in P.relations:
-        src = P.gens[w1[0]][0] if w1 else (P.gens[w2[0]][0] if w2 else 0)
-        checks.setdefault(max(w1 + w2, default=-1), []).append((src, w1, w2))
-    return checks
+        word = w1 + w2
+        for g in set(word):
+            rels_of[g].append(len(rels))
+        once = {g: (w[:k], w[k + 1 :], o) for w, o in ((w1, w2), (w2, w1)) for k, g in enumerate(w)}
+        if word:
+            once = {g: once[g] for g in word if word.count(g) == 1}
+            rels.append((P.gens[word[0]][0], w1, w2, set(word), once))
+    return rels, rels_of, at
 
 
 def _search(P, S, budget, fixed, found):
     """Depth-first search over the functors P -> S that agree with the
-    partial functor `fixed` (None where free), in deterministic order.
+    partial functor `fixed` (None where free), applied first and uncharged.
 
-    Objects are assigned in index order, then generators, and a relation
-    is checked once its last generator is set.  A fixed entry takes only
-    its own value, and only if that value fits; each value tried on a free
-    entry is charged to `budget`.  Each functor found goes to `found`, and
-    the search stops, returning True, at the first one that it accepts.
+    Objects are read off the generator values at them; an object that no
+    generator touches is tried as an identity loop at it, after every
+    generator.  The open generator with the fewest candidates goes next,
+    the lowest index on ties.  A relation whose only open letter occurs in
+    it once forces that letter to the f with L;f;R = Y (cached in
+    `S.divisions`); other candidates are the hom-set, the morphisms at the
+    one known end, or all.  A relation is checked once all its letters are
+    set; each value tried on a free entry is charged, forced ones too.
+    Functors go to `found` in search order (sorted by object map, then
+    generator map, they are in the order of a search by index); the search
+    stops, returning True, at the first one accepted.
     """
-    checks = _relation_checks(P)
+    rels, rels_of, at = _layout(P)
     if len(fixed.obj_map) != P.n_obj or len(fixed.gen_map) != len(P.gens):
         raise CatError("partial functor does not match the presentation")
-    ident, comp, homs, n_obj = S.ident, S.comp, S.homs, P.n_obj
-    pins, obj_map, gen_map = fixed.obj_map + fixed.gen_map, [], []
+    src, tgt, ident, comp, homs, divs = S.src, S.tgt, S.ident, S.comp, S.homs, S.divisions
+    obj, gen, none = list(fixed.obj_map), list(fixed.gen_map), S.n_mor + 1
+    n_open = [len(r[3]) for r in rels]
+    if not set(obj) <= {None, *range(S.n_obj)}:
+        return False
+    for g, f in enumerate(gen):
+        if f is not None:
+            s, t = P.gens[g]
+            if not 0 <= f < none - 1 or obj[s] not in (None, src[f]):
+                return False
+            obj[s] = src[f]
+            if obj[t] not in (None, tgt[f]):
+                return False
+            obj[t] = tgt[f]
+            for r in rels_of[g]:
+                n_open[r] -= 1
+    loops, m = [(v, v) for v in range(P.n_obj) if obj[v] is None and not at[v]], len(gen)
+    gens, rels_of, gen = P.gens + tuple(loops), rels_of + [()] * len(loops), gen + [None] * len(loops)
+    # the loops rank last: no generator has more candidates than all morphisms
+    cand, size, trail = [None] * m + [ident] * len(loops), [none] * m + [none - 1] * len(loops), []
 
-    def holds(src, w1, w2):
-        f = g = ident[obj_map[src]]
-        for x in w1:
-            f = comp[f][gen_map[x]]
-        for x in w2:
-            g = comp[g][gen_map[x]]
-        return f == g
+    def value(word, f):
+        for x in word:
+            f = comp[f][gen[x]]
+        return f
 
-    def assign(i):  # slot i: object i, then generator i - n_obj
-        if i == len(pins):
-            return found(Functor(tuple(obj_map), tuple(gen_map)))
-        if i < n_obj:
-            values, row = range(S.n_obj), obj_map
-        else:
-            s, t = P.gens[i - n_obj]
-            values, row = homs.get((obj_map[s], obj_map[t]), ()), gen_map
-        pin, rels = pins[i], checks.get(i - n_obj)
-        for f in values if pin is None else [pin] if pin in values else ():
-            if pin is None:
-                budget.spend()
-            row.append(f)
-            if (not rels or all(holds(*c) for c in rels)) and assign(i + 1):
-                return True
-            row.pop()
+    def holds(r):
+        e = ident[obj[rels[r][0]]]
+        return value(rels[r][1], e) == value(rels[r][2], e)
+
+    def refresh(h):  # the open generator h's candidates; the old ones go on the trail
+        s, t = gens[h]
+        os, ot = obj[s], obj[t]
+        c = hom = homs.get((os, ot) if s != t or os is not None else None, ())
+        for r in rels_of[h] if os is not None and ot is not None else ():
+            if n_open[r] == 1 and h in rels[r][4]:
+                left, right, other = rels[r][4][h]
+                e = ident[obj[rels[r][0]]]
+                key = (value(left, e), value(right, ident[ot]), value(other, e))
+                if key not in divs:
+                    L, R, Y = key
+                    divs[key] = [f for f in homs.get((tgt[L], src[R]), ()) if comp[comp[L][f]][R] == Y]
+                c = divs[key] if c is hom else [f for f in divs[key] if f in c]
+        trail.append((h, cand[h], size[h]))
+        cand[h], size[h] = c, len(c)
+
+    def step():
+        least = min(size, default=none)
+        if least == none:
+            return found(Functor(tuple(obj), tuple(gen[:m])))
+        g = size.index(least)
+        (s, t), options, mark = gens[g], cand[g], len(trail)
+        fresh = [v for v in (s, t) if obj[v] is None] if None in (obj[s], obj[t]) else ()
+        size[g], near, closed = none, set(), []
+        for v in fresh:
+            near.update(at[v])
+        for r in rels_of[g]:
+            n_open[r] -= 1
+            if n_open[r] == 1:
+                near.update(rels[r][3])
+            elif not n_open[r]:
+                closed.append(r)
+        for f in options:
+            budget.spend()
+            gen[g] = f
+            if fresh:
+                obj[s], obj[t] = src[f], tgt[f]
+            if all(map(holds, closed)):
+                for h in near:  # the open generators whose candidates change with g
+                    if gen[h] is None:
+                        refresh(h)
+                if step():
+                    return True
+                while len(trail) > mark:
+                    h, cand[h], size[h] = trail.pop()
+        for r in rels_of[g]:
+            n_open[r] += 1
+        for v in fresh:
+            obj[v] = None
+        gen[g], size[g] = None, least
         return False
 
-    return assign(0)
+    if not all(holds(r) for r, k in enumerate(n_open) if not k):
+        return False
+    for h in range(m):
+        if gen[h] is None:
+            refresh(h)
+    accepted = step()
+    del step  # it refers to itself: free it without the cycle collector
+    return accepted
 
 
 def enumerate_functors(P, S, budget=None, fixed=None):
     """All functors from the presented category to S that agree with the
-    partial functor `fixed` (all free by default), in deterministic order;
-    only the values tried on free entries are charged to the budget."""
+    partial functor `fixed` (all free by default), sorted by object map,
+    then generator map; only the values tried on free entries are charged
+    to the budget."""
     results = []
     fixed = fixed or Functor((None,) * P.n_obj, (None,) * len(P.gens))
     _search(P, as_cat(S), Budget.of(budget), fixed, results.append)
-    return results
+    return sorted(results, key=lambda F: (F.obj_map, F.gen_map))
 
 
 def nat_trans_exists(P, S, F, G, budget=None):
@@ -668,13 +751,12 @@ def functor_homotopy_classes(P, S, functors, budget=None):
     target; `gauge_classes` is the fast route into a group.
     """
     S, b = as_cat(S), Budget.of(budget)
-    uf = cset.UnionFind()
-    for i in range(len(functors)):
-        uf.add(i)
+    uf = cset.UnionFind(range(len(functors)))
     for (i, F), (j, G) in itertools.combinations(enumerate(functors), 2):
-        b.spend()
-        if nat_trans_exists(P, S, F, G, b) or nat_trans_exists(P, S, G, F, b):
-            uf.union(i, j)
+        if uf.find(i) != uf.find(j):  # a joined pair cannot change the partition
+            b.spend()
+            if nat_trans_exists(P, S, F, G, b) or nat_trans_exists(P, S, G, F, b):
+                uf.union(i, j)
     return uf.classes()
 
 
@@ -691,9 +773,7 @@ def gauge_classes(P, G, budget=None):
     order; the class index of a functor (None for a non-functor); and
     |fixed| * |G|^(objects - components), the forest's edge count.
     """
-    forest = cset.UnionFind()
-    for o in range(P.n_obj):
-        forest.add(o)
+    forest = cset.UnionFind(range(P.n_obj))
     tree = tuple(G.unit if forest.union(s, t) else None for s, t in P.gens)
     fixed = enumerate_functors(P, G, budget, Functor((None,) * P.n_obj, tree))
     reps = sorted({_least_gauge_member(P, G, F.gen_map) for F in fixed})

@@ -30,8 +30,8 @@ class CsetError(ValueError):
 
 
 class UnionFind:
-    def __init__(self):
-        self.parent = {}
+    def __init__(self, items=()):
+        self.parent = {x: x for x in items}
 
     def add(self, x):
         if x not in self.parent:
@@ -168,9 +168,7 @@ class CubicalSet:
     def orbits(self, n):
         """Transposition orbits of nondegenerate n-cells (geometric cells)."""
         nondeg = set(self.nondegenerate(n))
-        uf = UnionFind()
-        for x in nondeg:
-            uf.add(x)
+        uf = UnionFind(nondeg)
         for i in range(1, n):
             tbl = self.transps[(n, i)]
             for x in nondeg:
@@ -290,9 +288,7 @@ def colimit(trunc, dims, pairs, act):
     of their least node, which is also their key.  Returns the cubical set,
     the class index of every node and the member nodes of every class.
     """
-    uf = UnionFind()
-    for x in range(len(dims)):
-        uf.add(x)
+    uf = UnionFind(range(len(dims)))
     for x, y in pairs:
         uf.union(x, y)
     # the root of a class is its least member, so it comes first here

@@ -29,9 +29,7 @@ def pi0(C):
     """Vertex classes under lower-face ~ upper-face over all edges."""
     if C.trunc < 1:
         raise InvariantError("components need cells up to dimension 1")
-    uf = cset.UnionFind()
-    for v in C.cells(0):
-        uf.add(v)
+    uf = cset.UnionFind(C.cells(0))
     for e in C.cells(1):
         uf.union(C.faces[(1, 1, 0)][e], C.faces[(1, 1, 1)][e])
     groups = uf.classes()
@@ -115,11 +113,13 @@ def loop_classes(C, v, n, budget=None):
     (n+1)-cells with the first n side pairs also collapsed.  For n = 1 on
     a one-vertex complex the classes compose through squares with one
     degenerate side, giving the loop monoid when every pair composes.
+    Each n-cell and (n+1)-cell examined is charged to the budget.
     """
     if n < 1 or C.trunc < n + 1:
         raise InvariantError("truncation too small for this loop degree")
     if not 0 <= v < C.sizes[0]:
         raise InvariantError(f"vertex {v} out of range 0..{C.sizes[0] - 1}")
+    Budget.of(budget).spend(C.sizes[n] + C.sizes[n + 1])
     vs = cset.vertex_sub(C, v)
     zero_cells = [
         x
@@ -130,9 +130,7 @@ def loop_classes(C, v, n, budget=None):
             for eps in (0, 1)
         )
     ]
-    uf = cset.UnionFind()
-    for x in zero_cells:
-        uf.add(x)
+    uf = cset.UnionFind(zero_cells)
     zero_set = set(zero_cells)
     for y in C.cells(n + 1):
         if all(
@@ -222,9 +220,7 @@ def hom_classes_presheaf_oracle(B, C, budget=None):
     elementary homotopies through the cylinder.  Desk-scale only; used as
     an independent check of `hom_classes` with C a nerve."""
     maps, edges = oracle.homotopy_graph(B, C, budget)
-    uf = cset.UnionFind()
-    for i in range(len(maps)):
-        uf.add(i)
+    uf = cset.UnionFind(range(len(maps)))
     for i, j in edges:
         uf.union(i, j)
     return HomClassesResult(len(uf.classes()), len(maps))

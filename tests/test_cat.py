@@ -225,7 +225,9 @@ def test_fixed_values_must_fit_their_hom_sets():
     b = Budget(100)
     pinned = cat.Functor((None, None), (1,))
     assert cat.enumerate_functors(P, S, b, pinned) == [cat.Functor((0, 1), (1,))]
-    assert b.used == 2 + 2 * 2  # the object values only
+    # the fixed arrow's ends are both objects, so no value is tried (the
+    # index-order search tried 2 + 2 * 2 object values)
+    assert b.used == 0
     assert cat.enumerate_functors(P, S, fixed=cat.Functor((None, 0), (None,))) == [
         cat.Functor((0, 0), (0,))
     ]
@@ -328,7 +330,7 @@ def test_nat_trans_exists_matches_the_componentwise_search():
         cat.capped_add(),
         cat.cat_from_monoid(cat.sym3()),
     ]
-    answers = []
+    answers, charged = [], (0, 0)
     shapes = set()
     for _ in range(60):
         P = random_presentation(rng)
@@ -344,11 +346,152 @@ def test_nat_trans_exists_matches_the_componentwise_search():
                 b1, b2 = Budget(10**6), Budget(10**6)
                 found = cat.nat_trans_exists(P, S, F, G, b1)
                 assert found == componentwise_nat_trans_exists(P, S, F, G, b2)
-                assert b1.used == b2.used
+                assert b1.used <= b2.used
                 answers.append(found)
+                charged = (charged[0] + b1.used, charged[1] + b2.used)
     # loops, isolated objects and relations each occur, and both answers
     assert all(any(shape[k] for shape in shapes) for k in range(3))
     assert True in answers and False in answers
+    # over the 8,400 calls: the search out of the cylinder, then the
+    # componentwise search (which the cylinder search matched call by call
+    # while it took the rungs in object order)
+    assert charged == (21030, 46672)
+
+
+def test_nat_trans_exists_solves_a_naturality_square():
+    # g: 0 -> 1 into S3 (morphism 0 the unit), F(g) = 0 and G(g) = 5.  Both
+    # rungs have 6 candidates, so rung 0 comes first and takes the unit (1
+    # charge); the square F(g);u1 = u0;G(g) then forces u1 = 5 (1 charge).
+    # The componentwise search tried u1 = 0, ..., 5 after u0 (7 charges).
+    P = cat.CatPresentation(2, ((0, 1),), ())
+    S3 = cat.sym3()
+    F, G = cat.Functor((0, 0), (0,)), cat.Functor((0, 0), (5,))
+    b1, b2 = Budget(100), Budget(100)
+    assert cat.nat_trans_exists(P, S3, F, G, b1)
+    assert componentwise_nat_trans_exists(P, S3, F, G, b2)
+    assert (b1.used, b2.used) == (2, 7)
+
+
+def index_order_functors(P, S, fixed):
+    """The search enumerate_functors ran before it propagated: objects in
+    index order, then generators, each relation checked once its last
+    generator is set; functors in the order found."""
+    S, n = cat.as_cat(S), P.n_obj
+    checks = {}
+    for w1, w2 in P.relations:
+        src = P.gens[(w1 + w2)[0]][0] if w1 + w2 else 0
+        checks.setdefault(max(w1 + w2, default=-1), []).append((src, w1, w2))
+    pins, row, out = fixed.obj_map + fixed.gen_map, [], []
+
+    def holds(src, w1, w2):
+        f = g = S.ident[row[src]]
+        for x in w1:
+            f = S.comp[f][row[n + x]]
+        for x in w2:
+            g = S.comp[g][row[n + x]]
+        return f == g
+
+    def assign(i):
+        if i == len(pins):
+            out.append(cat.Functor(tuple(row[:n]), tuple(row[n:])))
+            return
+        if i < n:
+            values = range(S.n_obj)
+        else:
+            s, t = P.gens[i - n]
+            values = [f for f in range(S.n_mor) if (S.src[f], S.tgt[f]) == (row[s], row[t])]
+        for f in values if pins[i] is None else [pins[i]] if pins[i] in values else ():
+            row.append(f)
+            if all(holds(*c) for c in checks.get(i - n, ())):
+                assign(i + 1)
+            row.pop()
+
+    assign(0)
+    return out
+
+
+def test_enumerate_functors_matches_the_index_order_search():
+    rng = random.Random(29)
+    targets = [
+        cat.arrow_cat(),
+        cat.poset_cat(lat.chain(3).poset.leq),
+        cat.poset_cat(lat.boolean(2).poset.leq),
+        cat.discrete_cat(2),
+        cat.idempotent2(),
+        cat.capped_add(),
+        cat.sym3(),
+        cat.zmod(4),
+    ]
+    shapes, partial = set(), []
+    for _ in range(200):
+        P = random_presentation(rng)
+        shapes.add((
+            any(s == t for s, t in P.gens),
+            len({o for e in P.gens for o in e}) < P.n_obj,
+            bool(P.relations),
+        ))
+        for S in targets:
+            C = cat.as_cat(S)
+            free = cat.Functor((None,) * P.n_obj, (None,) * len(P.gens))
+            functors = cat.enumerate_functors(P, S, 10**6)
+            assert functors == index_order_functors(P, S, free)
+            # a partial functor: entries of a functor, or any values, some out of range
+            model = rng.choice(functors) if functors and rng.random() < 0.7 else None
+            obj = [
+                None if rng.random() < 0.5 else model.obj_map[v] if model else rng.randrange(C.n_obj + 1)
+                for v in range(P.n_obj)
+            ]
+            gen = [
+                None if rng.random() < 0.5 else model.gen_map[g] if model else rng.randrange(C.n_mor + 1)
+                for g in range(len(P.gens))
+            ]
+            fixed = cat.Functor(tuple(obj), tuple(gen))
+            found = cat.enumerate_functors(P, S, 10**6, fixed)
+            assert found == index_order_functors(P, S, fixed)
+            partial.append(bool(found))
+    # loops, isolated objects and relations each occur; partial functors
+    # with functors and without
+    assert all(any(shape[k] for shape in shapes) for k in range(3))
+    assert True in partial and False in partial
+
+
+def test_forced_letters_are_charged():
+    # t1 of the square into Z/4: gens 0, 1, 2 take 4, 16 and 64 values, and
+    # the square then forces gen 3 in each of the 64 branches.  The
+    # index-order search charged 4 objects, then 4 + 16 + 64 + 256.
+    P = cat.CatPresentation(4, ((0, 1), (0, 2), (1, 3), (2, 3)), (((0, 2), (1, 3)),))
+    b = Budget(10**6)
+    assert len(cat.enumerate_functors(P, cat.zmod(4), b)) == 64
+    assert b.used == 4 + 16 + 64 + 64
+
+
+def test_untouched_objects_are_tried_last():
+    # into the chain 0 < 1 < 2 < 3 (10 morphisms): g takes its 10 values,
+    # g = h forces h in each branch, and then object 2, which no generator
+    # touches, takes its 4 values in each of the 10 branches.  Trying
+    # object 2 first would charge 4 + 4 * (10 + 10).
+    P = cat.CatPresentation(3, ((0, 1), (0, 1)), (((0,), (1,)),))
+    chain = cat.poset_cat(lat.chain(3).poset.leq)
+    b = Budget(10**6)
+    assert len(cat.enumerate_functors(P, chain, b)) == 10 * 4
+    assert b.used == 10 + 10 + 10 * 4
+
+
+def test_a_monoid_category_is_built_once():
+    M = cat.capped_add()
+    assert cat.as_cat(M) is cat.as_cat(M)
+
+
+def test_joined_pairs_are_not_searched_again():
+    # the four constant functors into the chain 0 < 1 < 2 < 3: the pairs
+    # (0, j) join everything, one pair charge and one rung each, and the
+    # other three pairs are skipped
+    P = cat.CatPresentation(1, (), ())
+    chain = cat.poset_cat(lat.chain(3).poset.leq)
+    functors = cat.enumerate_functors(P, chain)
+    b = Budget(100)
+    assert cat.functor_homotopy_classes(P, chain, functors, b) == [[0, 1, 2, 3]]
+    assert b.used == 3 + 3
 
 
 def test_monoid_isomorphic():

@@ -221,11 +221,12 @@ def test_random_presentations_match_the_exhaustive_route():
 
 def test_gauge_fixing_charges_only_values_tried_off_the_forest():
     # sd3 circle: 3 vertices on a cycle of 3 edges, 2 of them on the
-    # forest.  One charge per vertex, then the 4 values of the third edge;
-    # enumerating every functor charged 3 + 4 + 16 + 64.
+    # forest.  The forest's values give every object, so only the 4 values
+    # of the third edge are tried (the index-order search also charged one
+    # per vertex, 7); enumerating every functor charged 3 + 4 + 16 + 64.
     b = Budget(10**8)
     assert inv.h1(sd.sd3(spaces.circle()).cset, cat.zmod(4), b, with_table=False).count == 4
-    assert b.used == 7
+    assert b.used == 4
     # sd3 torus: 4^10 functors in 16 classes
     b = Budget(10**8)
     assert inv.h1(sd.sd3(spaces.torus()).cset, cat.zmod(4), b, with_table=False).count == 16

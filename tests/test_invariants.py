@@ -1,6 +1,7 @@
 import pytest
 
 from dicube import cat, cset, invariants as inv, sd, spaces
+from dicube.config import Budget, BudgetExceeded
 
 
 def test_pi0_examples():
@@ -83,6 +84,15 @@ def test_loop_classes_nerves():
         loop = inv.loop_monoid(ner, 0)
         assert cat.monoid_isomorphic(loop, M) is not None
         assert inv.loop_classes(ner, 0, 2).count == 1
+
+
+def test_loop_classes_charges_the_cells_it_examines():
+    ner = cat.nerve(cat.zmod(3), 3)  # 1, 3, 27 and 2187 cells
+    with pytest.raises(BudgetExceeded):
+        inv.loop_classes(ner, 0, 1, Budget(1))
+    b = Budget(10**6)
+    assert inv.loop_classes(ner, 0, 2, b).count == 1
+    assert b.used == 27 + 2187
 
 
 def test_loop_classes_edge():
