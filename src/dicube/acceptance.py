@@ -425,8 +425,11 @@ CRITERIA = {
 }
 
 
-def run(selection=None, report=print):
-    """Run criteria (all by default); returns True when everything passed."""
+def run(selection=None, report=print, timing=True):
+    """Run criteria (all by default); returns True when everything passed.
+
+    Each criterion's line names its seconds only when `timing` is set.
+    """
     selection = sorted(CRITERIA) if selection is None else sorted(selection)
     all_ok = True
     for num in selection:
@@ -437,7 +440,8 @@ def run(selection=None, report=print):
         ok = all(passed for _, passed, _ in results)
         all_ok = all_ok and ok
         status = "PASS" if ok else "FAIL"
-        report(f"criterion {num:2d} [{status}] {title} ({len(results)} checks, {elapsed:.1f}s)")
+        seconds = f", {elapsed:.1f}s" if timing else ""
+        report(f"criterion {num:2d} [{status}] {title} ({len(results)} checks{seconds})")
         for label, passed, detail in results:
             if not passed:
                 report(f"  FAILED: {label} {detail}")

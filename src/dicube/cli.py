@@ -243,7 +243,7 @@ def cmd_oracle(args, started):
         "homotopy": [7],
     }
     lines = []
-    ok = acceptance.run(suites[args.suite], report=lines.append)
+    ok = acceptance.run(suites[args.suite], report=lines.append, timing=args.timing)
     _emit(
         args,
         "oracle check",

@@ -196,6 +196,8 @@ def _spec_order(spec):
 
 def enumerate_maps(m, n, cls=None, bound=4):
     """All normal forms [1]^m -> [1]^n in lexicographic output order."""
+    if m < 0 or n < 0:
+        raise CubeError(f"dimensions must be nonnegative, got {m} and {n}")
     if m > bound or n > bound:
         raise CubeError(f"enumeration bound {bound} exceeded")
     specs = [CONST0, CONST1] + [proj(i) for i in range(1, m + 1)]

@@ -299,19 +299,8 @@ def epi_closure(m, n, budget=None):
 
 def transposition_closure(n, budget=None):
     """Composites of principal coordinate transpositions [1]^n -> [1]^n."""
-    b = Budget.of(budget)
-    gens = [t[2] for t in _generator_tables(n) if t[0] == t[1] == n]
-    tables = set(gens)
-    worklist = list(tables)
-    while worklist:
-        t = worklist.pop()
-        for s in list(tables):
-            b.spend()
-            for c in (tuple(s[v] for v in t), tuple(t[v] for v in s)):
-                if c not in tables:
-                    tables.add(c)
-                    worklist.append(c)
-    return tables
+    gens = [t for t in _generator_tables(n) if t[0] == t[1] == n]
+    return {t[2] for t in _closure(gens, n, budget)}
 
 
 # ---------------------------------------------------------------------------
@@ -357,42 +346,44 @@ def is_boolean_by_isomorphism(leq, elems):
 # exhaustive homotopy graphs (the presheaf-side oracle)
 
 
-def _face_signature_set(C, m):
-    """All boundary tuples realized by cells of C at dimension m."""
-    order = [(i, eps) for i in range(1, m + 1) for eps in (0, 1)]
-    return {
-        tuple(C.faces[(m, i, eps)][y] for i, eps in order) for y in C.cells(m)
-    }
+def _boundary(C, n, y):
+    """The faces of the n-cell y of C, in the order (1, 0), (1, 1), ..., (n, 1)."""
+    return tuple(C.faces[(n, i, eps)][y] for i in range(1, n + 1) for eps in (0, 1))
+
+
+def _cells_by_boundary(C, n):
+    """The n-cells of C grouped by boundary tuple, each group ascending."""
+    index = {}
+    for y in C.cells(n):
+        index.setdefault(_boundary(C, n, y), []).append(y)
+    return index
 
 
 def enumerate_cubical_functions(B, C, budget=None):
     """All cubical functions B -> C by per-dimension DFS.
 
     Free choices are the transposition-orbit representatives of the
-    nondegenerate cells; orbit mates and degenerate cells are forced.
-    Each assignment is pruned by face compatibility and, as soon as the
-    boundary of a higher cell of B is determined, by the existence of a
-    C-cell with that boundary.
+    nondegenerate cells; orbit mates and degenerate cells are forced.  The
+    cells of C are indexed by boundary once per dimension: a representative
+    is offered only the C-cells whose boundary is the image of its own, and
+    each value offered is charged to the budget.  As soon as the boundary of
+    a higher cell of B is determined, some C-cell must have that boundary.
     """
-    from . import cset  # data types shared; evaluation paths are not
-
     b = Budget.of(budget)
     trunc = min(B.trunc, C.trunc)
+    by_boundary = [_cells_by_boundary(C, n) for n in range(trunc + 1)]
     results = []
 
     # per-level static data
     level_data = []
     for n in range(trunc + 1):
         nondeg = set(B.nondegenerate(n))
-        # orbit structure: root representative and transposition path
-        root = {}
-        path = {}
-        reps = []
+        # orbit structure: root representative, transposition path, mates
+        root, path, mates = {}, {}, {}
         for i in sorted(nondeg):
             if i in root:
                 continue
-            reps.append(i)
-            root[i], path[i] = i, ()
+            root[i], path[i], mates[i] = i, (), []
             queue = [i]
             while queue:
                 cur = queue.pop()
@@ -401,107 +392,71 @@ def enumerate_cubical_functions(B, C, budget=None):
                     if mate in nondeg and mate not in root:
                         root[mate] = i
                         path[mate] = path[cur] + (it,)
+                        mates[i].append(mate)
                         queue.append(mate)
+        reps = list(mates)
         rep_pos = {r: p for p, r in enumerate(reps)}
-        # degenerate cells and their sources
-        degen_src = {}
-        for i in range(B.sizes[n]):
-            if i not in nondeg:
-                degen_src[i] = B.degeneracy_source(n, i)
-        # higher cells of B closing at this level, keyed by the last
-        # representative their boundary depends on
+        rep_faces = [_boundary(B, n, i) for i in reps]
+        degen_src = {i: B.degeneracy_source(n, i) for i in B.cells(n) if i not in nondeg}
+        # boundaries of higher cells of B, keyed by the position of the last
+        # representative they depend on (-1: none)
         triggers = {}
-        immediate = []
-        if n + 1 <= trunc:
-            face_order = [(i, eps) for i in range(1, n + 2) for eps in (0, 1)]
-            sig = _face_signature_set(C, n + 1)
+        if n < trunc:
             for y in B.nondegenerate(n + 1):
-                faces = [B.faces[(n + 1, i, eps)][y] for i, eps in face_order]
+                faces = _boundary(B, n + 1, y)
                 deps = {rep_pos[root[f]] for f in faces if f in root}
-                entry = (y, tuple(faces))
-                if deps:
-                    triggers.setdefault(max(deps), []).append(entry)
-                else:
-                    immediate.append(entry)
-            level_data.append((reps, root, path, degen_src, triggers, immediate, sig))
-        else:
-            level_data.append((reps, root, path, degen_src, {}, [], None))
+                triggers.setdefault(max(deps, default=-1), []).append(faces)
+        level_data.append((reps, mates, path, rep_faces, degen_src, triggers))
 
     def extend(maps, n):
         if n > trunc:
-            results.append(tuple(tuple(m) for m in maps))
+            results.append(tuple(maps))
             return
-        reps, root, path, degen_src, triggers, immediate, sig = level_data[n]
-        values = {}
-        for i, src in degen_src.items():
-            j, x = src
+        reps, mates, path, rep_faces, degen_src, triggers = level_data[n]
+        values = [None] * B.sizes[n]
+        for i, (j, x) in degen_src.items():
             values[i] = C.degens[(n - 1, j)][maps[n - 1][x]]
+        closing = by_boundary[n + 1] if n < trunc else {}
 
-        def resolve(i):
-            if i in values:
-                return values[i]
-            v = values[root[i]]
-            for it in path[i]:
-                v = C.transps[(n, it)][v]
-            values[i] = v
-            return v
-
-        def boundary_ok(entries):
-            for _, faces in entries:
-                key = tuple(resolve(f) for f in faces)
-                if key not in sig:
-                    return False
-            return True
+        def closes(pos):
+            return all(
+                tuple(values[f] for f in faces) in closing for faces in triggers.get(pos, ())
+            )
 
         def assign(pos):
             if pos == len(reps):
-                vec = [resolve(i) for i in range(B.sizes[n])]
                 for it in range(1, n):
                     tb = B.transps[(n, it)]
                     tc = C.transps[(n, it)]
-                    if any(tc[vec[i]] != vec[tb[i]] for i in range(B.sizes[n])):
+                    if any(tc[values[i]] != values[tb[i]] for i in B.cells(n)):
                         return
-                maps.append(vec)
+                maps.append(tuple(values))
                 extend(maps, n + 1)
                 maps.pop()
                 return
             i = reps[pos]
-            for y in range(C.sizes[n]):
-                b.spend()
-                good = True
-                for eps in (0, 1):
-                    for di in range(1, n + 1):
-                        key = (n, di, eps)
-                        if C.faces[key][y] != maps[n - 1][B.faces[key][i]]:
-                            good = False
-                            break
-                    if not good:
-                        break
-                if good:
-                    added = [i]
-                    values[i] = y
-                    # resolve this rep's orbit mates eagerly so closing
-                    # checks can see them
-                    for m_ in root:
-                        if root[m_] == i and m_ not in values:
-                            resolve(m_)
-                            added.append(m_)
-                    if pos in triggers and not boundary_ok(triggers[pos]):
-                        for m_ in added:
-                            values.pop(m_, None)
-                        continue
+            offered = by_boundary[n].get(tuple(maps[n - 1][f] for f in rep_faces[pos]), ())
+            b.spend(len(offered))
+            for y in offered:
+                values[i] = y
+                for mate in mates[i]:
+                    v = y
+                    for it in path[mate]:
+                        v = C.transps[(n, it)][v]
+                    values[mate] = v
+                if closes(pos):
                     assign(pos + 1)
-                    for m_ in added:
-                        values.pop(m_, None)
 
-        if immediate and not boundary_ok(immediate):
-            return
-        assign(0)
+        if closes(-1):
+            assign(0)
 
     extend([], 0)
-    from .cset import CubicalFunction
+    from .cset import CubicalFunction  # the data type only
 
-    return [CubicalFunction(B, C, maps) for maps in sorted(set(results))]
+    # Already in lexicographic order: a representative is the least cell of
+    # its orbit, every cell before it is degenerate or already fixed, and
+    # its values are offered in ascending order.
+    return [CubicalFunction(B, C, maps) for maps in results]
 
 
 def homotopy_graph(B, C, budget=None):

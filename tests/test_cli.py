@@ -1,12 +1,14 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
-from dicube import cat, cli, cset, spaces
+from dicube import acceptance, cat, cli, cset, spaces
 
 
 def run_cli(capsys, *argv):
@@ -28,6 +30,14 @@ def test_cube_enumerate_class_filter(capsys):
         capsys, "cube", "enumerate", "--dom", "2", "--cod", "2", "--class", "iso"
     )
     assert json.loads(out)["result"]["count"] == 2
+
+
+@pytest.mark.parametrize("dom, cod", [("1", "-2"), ("-1", "1")])
+def test_cube_enumerate_negative_dimension_is_usage_error(capsys, dom, cod):
+    code, out, err = run_cli(capsys, "cube", "enumerate", "--dom", dom, "--cod", cod)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 @pytest.mark.parametrize(
@@ -304,6 +314,29 @@ def test_oracle_check_lattice(capsys):
     code, out, _ = run_cli(capsys, "oracle", "check", "--suite", "lattice")
     assert code == 0
     assert json.loads(out)["result"]["ok"] is True
+
+
+def _oracle_check_with_clock(capsys, monkeypatch, step, *flags):
+    """`oracle check --suite lattice` with a clock that advances `step`
+    seconds per reading."""
+    ticks = itertools.count(0.0, step)
+    monkeypatch.setattr(acceptance, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
+    code, out, _ = run_cli(capsys, *flags, "oracle", "check", "--suite", "lattice")
+    assert code == 0
+    return out
+
+
+def test_oracle_check_report_does_not_depend_on_the_clock(capsys, monkeypatch):
+    fast = _oracle_check_with_clock(capsys, monkeypatch, 0.0)
+    slow = _oracle_check_with_clock(capsys, monkeypatch, 7.0)
+    assert fast == slow
+    assert json.loads(fast)["result"]["log"] == [
+        "criterion  9 [PASS] modular lattice property suite (51 checks)"
+    ]
+    timed = json.loads(_oracle_check_with_clock(capsys, monkeypatch, 7.0, "--timing"))
+    assert timed["result"]["log"] == [
+        "criterion  9 [PASS] modular lattice property suite (51 checks, 7.0s)"
+    ]
 
 
 def test_entry_point_runs():

@@ -303,9 +303,16 @@ def test_general_gluing_agrees_with_lattice_path():
         fast = sd.sd3(C)
         assert general.cset.sizes == fast.cset.sizes
         assert general.cset.census() == fast.cset.census()
-        # carriers agree up to atoms
-        for v in range(general.cset.sizes[0]):
-            pass
+        # carriers agree up to atoms; the two paths order cells differently
+        for d in range(C.trunc + 1):
+            atoms = [
+                sorted(
+                    [sorted(cells) for cells in cset.atom(s.base, s.carrier_cell((d, c))).sel]
+                    for c in s.cset.cells(d)
+                )
+                for s in (general, fast)
+            ]
+            assert atoms[0] == atoms[1], d
 
 
 def test_eps_on_edge():

@@ -1,7 +1,10 @@
+import random
+from functools import lru_cache
+
 import pytest
 
-from dicube import cat, lattice as lat, oracle, spaces
-from dicube.config import BudgetExceeded
+from dicube import cat, cset, lattice as lat, oracle, spaces
+from dicube.config import Budget, BudgetExceeded
 
 
 def test_all_monotone_counts():
@@ -44,6 +47,7 @@ def test_monotone_bijections_are_permutations():
 
     for n in range(4):
         assert len(oracle.monotone_bijection_tables(n)) == math.factorial(n)
+        assert oracle.transposition_closure(n) == set(oracle.monotone_bijection_tables(n))
 
 
 def test_homotopy_graph_point_into_arrow_nerve():
@@ -92,3 +96,153 @@ def test_budget_exceeded_is_reported():
     C = cat.nerve(cat.zmod(4), 2)
     with pytest.raises(BudgetExceeded):
         oracle.homotopy_graph(B, C, budget=50)
+
+
+def _scan_enumerate_cubical_functions(B, C, b):
+    """Reference for `enumerate_cubical_functions` without the boundary
+    index: each representative is tried against every cell of C_n, one
+    charge per cell; returns the sorted list of level tuples."""
+    trunc = min(B.trunc, C.trunc)
+    results = []
+    level_data = []
+    for n in range(trunc + 1):
+        nondeg = set(B.nondegenerate(n))
+        root, path, reps = {}, {}, []
+        for i in sorted(nondeg):
+            if i in root:
+                continue
+            reps.append(i)
+            root[i], path[i] = i, ()
+            queue = [i]
+            while queue:
+                cur = queue.pop()
+                for it in range(1, n):
+                    mate = B.transps[(n, it)][cur]
+                    if mate in nondeg and mate not in root:
+                        root[mate] = i
+                        path[mate] = path[cur] + (it,)
+                        queue.append(mate)
+        rep_pos = {r: p for p, r in enumerate(reps)}
+        degen_src = {i: B.degeneracy_source(n, i) for i in B.cells(n) if i not in nondeg}
+        triggers, immediate, sig = {}, [], None
+        if n + 1 <= trunc:
+            order = [(i, eps) for i in range(1, n + 2) for eps in (0, 1)]
+            sig = {tuple(C.faces[(n + 1, i, e)][y] for i, e in order) for y in C.cells(n + 1)}
+            for y in B.nondegenerate(n + 1):
+                faces = tuple(B.faces[(n + 1, i, e)][y] for i, e in order)
+                deps = {rep_pos[root[f]] for f in faces if f in root}
+                if deps:
+                    triggers.setdefault(max(deps), []).append(faces)
+                else:
+                    immediate.append(faces)
+        level_data.append((reps, root, path, degen_src, triggers, immediate, sig))
+
+    def extend(maps, n):
+        if n > trunc:
+            results.append(tuple(tuple(m) for m in maps))
+            return
+        reps, root, path, degen_src, triggers, immediate, sig = level_data[n]
+        values = {i: C.degens[(n - 1, j)][maps[n - 1][x]] for i, (j, x) in degen_src.items()}
+
+        def resolve(i):
+            if i not in values:
+                v = values[root[i]]
+                for it in path[i]:
+                    v = C.transps[(n, it)][v]
+                values[i] = v
+            return values[i]
+
+        def boundary_ok(entries):
+            return all(tuple(resolve(f) for f in faces) in sig for faces in entries)
+
+        def assign(pos):
+            if pos == len(reps):
+                vec = [resolve(i) for i in B.cells(n)]
+                for it in range(1, n):
+                    tb, tc = B.transps[(n, it)], C.transps[(n, it)]
+                    if any(tc[vec[i]] != vec[tb[i]] for i in B.cells(n)):
+                        return
+                maps.append(vec)
+                extend(maps, n + 1)
+                maps.pop()
+                return
+            i = reps[pos]
+            for y in C.cells(n):
+                b.spend()
+                if any(
+                    C.faces[(n, di, eps)][y] != maps[n - 1][B.faces[(n, di, eps)][i]]
+                    for eps in (0, 1)
+                    for di in range(1, n + 1)
+                ):
+                    continue
+                added = [i]
+                values[i] = y
+                for m in root:
+                    if root[m] == i and m not in values:
+                        resolve(m)
+                        added.append(m)
+                if pos not in triggers or boundary_ok(triggers[pos]):
+                    assign(pos + 1)
+                for m in added:
+                    values.pop(m, None)
+
+        if boundary_ok(immediate):
+            assign(0)
+
+    extend([], 0)
+    return sorted(set(results))
+
+
+MIN_TRUNC = {
+    "point": 0, "edge": 1, "edge_boundary": 1, "circle": 1,
+    "cube2": 2, "torus": 2, "klein": 2, "sphere2": 2,
+}
+CATS = {
+    "arrow": (cat.arrow_cat, 3),
+    "discrete-2": (lambda: cat.discrete_cat(2), 3),
+    "chain3": (lambda: cat.poset_cat([[x <= y for y in range(3)] for x in range(3)]), 3),
+    "Z/2": (lambda: cat.zmod(2), 3),
+    "Z/3": (lambda: cat.zmod(3), 2),
+    "idem2": (cat.idempotent2, 3),
+}
+
+
+@lru_cache(maxsize=None)
+def _space(name, trunc, cylinder):
+    B = spaces.by_name(name, trunc)
+    return cset.cylinder(B)[0] if cylinder else B
+
+
+@lru_cache(maxsize=None)
+def _nerve(name, trunc):
+    return cat.nerve(CATS[name][0](), trunc)
+
+
+def test_boundary_index_matches_the_cell_scan():
+    # seeded spaces, their cylinders (below truncation 3, where the tensor
+    # is slow) and nerves, truncated independently;
+    # an instance the scan cannot finish within 20,000 charges is drawn again
+    rng = random.Random(8)
+    drawn, used, scanned, skipped = [], 0, 0, 0
+    while len(drawn) < 40:
+        name = rng.choice(sorted(MIN_TRUNC))
+        trunc = rng.randint(MIN_TRUNC[name], 3)
+        B = _space(name, trunc, trunc < 3 and rng.random() < 0.3)
+        target = rng.choice(sorted(CATS))
+        C = _nerve(target, rng.randint(1, CATS[target][1]))
+        b_scan = Budget(20_000)
+        try:
+            expected = _scan_enumerate_cubical_functions(B, C, b_scan)
+        except BudgetExceeded:
+            skipped += 1
+            continue
+        b = Budget(20_000)
+        got = oracle.enumerate_cubical_functions(B, C, b)
+        label = (name, B.sizes, target, C.trunc)
+        assert [f.maps for f in got] == expected, label
+        assert b.used <= b_scan.used, label
+        drawn.append((B.trunc, C.trunc))
+        used += b.used
+        scanned += b_scan.used
+    assert any(tb > tc for tb, tc in drawn) and any(tb < tc for tb, tc in drawn)
+    assert (used, scanned, skipped) == (8874, 10352, 1)
