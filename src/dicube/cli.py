@@ -256,10 +256,9 @@ def cmd_oracle(args, started):
 
 
 def cmd_verify(args, started):
-    selection = None
-    if args.suite != "all":
-        selection = [int(args.suite)]
-    ok = acceptance.run(selection)
+    if args.suite != "all" and args.suite not in map(str, acceptance.CRITERIA):
+        raise UsageError(f"--suite takes 'all' or a criterion number 1-10, got {args.suite!r}")
+    ok = acceptance.run(None if args.suite == "all" else [int(args.suite)])
     raise SystemExit(0 if ok else 1)
 
 

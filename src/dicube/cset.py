@@ -606,41 +606,26 @@ def _epis(n, k):
     ]
 
 
-def _split_normalize(A, B, a, b, phi):
-    """Rewrite (a, b, phi) as an equivalent triple whose map is an epi.
+def _split(p_dim, phi):
+    """Factor phi: [1]^n -> [1]^p_dim (x) [1]^q as (mu_a (x) mu_b) o e.
 
-    Factors phi = (mu_A (x) mu_B) o (w o e) with e the increasing-order
-    projection onto the used inputs and w a permutation, then pushes mu_A
-    and mu_B into the cells by the presheaf actions.
+    e is the epi that projects onto the inputs used by the first block,
+    then onto those used by the second, each in increasing order; mu_a and
+    mu_b keep each block's constants and renumber its projections.  No
+    cell enters the factorization.
     """
-    p_dim, ia = a
-    q_dim, ib = b
-    a_side = phi.outputs[:p_dim]
-    b_side = phi.outputs[p_dim:]
-    used_a = sorted(s[1] for s in a_side if cube.is_proj(s))
-    used_b = sorted(s[1] for s in b_side if cube.is_proj(s))
-    used = sorted(used_a + used_b)
-    pos = {u: r + 1 for r, u in enumerate(used)}
-    ka, kb = len(used_a), len(used_b)
-    rank_a = {u: r + 1 for r, u in enumerate(used_a)}
-    rank_b = {u: r + 1 for r, u in enumerate(used_b)}
-    mu_a = cube.CubeMap(
-        ka,
-        p_dim,
-        tuple(s if cube.is_const(s) else cube.proj(rank_a[s[1]]) for s in a_side),
+    sides = (phi.outputs[:p_dim], phi.outputs[p_dim:])
+    used = [sorted(s[1] for s in side if cube.is_proj(s)) for side in sides]
+    mu_a, mu_b = (
+        cube.CubeMap(
+            len(u),
+            len(side),
+            tuple(s if cube.is_const(s) else cube.proj(u.index(s[1]) + 1) for s in side),
+        )
+        for side, u in zip(sides, used)
     )
-    mu_b = cube.CubeMap(
-        kb,
-        q_dim,
-        tuple(s if cube.is_const(s) else cube.proj(rank_b[s[1]]) for s in b_side),
-    )
-    e_can = cube.CubeMap(phi.dom, len(used), tuple(cube.proj(u) for u in used))
-    w_outputs = [cube.proj(pos[u]) for u in used_a] + [cube.proj(pos[u]) for u in used_b]
-    w = cube.CubeMap(len(used), len(used), tuple(w_outputs))
-    e = cube.compose(w, e_can)
-    new_a = (ka, A.act(mu_a, ia))
-    new_b = (kb, B.act(mu_b, ib))
-    return (new_a, new_b, e)
+    e = cube.CubeMap(phi.dom, len(used[0] + used[1]), tuple(map(cube.proj, used[0] + used[1])))
+    return mu_a, mu_b, e
 
 
 @dataclass(eq=False)
@@ -653,10 +638,10 @@ class TensorSet:
     def pair_class(self, a, b):
         """The cell class of a (x) b for a in the left, b in the right factor."""
         n = a[0] + b[0]
-        if n > self.cset.trunc:
-            raise CsetError("tensor cell beyond truncation")
-        node = _split_normalize(self.left, self.right, a, b, cube.identity(n))
-        return (n, self._node_index[node])
+        node = self._node_index.get((a, b, cube.identity(n)))
+        if node is None:
+            raise CsetError(f"not a pair of cells within the truncation: {a}, {b}")
+        return (n, node)
 
 
 def tensor(A, B):
@@ -677,6 +662,17 @@ def tensor(A, B):
                             nodes.append(((p, ia), (q, ib), e))
     nodes.sort()
     node_id = {node: x for x, node in enumerate(nodes)}
+    splits = {}
+
+    def split(p, phi):
+        # (a, b, phi) with a of dimension p is the triple
+        # ((ka, ta[a]), (kb, tb[b]), e): the actions of mu_a and mu_b move
+        # the cells, and e is an epi
+        key = (p, phi)
+        if key not in splits:
+            mu_a, mu_b, e = _split(p, phi)
+            splits[key] = (mu_a.dom, A.action(mu_a), mu_b.dom, B.action(mu_b), e)
+        return splits[key]
 
     def relations():
         # an elementary map alpha into a cell x of either factor, a cell y
@@ -685,23 +681,25 @@ def tensor(A, B):
         for X, Y, pair in ((A, B, lambda u, v: (u, v)), (B, A, lambda u, v: (v, u))):
             for p in range(X.trunc + 1):
                 for _, _, alpha in _elementary_maps_into(p, X.trunc):
+                    moved = X.action(alpha)
                     for q in range(min(Y.trunc, trunc - alpha.dom) + 1):
                         shifted = cube.tensor(*pair(alpha, cube.identity(q)))
                         for n in range(alpha.dom + q, trunc + 1):
                             for psi in _epis(n, alpha.dom + q):
-                                composed = cube.compose(shifted, psi)
+                                ka, ta, kb, tb, e = split(
+                                    pair(p, q)[0], cube.compose(shifted, psi)
+                                )
                                 for ix in X.cells(p):
-                                    moved = (alpha.dom, X.act(alpha, ix))
                                     for iy in Y.cells(q):
-                                        lhs = (*pair(moved, (q, iy)), psi)
-                                        rhs = _split_normalize(
-                                            A, B, *pair((p, ix), (q, iy)), composed
-                                        )
-                                        yield node_id[lhs], node_id[rhs]
+                                        lhs = pair((alpha.dom, moved[ix]), (q, iy))
+                                        ia, ib = pair(ix, iy)
+                                        rhs = ((ka, ta[ia]), (kb, tb[ib]), e)
+                                        yield node_id[(*lhs, psi)], node_id[rhs]
 
     def act(phi, x):
-        a, b, e = nodes[x]
-        return node_id[_split_normalize(A, B, a, b, cube.compose(e, phi))]
+        (p, ia), (_, ib), e = nodes[x]
+        ka, ta, kb, tb, f = split(p, cube.compose(e, phi))
+        return node_id[((ka, ta[ia]), (kb, tb[ib]), f)]
 
     dims = [e.dom for _, _, e in nodes]
     T, cls, _ = colimit(trunc, dims, relations(), act)

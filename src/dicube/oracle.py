@@ -11,6 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .config import Budget
+from .cube import CubeError  # the error type only
 
 
 class OracleDisagreement(RuntimeError):
@@ -62,8 +63,14 @@ def _cube_leq(x, y):
     return x & y == x
 
 
+def _check_dims(*dims):
+    if min(dims) < 0:
+        raise CubeError(f"dimensions must be nonnegative, got {', '.join(map(str, dims))}")
+
+
 def cube_monotone_tables(m, n, budget=None):
     """All monotone tables [1]^m -> [1]^n, DFS over points in mask order."""
+    _check_dims(m, n)
     b = Budget.of(budget)
     size = 1 << m
     out = []
@@ -129,6 +136,7 @@ def interval_hom_tables(m, n, budget=None):
     be enforced incrementally; a final interval-image filter follows.
     This enumerator never consults the normal-form calculus it checks.
     """
+    _check_dims(m, n)
     b = Budget.of(budget)
     size = 1 << m
     join_pairs = [
@@ -167,6 +175,7 @@ def interval_hom_tables(m, n, budget=None):
 
 def monotone_bijection_tables(n, budget=None):
     """All monotone bijections [1]^n -> [1]^n (DFS with counting pruning)."""
+    _check_dims(n)
     b = Budget.of(budget)
     size = 1 << n
     out = []
@@ -245,28 +254,22 @@ def _closure(generators, max_dim, budget):
     # Compose-only closure.  Tensoring with identities is already baked
     # into the generator set, and a tensor of composites is a composite of
     # identity-padded tensors (interchange), so composition reaches the
-    # full monoidal closure.
+    # full monoidal closure.  Every composite is a generator applied after
+    # a shorter composite, so it is enough to compose each table on the
+    # left with the generators out of its codomain.
     b = Budget.of(budget)
     tables = set(generators)
     by_dom = {d: [] for d in range(max_dim + 1)}
-    by_cod = {d: [] for d in range(max_dim + 1)}
-    for t in tables:
-        by_dom[t[0]].append(t)
-        by_cod[t[1]].append(t)
+    for g in tables:
+        by_dom[g[0]].append(g)
     worklist = list(tables)
     while worklist:
         t = worklist.pop()
         b.spend()
-        fresh = []
-        for s in list(by_dom[t[1]]):
-            fresh.append(_compose_tables(s, t))
-        for s in list(by_cod[t[0]]):
-            fresh.append(_compose_tables(t, s))
-        for c in fresh:
+        for g in by_dom[t[1]]:
+            c = _compose_tables(g, t)
             if c not in tables:
                 tables.add(c)
-                by_dom[c[0]].append(c)
-                by_cod[c[1]].append(c)
                 worklist.append(c)
     return tables
 
@@ -285,20 +288,25 @@ def _closure_universe(max_dim, cofaces):
 def generator_closure(m, n, budget=None):
     """Tables of all composites of tensors of the generators, dom m cod n.
 
-    BFS to a fixpoint through dimensions <= max(m, n) + 1.
+    Closes the generator tables of dimensions <= max(m, n) + 1 under
+    composition on the left with a generator, from a worklist, to a
+    fixpoint.
     """
+    _check_dims(m, n)
     universe = _closure_universe(max(m, n) + 1, True)
     return {t[2] for t in universe if t[0] == m and t[1] == n}
 
 
 def epi_closure(m, n, budget=None):
     """Composites of codegeneracies and transpositions only, dom m cod n."""
+    _check_dims(m, n)
     universe = _closure_universe(max(m, n), False)
     return {t[2] for t in universe if t[0] == m and t[1] == n}
 
 
 def transposition_closure(n, budget=None):
     """Composites of principal coordinate transpositions [1]^n -> [1]^n."""
+    _check_dims(n)
     gens = [t for t in _generator_tables(n) if t[0] == t[1] == n]
     return {t[2] for t in _closure(gens, n, budget)}
 

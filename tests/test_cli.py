@@ -229,14 +229,15 @@ CSET = ("cset", "validate")
 MONOID = ("cat", "classes", "--monoid")
 CAT = ("cat", "nerve", "--cat")
 LATTICE = ("lattice", "check")
+BAD_SUITES = ("0", "11", "-1", "x")
 
 
 @pytest.mark.parametrize(
     "budget_env, command, text",
     [
-        pytest.param("abc", CSET, None, id="budget-not-a-number"),
-        pytest.param("0", CSET, None, id="budget-zero"),
-        pytest.param("-1", CSET, None, id="budget-negative"),
+        pytest.param("abc", (*CSET, "circle"), None, id="budget-not-a-number"),
+        pytest.param("0", (*CSET, "circle"), None, id="budget-zero"),
+        pytest.param("-1", (*CSET, "circle"), None, id="budget-negative"),
         pytest.param(None, CSET, "{", id="cset-not-json"),
         pytest.param(None, CSET, "[]", id="cset-not-an-object"),
         pytest.param(None, CSET, _edited_json(TORUS, degens=None), id="cset-no-degens"),
@@ -270,20 +271,24 @@ LATTICE = ("lattice", "check")
         pytest.param(None, LATTICE, "[1, 2]", id="lattice-not-an-object"),
         pytest.param(None, LATTICE, '{"size": 1}', id="lattice-no-leq"),
         pytest.param(None, LATTICE, '{"size": 1, "leq": [["yes"]]}', id="lattice-string-entry"),
-        pytest.param(None, ("inv", "tau", "--vertex", "5", "--space"), None, id="tau-vertex-5"),
-        pytest.param(None, ("inv", "tau", "--vertex", "-1", "--space"), None, id="tau-vertex-neg"),
-        pytest.param(None, ("inv", "h1", "--monoid", "zmod0", "--space"), None, id="h1-zmod0"),
-        pytest.param(None, ("inv", "homclasses", "--s", "zmod-2", "--b"), None, id="homclasses-zmod-2"),
+        pytest.param(None, ("inv", "tau", "--vertex", "5", "--space", "circle"), None, id="tau-vertex-5"),
+        pytest.param(None, ("inv", "tau", "--vertex", "-1", "--space", "circle"), None, id="tau-vertex-neg"),
+        pytest.param(None, ("inv", "h1", "--monoid", "zmod0", "--space", "circle"), None, id="h1-zmod0"),
+        pytest.param(None, ("inv", "homclasses", "--s", "zmod-2", "--b", "circle"), None, id="homclasses-zmod-2"),
+        *(
+            pytest.param(None, ("verify", "--suite", suite), None, id=f"verify-suite-{suite}")
+            for suite in BAD_SUITES
+        ),
     ],
 )
 def test_bad_input_is_usage_error(tmp_path, capsys, monkeypatch, budget_env, command, text):
-    path = "circle"
+    """`command`, followed by a file holding `text` when there is one."""
     if budget_env is not None:
         monkeypatch.setenv("DICUBE_BUDGET", budget_env)
     if text is not None:
-        path = str(tmp_path / "bad.json")
         (tmp_path / "bad.json").write_text(text)
-    code, out, err = run_cli(capsys, *command, path)
+        command = (*command, str(tmp_path / "bad.json"))
+    code, out, err = run_cli(capsys, *command)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
@@ -308,6 +313,13 @@ def test_verify_single_criterion(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "criterion  6 [PASS]" in out
+
+
+@pytest.mark.parametrize("suite", BAD_SUITES)
+def test_verify_bad_suite_names_the_choices(capsys, suite):
+    code, _, err = run_cli(capsys, "verify", "--suite", suite)
+    assert code == 2
+    assert err == f"error: --suite takes 'all' or a criterion number 1-10, got {suite!r}\n"
 
 
 def test_oracle_check_lattice(capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 
 import pytest
@@ -205,6 +206,9 @@ def test_tensor_unit():
     for n in range(3):
         images = {ts.pair_class((n, i), (0, 0))[1] for i in circ.cells(n)}
         assert images == set(range(ts.cset.sizes[n]))
+    for a, b in (((0, circ.sizes[0]), (0, 0)), ((1, 0), (0, 1)), ((2, 0), (1, 0))):
+        with pytest.raises(cset.CsetError):
+            ts.pair_class(a, b)
 
 
 def test_tensor_associative_on_representables():
@@ -505,14 +509,29 @@ GOLDEN_DIGESTS = {
     "sd9 circle": "e55aa05445225baa7b2ddecd0c9a86050f0248e0c4ed0866b322422eaee4d8aa",
     "sphere2@2": "af60ebae780e72126b7a445ec55d9c1ad09d63e490df9033490a315b2126e501",
     "sphere2@3": "4e744f36e4ca23cecda406949f4ffc259bc7dcf8c97c39ec2fc158536d98192c",
+    "tensor(circle@3, klein@3)": "22d0c2d39d0f1246a425884b4de09294f34553613caf2fb6e35b4df278876a82",
     "torus@2": "af3329bb266533ebb724b332ab34cf77ad9bc0c842d56b076eb7bf99c78642be",
     "torus@3": "c13372e0b20291e8d0314180768639a0dec7a0c71c4645c27d5ef35770ffa45a",
+}
+
+# SHA-256 of `to_json` of the cylinder followed by the JSON of the maps of
+# its two end inclusions, recorded before `tensor` computed each
+# factorization of a cube map once per build.
+CYLINDER_DIGESTS = {
+    "circle@2": "d67e6b6167d4005c4ed18449f40dafa95842e02232277478c167377133530d71",
+    "cube2@2": "98bfda74c50a8d0f4e19d33fb60a9435f4f727dc75fe10d476dd6d6a7e3d5ce1",
+    "cube2@3": "0210a0aa0b68c377e2c978bd28acb0bc2cb9a180dfa15ebfd24e9f8644bf2515",
+    "edge@2": "31e8d8ecf999937003f385f6f2c2b3768fc7c49ed37095dd73881ecf099da905",
+    "edge_boundary@2": "2509e6934cd5106451dd6cad50e7cbccbf9cd133d13d35ea4c9257a89559d05a",
+    "point@2": "555c5c9f33aa53366c0abf9a9d5eb0e3851eb4c58608c3c77578c22c69084b21",
 }
 
 
 def _golden_space(name):
     if name == "cylinder(circle)":
         return cset.cylinder(spaces.circle())[0]
+    if name == "tensor(circle@3, klein@3)":
+        return cset.tensor(spaces.circle(3), spaces.klein(3)).cset
     if name == "circle+circle":
         return cset.disjoint_union(spaces.circle(), spaces.circle())
     if name == "boundary(2, 3)":
@@ -534,6 +553,14 @@ def _golden_space(name):
 def test_golden_digest(name):
     text = cset.to_json(_golden_space(name))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CYLINDER_DIGESTS))
+def test_cylinder_digest(name):
+    space, trunc = name.split("@")
+    cyl, incl0, incl1 = cset.cylinder(spaces.by_name(space, int(trunc)))
+    text = cset.to_json(cyl) + json.dumps([incl0.maps, incl1.maps])
+    assert hashlib.sha256(text.encode()).hexdigest() == CYLINDER_DIGESTS[name]
 
 
 def _quotient_by_worklist(C, pairs):

@@ -5,6 +5,7 @@ import pytest
 
 from dicube import cat, cset, lattice as lat, oracle, spaces
 from dicube.config import Budget, BudgetExceeded
+from dicube.cube import CubeError
 
 
 def test_all_monotone_counts():
@@ -48,6 +49,76 @@ def test_monotone_bijections_are_permutations():
     for n in range(4):
         assert len(oracle.monotone_bijection_tables(n)) == math.factorial(n)
         assert oracle.transposition_closure(n) == set(oracle.monotone_bijection_tables(n))
+
+
+def _two_sided_closure(generators, max_dim, budget):
+    """Reference closure: compose each new table with every known table on
+    either side."""
+    b = Budget.of(budget)
+    tables = set(generators)
+    by_dom = {d: [] for d in range(max_dim + 1)}
+    by_cod = {d: [] for d in range(max_dim + 1)}
+    for t in tables:
+        by_dom[t[0]].append(t)
+        by_cod[t[1]].append(t)
+    worklist = list(tables)
+    while worklist:
+        t = worklist.pop()
+        b.spend()
+        fresh = []
+        for s in list(by_dom[t[1]]):
+            fresh.append(oracle._compose_tables(s, t))
+        for s in list(by_cod[t[0]]):
+            fresh.append(oracle._compose_tables(t, s))
+        for c in fresh:
+            if c not in tables:
+                tables.add(c)
+                by_dom[c[0]].append(c)
+                by_cod[c[1]].append(c)
+                worklist.append(c)
+    return tables
+
+
+def _closure_instances():
+    for d in range(5):
+        gens = oracle._generator_tables(d)
+        yield f"all@{d}", gens, d
+        yield f"epi@{d}", [t for t in gens if t[0] >= t[1]], d
+    for n in range(6):
+        yield f"transp@{n}", [t for t in oracle._generator_tables(n) if t[0] == t[1] == n], n
+
+
+def test_left_closure_matches_the_two_sided_closure():
+    for name, gens, max_dim in _closure_instances():
+        b_left, b_both = Budget(10**8), Budget(10**8)
+        left = oracle._closure(gens, max_dim, b_left)
+        assert left == _two_sided_closure(gens, max_dim, b_both), name
+        assert b_left.used == b_both.used == len(left), name
+    assert len(oracle._closure(oracle._generator_tables(4), 4, None)) == 1559
+
+
+def test_left_closure_composes_each_table_once_per_generator(monkeypatch):
+    calls = []
+    compose = oracle._compose_tables
+    monkeypatch.setattr(oracle, "_compose_tables", lambda g, f: calls.append(1) or compose(g, f))
+    oracle._closure(oracle._generator_tables(4), 4, None)
+    assert len(calls) == 14427
+
+
+@pytest.mark.parametrize(
+    "name, dims",
+    [
+        ("cube_monotone_tables", (-1, 1)),
+        ("interval_hom_tables", (-1, 1)),
+        ("monotone_bijection_tables", (-1,)),
+        ("generator_closure", (-1, 0)),
+        ("epi_closure", (0, -2)),
+        ("transposition_closure", (-1,)),
+    ],
+)
+def test_table_enumerators_reject_negative_dimensions(name, dims):
+    with pytest.raises(CubeError, match="nonnegative"):
+        getattr(oracle, name)(*dims)
 
 
 def test_homotopy_graph_point_into_arrow_nerve():
