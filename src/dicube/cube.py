@@ -194,12 +194,15 @@ def _spec_order(spec):
     return (0, spec[1]) if is_const(spec) else (1, spec[1])
 
 
-def enumerate_maps(m, n, cls=None, bound=4):
+ENUMERATION_BOUND = 4
+
+
+def enumerate_maps(m, n, cls=None):
     """All normal forms [1]^m -> [1]^n in lexicographic output order."""
     if m < 0 or n < 0:
         raise CubeError(f"dimensions must be nonnegative, got {m} and {n}")
-    if m > bound or n > bound:
-        raise CubeError(f"enumeration bound {bound} exceeded")
+    if m > ENUMERATION_BOUND or n > ENUMERATION_BOUND:
+        raise CubeError(f"enumeration bound {ENUMERATION_BOUND} exceeded")
     specs = [CONST0, CONST1] + [proj(i) for i in range(1, m + 1)]
     specs.sort(key=_spec_order)
     out = []

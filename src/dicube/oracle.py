@@ -4,11 +4,16 @@ Evaluation here is deliberately separate from the primary code paths: cube
 points are bitmasks (join = OR, meet = AND), composition is raw table
 lookup, and homotopy detection enumerates cubical functions directly.
 Agreement failures raise with a serialized counterexample.
+
+One DFS (`_monotone_tables`) lists the tables of `all_monotone`,
+`cube_monotone_tables` and `monotone_bijection_tables`, charging each point
+once for all its values; `interval_hom_tables` keeps its own search on
+purpose, so that criterion 1's naive filter compares two separate searches.
+The generator closures charge their caller one unit per closure table,
+also when an earlier call built the closure.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .config import Budget
 from .cube import CubeError  # the error type only
@@ -31,27 +36,46 @@ def all_monotone(p_leq, q_leq, budget=None):
     np, nq = len(p_leq), len(q_leq)
     if nq**np > b.limit:
         b.spend(nq**np)  # raises
+    return _monotone_tables(p_leq, q_leq, b)
+
+
+def _monotone_tables(p_leq, q_leq, budget, injective=False):
+    """All monotone functions P -> Q (one-to-one when `injective`) as value
+    tuples, lexicographic order.
+
+    DFS over the points of P in index order.  A point is offered every value
+    of Q, or every unused one when `injective`, and is charged for all of
+    them at once; it keeps those above the values of the earlier points below
+    it and below the values of the earlier points above it, tried ascending.
+    Values are bitmasks over Q, so that filter is one AND per earlier
+    comparable point.
+    """
+    b = Budget.of(budget)
+    np, nq = len(p_leq), len(q_leq)
+    up = [sum(1 << w for w in range(nq) if q_leq[v][w]) for v in range(nq)]
+    down = [sum(1 << w for w in range(nq) if q_leq[w][v]) for v in range(nq)]
+    below = [[j for j in range(i) if p_leq[j][i]] for i in range(np)]
+    above = [[j for j in range(i) if p_leq[i][j]] for i in range(np)]
     out = []
     values = [0] * np
 
-    def rec(i):
+    def rec(i, free):
         if i == np:
             out.append(tuple(values))
             return
-        for v in range(nq):
-            b.spend()
-            ok = True
-            for j in range(i):
-                if p_leq[j][i] and not q_leq[values[j]][v]:
-                    ok = False
-                    break
-                if p_leq[i][j] and not q_leq[v][values[j]]:
-                    ok = False
-                    break
-            if ok:
-                values[i] = v
-                rec(i + 1)
-    rec(0)
+        b.spend(free.bit_count())
+        allowed = free
+        for j in below[i]:
+            allowed &= up[values[j]]
+        for j in above[i]:
+            allowed &= down[values[j]]
+        while allowed:
+            bit = allowed & -allowed
+            allowed ^= bit
+            values[i] = bit.bit_length() - 1
+            rec(i + 1, free ^ bit if injective else free)
+
+    rec(0, (1 << nq) - 1)
     return out
 
 
@@ -68,33 +92,15 @@ def _check_dims(*dims):
         raise CubeError(f"dimensions must be nonnegative, got {', '.join(map(str, dims))}")
 
 
+def _cube_order(n):
+    points = range(1 << n)
+    return [[_cube_leq(x, y) for y in points] for x in points]
+
+
 def cube_monotone_tables(m, n, budget=None):
     """All monotone tables [1]^m -> [1]^n, DFS over points in mask order."""
     _check_dims(m, n)
-    b = Budget.of(budget)
-    size = 1 << m
-    out = []
-    values = [0] * size
-
-    def rec(i):
-        if i == size:
-            out.append(tuple(values))
-            return
-        for v in range(1 << n):
-            b.spend()
-            ok = True
-            for j in range(i):
-                if _cube_leq(j, i) and not _cube_leq(values[j], v):
-                    ok = False
-                    break
-                if _cube_leq(i, j) and not _cube_leq(v, values[j]):
-                    ok = False
-                    break
-            if ok:
-                values[i] = v
-                rec(i + 1)
-    rec(0)
-    return out
+    return _monotone_tables(_cube_order(m), _cube_order(n), budget)
 
 
 def _table_is_hom(values, m, n):
@@ -174,37 +180,10 @@ def interval_hom_tables(m, n, budget=None):
 
 
 def monotone_bijection_tables(n, budget=None):
-    """All monotone bijections [1]^n -> [1]^n (DFS with counting pruning)."""
+    """All monotone bijections [1]^n -> [1]^n, DFS over points in mask order."""
     _check_dims(n)
-    b = Budget.of(budget)
-    size = 1 << n
-    out = []
-    values = [0] * size
-    used = [False] * size
-
-    def rec(i):
-        if i == size:
-            out.append(tuple(values))
-            return
-        for v in range(size):
-            if used[v]:
-                continue
-            b.spend()
-            ok = True
-            for j in range(i):
-                if _cube_leq(j, i) and not _cube_leq(values[j], v):
-                    ok = False
-                    break
-                if _cube_leq(i, j) and not _cube_leq(v, values[j]):
-                    ok = False
-                    break
-            if ok:
-                used[v] = True
-                values[i] = v
-                rec(i + 1)
-                used[v] = False
-    rec(0)
-    return out
+    order = _cube_order(n)
+    return _monotone_tables(order, order, budget, injective=True)
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +253,29 @@ def _closure(generators, max_dim, budget):
     return tables
 
 
-@lru_cache(maxsize=None)
-def _closure_universe(max_dim, cofaces):
+_UNIVERSES = {}
+
+
+def _closure_universe(max_dim, cofaces, budget):
+    """The closure of the generator tables of dimensions <= max_dim, the
+    cofaces left out unless `cofaces`, charged to `budget`.
+
+    The first call builds it under `budget` (one unit per table) and keeps
+    it only once the build finishes; a later call charges what the build
+    did, so the charge does not depend on what is already built.
+    """
+    key = (max_dim, cofaces)
+    if key in _UNIVERSES:
+        Budget.of(budget).spend(len(_UNIVERSES[key]))
+        return _UNIVERSES[key]
     # _generator_tables already lists every identity padding of the
     # elementary generators (all insert/drop/swap positions in each
     # dimension), which is exactly the monoidal generator set.
     gens = _generator_tables(max_dim)
     if not cofaces:
         gens = [t for t in gens if t[0] >= t[1]]
-    return frozenset(_closure(gens, max_dim, budget=10**8))
+    _UNIVERSES[key] = frozenset(_closure(gens, max_dim, budget))
+    return _UNIVERSES[key]
 
 
 def generator_closure(m, n, budget=None):
@@ -290,17 +283,18 @@ def generator_closure(m, n, budget=None):
 
     Closes the generator tables of dimensions <= max(m, n) + 1 under
     composition on the left with a generator, from a worklist, to a
-    fixpoint.
+    fixpoint, charging one unit per table of that closure.
     """
     _check_dims(m, n)
-    universe = _closure_universe(max(m, n) + 1, True)
+    universe = _closure_universe(max(m, n) + 1, True, budget)
     return {t[2] for t in universe if t[0] == m and t[1] == n}
 
 
 def epi_closure(m, n, budget=None):
-    """Composites of codegeneracies and transpositions only, dom m cod n."""
+    """Composites of codegeneracies and transpositions only, dom m cod n,
+    charged like `generator_closure`."""
     _check_dims(m, n)
-    universe = _closure_universe(max(m, n), False)
+    universe = _closure_universe(max(m, n), False, budget)
     return {t[2] for t in universe if t[0] == m and t[1] == n}
 
 

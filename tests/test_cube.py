@@ -80,7 +80,7 @@ def test_classify_agrees_with_table_surjectivity_injectivity():
         for n in range(5):
             if max(m, n) > 4 or (m > 3 and n > 3):
                 continue
-            for phi in cube.enumerate_maps(m, n, bound=4):
+            for phi in cube.enumerate_maps(m, n):
                 values = [phi(x) for x in cube.points(m)]
                 surj = len(set(values)) == 2**n
                 inj = len(set(values)) == 2**m
@@ -174,14 +174,14 @@ def test_parallel_epis_differ_by_permutations():
         for n in range(m + 1):
             epis = [
                 phi
-                for phi in cube.enumerate_maps(m, n, bound=4)
+                for phi in cube.enumerate_maps(m, n)
                 if cube.classify(phi) in ("epi", "iso")
             ]
             perms_out = [
-                p for p in cube.enumerate_maps(n, n, bound=4) if cube.classify(p) == "iso"
+                p for p in cube.enumerate_maps(n, n) if cube.classify(p) == "iso"
             ]
             perms_in = [
-                p for p in cube.enumerate_maps(m, m, bound=4) if cube.classify(p) == "iso"
+                p for p in cube.enumerate_maps(m, m) if cube.classify(p) == "iso"
             ]
             for e1 in epis:
                 for e2 in epis:

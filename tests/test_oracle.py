@@ -1,5 +1,7 @@
+import ast
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,88 @@ def test_all_monotone_lex_order_and_uniqueness():
     maps = oracle.all_monotone(b1, b1)
     assert maps == sorted(maps)
     assert len(set(maps)) == len(maps)
+
+
+def _per_value_monotone(p_leq, q_leq, b, injective=False):
+    """Reference for `_monotone_tables`: the per-value DFS that was behind
+    `all_monotone`, `cube_monotone_tables` and (with `injective`)
+    `monotone_bijection_tables`, one charge per value offered."""
+    np, nq = len(p_leq), len(q_leq)
+    out = []
+    values = [0] * np
+    used = [False] * nq
+
+    def rec(i):
+        if i == np:
+            out.append(tuple(values))
+            return
+        for v in range(nq):
+            if injective and used[v]:
+                continue
+            b.spend()
+            ok = True
+            for j in range(i):
+                if p_leq[j][i] and not q_leq[values[j]][v]:
+                    ok = False
+                    break
+                if p_leq[i][j] and not q_leq[v][values[j]]:
+                    ok = False
+                    break
+            if ok:
+                used[v] = True
+                values[i] = v
+                rec(i + 1)
+                used[v] = False
+    rec(0)
+    return out
+
+
+def _cube_order(n):
+    return [[x & y == x for y in range(1 << n)] for x in range(1 << n)]
+
+
+def _random_poset(rng, size):
+    """A random partial order on `size` points, labels shuffled so that
+    index order is often not a linear extension."""
+    leq = [[x == y or (x < y and rng.random() < 0.4) for y in range(size)] for x in range(size)]
+    for k in range(size):  # transitive closure
+        for x in range(size):
+            for y in range(size):
+                leq[x][y] = leq[x][y] or (leq[x][k] and leq[k][y])
+    perm = list(range(size))
+    rng.shuffle(perm)
+    return [[leq[perm[x]][perm[y]] for y in range(size)] for x in range(size)]
+
+
+def _monotone_instances():
+    for m, n in [(m, n) for m in range(4) for n in range(4)] + [(2, 4), (4, 2)]:
+        new = partial(oracle.cube_monotone_tables, m, n)
+        yield f"cube({m}, {n})", new, _cube_order(m), _cube_order(n), False
+    for n in range(5):
+        new = partial(oracle.monotone_bijection_tables, n)
+        yield f"bijections({n})", new, _cube_order(n), _cube_order(n), True
+    rng = random.Random(10)
+    for k in range(60):
+        P, Q = _random_poset(rng, rng.randint(0, 5)), _random_poset(rng, rng.randint(1, 4))
+        yield f"random {k}", partial(oracle.all_monotone, P, Q), P, Q, False
+
+
+def test_one_monotone_dfs_matches_the_per_value_searches():
+    total = 0
+    for name, new, P, Q, injective in _monotone_instances():
+        b_new, b_ref = Budget(10**7), Budget(10**7)
+        assert new(b_new) == _per_value_monotone(P, Q, b_ref, injective), name
+        assert b_new.used == b_ref.used, name
+        total += b_new.used
+    assert total == 719_333
+    # an overrun is reported on both sides; here at the entry of the node
+    # whose values cross the limit, there at the value that crosses it
+    b_new, b_ref = Budget(100), Budget(100)
+    with pytest.raises(BudgetExceeded):
+        oracle.monotone_bijection_tables(3, b_new)
+    with pytest.raises(BudgetExceeded):
+        _per_value_monotone(_cube_order(3), _cube_order(3), b_ref, True)
+    assert (b_new.used, b_ref.used) == (104, 101)
 
 
 def test_generator_closure_counts():
@@ -103,6 +187,62 @@ def test_left_closure_composes_each_table_once_per_generator(monkeypatch):
     monkeypatch.setattr(oracle, "_compose_tables", lambda g, f: calls.append(1) or compose(g, f))
     oracle._closure(oracle._generator_tables(4), 4, None)
     assert len(calls) == 14427
+
+
+def test_closures_charge_their_caller():
+    with pytest.raises(BudgetExceeded):
+        oracle.generator_closure(3, 3, Budget(5))
+    with pytest.raises(BudgetExceeded):
+        oracle.epi_closure(3, 3, Budget(5))
+    # the same charge whether the closure is built by this call or was
+    # built before: one unit per table of the closure through dimension 4
+    b = Budget(10**6)
+    assert len(oracle.generator_closure(3, 3, b)) == 86
+    assert b.used == 1559
+    assert len(oracle.generator_closure(2, 3, b)) == 44
+    assert b.used == 2 * 1559
+
+
+# What oracle.py may take from the library it checks: the budget and error
+# types, the data type of its results, and `cset.cylinder`, which only
+# builds the domain B (x) [1] whose cubical functions `homotopy_graph`
+# then enumerates with the oracle's own search.
+ORACLE_IMPORTS = {
+    ("config", "Budget"),
+    ("cube", "CubeError"),
+    ("cset", "CubicalFunction"),
+    ("cset", "cylinder"),
+}
+
+
+def test_oracle_takes_only_allowed_names_from_the_library():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    taken, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "dicube" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "dicube":
+                    continue
+                module = module.partition(".")[2]
+            for alias in node.names:
+                if module:
+                    taken.add((module, alias.name))
+                else:
+                    modules.add(alias.asname or alias.name)
+    attributes = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    ]
+    taken |= {(node.value.id, node.attr) for node in attributes}
+    # a library module imported whole is only ever used as `module.name`
+    bare = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id in modules]
+    assert len(bare) == len(attributes)
+    assert taken <= ORACLE_IMPORTS, taken - ORACLE_IMPORTS
 
 
 @pytest.mark.parametrize(
