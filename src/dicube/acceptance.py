@@ -178,12 +178,7 @@ def criterion_4():
             f = cset.CubicalFunction(
                 r1, r2, tuple(
                     tuple(
-                        r2.key_index(nn)[
-                            tuple(
-                                cube.point_index(phi(lat.boolean(1).labels[b]))
-                                for b in r1.keys[nn][x]
-                            )
-                        ]
+                        r2.key_index(nn)[tuple(phi.vertices[b] for b in r1.keys[nn][x])]
                         for x in r1.cells(nn)
                     )
                     for nn in range(3)

@@ -437,10 +437,9 @@ def cat_from_json(text):
 
 @lru_cache(maxsize=None)
 def _cube_pairs(n):
-    """Comparable vertex pairs of the n-cube poset, in lexicographic order,
-    mapped to their index."""
-    pts = cube.points(n)
-    pairs = [(a, b) for a in pts for b in pts if all(x <= y for x, y in zip(a, b))]
+    """Comparable vertex pairs (a, b) of the n-cube poset, as `cube.points`
+    indices, in lexicographic order, mapped to their index."""
+    pairs = [(a, b) for a in range(1 << n) for b in range(1 << n) if a & b == a]
     return {p: i for i, p in enumerate(pairs)}
 
 
@@ -454,13 +453,13 @@ def _cube_t1(n):
     pairs = _cube_pairs(n)
     words = []
     for a, b_ in pairs:
-        stairs = [cube.point_index(b_[:j] + a[j:]) for j in range(n + 1)]
+        stairs = [a | (b_ >> (n - j) << (n - j)) for j in range(n + 1)]
         word = tuple(gen_of[e] for e in zip(stairs, stairs[1:]) if e[0] != e[1])
         words.append((stairs[0], word))
     triples = tuple(
         (i, pairs[(b_, c)], pairs[(a, c)])
         for (a, b_), i in pairs.items()
-        for c in cube.points(n)
+        for c in range(1 << n)
         if (b_, c) in pairs
     )
     return P, tuple(words), triples
@@ -497,10 +496,8 @@ def nerve(S, trunc, budget=None):
     keys_by_dim = [cube_functors(S, n, b) for n in range(trunc + 1)]
 
     def act(phi, key):
-        pidx = _cube_pairs(phi.cod)
-        return tuple(
-            key[pidx[(phi(a), phi(b_))]] for a, b_ in _cube_pairs(phi.dom)
-        )
+        pidx, v = _cube_pairs(phi.cod), phi.vertices
+        return tuple(key[pidx[v[a], v[b_]]] for a, b_ in _cube_pairs(phi.dom))
 
     return cset.build_presheaf(trunc, keys_by_dim, act)
 

@@ -105,6 +105,10 @@ class CubicalSet:
             for i in self.cells(n):
                 yield (n, i)
 
+    def has_cell(self, cell):
+        n, i = cell
+        return 0 <= n <= self.trunc and 0 <= i < self.sizes[n]
+
     def key_index(self, n):
         if n not in self._key_index_cache:
             self._key_index_cache[n] = {k: i for i, k in enumerate(self.keys[n])}
@@ -320,39 +324,22 @@ def from_lattice(L, trunc):
 
     n-cells are the interval-preserving lattice homomorphisms [1]^n -> L,
     stored as value tables over the vertices of [1]^n in lexicographic
-    order; the actions are precomposition.  Cells are enumerated as
-    (Boolean interval, surjection onto it) pairs, which is exactly the
-    epi-mono factorization of each cell.
+    order; the actions are precomposition, which moves a table through
+    the vertex table of the cube map (`CubeMap.vertices`).  Cells are
+    enumerated as (Boolean interval, surjection onto it) pairs, which is
+    exactly the epi-mono factorization of each cell: the surjection
+    moves the interval's `lattice.interval_span`.
     """
     if not L.is_distributive:
         raise CsetError("from_lattice requires a distributive lattice")
-    intervals = lat.boolean_intervals(L)
-    keys_by_dim = []
-    for n in range(trunc + 1):
-        keys = set()
-        for iv in intervals:
-            rank = iv.rank
-            # coordinatize the interval by its atoms
-            atoms = lat.interval_atoms(L, iv.lo, iv.hi)
-            if len(atoms) != rank:
-                raise CsetError("internal: atom count does not match rank")
-            for epi in cube.enumerate_maps(n, rank, cls=None):
-                if any(cube.is_const(s) for s in epi.outputs):
-                    continue
-                table = []
-                for p in cube.points(n):
-                    bits = epi(p)
-                    elem = iv.lo
-                    for b, a in zip(bits, atoms):
-                        if b:
-                            elem = L.join[elem][a]
-                    table.append(elem)
-                keys.add(tuple(table))
-        keys_by_dim.append(sorted(keys))
+    spans = [(iv.rank, lat.interval_span(L, iv.lo, iv.hi)) for iv in lat.boolean_intervals(L)]
+    keys_by_dim = [
+        sorted({tuple(span[v] for v in e.vertices) for rank, span in spans for e in _epis(n, rank)})
+        for n in range(trunc + 1)
+    ]
 
     def act(phi, key):
-        pts = cube.points(phi.dom)
-        return tuple(key[cube.point_index(phi(p))] for p in pts)
+        return tuple(key[v] for v in phi.vertices)
 
     return build_presheaf(trunc, keys_by_dim, act, lattice=L)
 
@@ -366,8 +353,10 @@ def representable(n, trunc):
 
 def rep_cell(C, phi):
     """Index of the cell of a representable given by a cube map."""
-    key = tuple(cube.point_index(phi(p)) for p in cube.points(phi.dom))
-    return C.key_index(phi.dom)[key]
+    found = C.key_index(phi.dom).get(phi.vertices) if phi.dom <= C.trunc else None
+    if found is None:
+        raise CsetError(f"{phi.text()} is not a cell of this representable")
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +463,8 @@ def closure(C, cells):
     sel = [set() for _ in range(C.trunc + 1)]
     stack = list(cells)
     for n, i in stack:
+        if not C.has_cell((n, i)):
+            raise CsetError(f"no cell {(n, i)} in this cubical set")
         sel[n].add(i)
     while stack:
         n, i = stack.pop()
@@ -503,6 +494,8 @@ def vertex_sub(C, v):
 
 def closed_star(C, v):
     """Union of the atomic subpresheaves whose vertex set contains v."""
+    if not C.has_cell((0, v)):
+        raise CsetError(f"no vertex {v} in this cubical set")
     sel = [set() for _ in range(C.trunc + 1)]
     for n in range(C.trunc + 1):
         for i in C.nondegenerate(n):
@@ -516,19 +509,12 @@ def closed_star(C, v):
 def boundary(n, trunc):
     """The boundary of the n-cube inside representable(n, trunc)."""
     C = representable(n, trunc)
-    sel = [set() for _ in range(trunc + 1)]
-    for k in range(trunc + 1):
-        for i in C.cells(k):
-            key = C.keys[k][i]
-            # the cell misses full dimension iff some vertex coordinate is
-            # constant across the table
-            lo = key[0]
-            hi = key[-1]
-            lo_pt = lat.boolean(n).labels[lo]
-            hi_pt = lat.boolean(n).labels[hi]
-            if any(a == b for a, b in zip(lo_pt, hi_pt)):
-                sel[k].add(i)
-    return C, Subpresheaf(C, tuple(frozenset(s) for s in sel))
+    # a cell misses full dimension iff some coordinate is constant across
+    # its table, that is iff its first and last vertices share a bit
+    full = (1 << n) - 1
+    return C, Subpresheaf(
+        C, tuple({i for i, key in enumerate(keys) if key[0] ^ key[-1] != full} for keys in C.keys)
+    )
 
 
 def sub_to_cset(S):
@@ -664,13 +650,13 @@ def tensor(A, B):
     node_id = {node: x for x, node in enumerate(nodes)}
     splits = {}
 
-    def split(p, phi):
-        # (a, b, phi) with a of dimension p is the triple
+    def split(p, g, f):
+        # (a, b, g o f) with a of dimension p is the triple
         # ((ka, ta[a]), (kb, tb[b]), e): the actions of mu_a and mu_b move
         # the cells, and e is an epi
-        key = (p, phi)
+        key = (p, g, f)
         if key not in splits:
-            mu_a, mu_b, e = _split(p, phi)
+            mu_a, mu_b, e = _split(p, cube.compose(g, f))
             splits[key] = (mu_a.dom, A.action(mu_a), mu_b.dom, B.action(mu_b), e)
         return splits[key]
 
@@ -686,9 +672,7 @@ def tensor(A, B):
                         shifted = cube.tensor(*pair(alpha, cube.identity(q)))
                         for n in range(alpha.dom + q, trunc + 1):
                             for psi in _epis(n, alpha.dom + q):
-                                ka, ta, kb, tb, e = split(
-                                    pair(p, q)[0], cube.compose(shifted, psi)
-                                )
+                                ka, ta, kb, tb, e = split(pair(p, q)[0], shifted, psi)
                                 for ix in X.cells(p):
                                     for iy in Y.cells(q):
                                         lhs = pair((alpha.dom, moved[ix]), (q, iy))
@@ -698,7 +682,7 @@ def tensor(A, B):
 
     def act(phi, x):
         (p, ia), (_, ib), e = nodes[x]
-        ka, ta, kb, tb, f = split(p, cube.compose(e, phi))
+        ka, ta, kb, tb, f = split(p, e, phi)
         return node_id[((ka, ta[ia]), (kb, tb[ib]), f)]
 
     dims = [e.dom for _, _, e in nodes]

@@ -8,13 +8,18 @@ projection onto an input coordinate, with all projections distinct.
 ("Distinct" is what rules diagonals out.)  Equivalently the morphisms are
 exactly the interval-preserving lattice homomorphisms between Boolean
 lattices; `from_function` decides that characterization on raw tables.
+
+Such a map is fixed by where it sends the vertices of [1]^dom, and
+`CubeMap.vertices` is that vertex table: the `points(cod)` index of the
+image of each vertex, in `points(dom)` order.  It is the one way a cube
+map moves vertex indices; the presheaf builders act on cells through it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 CONST0 = ("c", 0)
 CONST1 = ("c", 1)
@@ -82,6 +87,12 @@ class CubeMap:
         return tuple(
             spec[1] if is_const(spec) else x[spec[1] - 1] for spec in self.outputs
         )
+
+    @cached_property
+    def vertices(self):
+        """The vertex table: the `points(cod)` index of phi(v) for each v
+        in `points(dom)`."""
+        return tuple(point_index(self(p)) for p in points(self.dom))
 
     def used_inputs(self):
         return {spec[1] for spec in self.outputs if is_proj(spec)}
@@ -189,11 +200,6 @@ def classify(phi):
     return "neither"
 
 
-def _spec_order(spec):
-    # Const(0) < Const(1) < Proj(1) < Proj(2) < ...
-    return (0, spec[1]) if is_const(spec) else (1, spec[1])
-
-
 ENUMERATION_BOUND = 4
 
 
@@ -204,7 +210,6 @@ def enumerate_maps(m, n, cls=None):
     if m > ENUMERATION_BOUND or n > ENUMERATION_BOUND:
         raise CubeError(f"enumeration bound {ENUMERATION_BOUND} exceeded")
     specs = [CONST0, CONST1] + [proj(i) for i in range(1, m + 1)]
-    specs.sort(key=_spec_order)
     out = []
 
     def rec(prefix, used):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .config import find_bijection, json_errors
 
@@ -52,6 +52,11 @@ class FiniteLattice:
     @property
     def size(self):
         return self.poset.size
+
+    @cached_property
+    def index(self):
+        """Label -> element: the inverse of `labels`."""
+        return {label: x for x, label in enumerate(self.labels)}
 
     def leq(self, x, y):
         return self.poset.leq[x][y]
@@ -184,6 +189,21 @@ def interval_atoms(L, lo, hi):
         for z in interval_elements(L, lo, hi)
         if z != lo and len(interval_elements(L, lo, z)) == 2
     )
+
+
+def interval_span(L, lo, hi):
+    """The element at each vertex of [1]^k for a Boolean interval [lo, hi]
+    of rank k, in `cube.points(k)` order.
+
+    Coordinate t of a vertex says whether the t-th atom of [lo, hi], in
+    index order, lies below the element; this is the one coordinatization
+    of a Boolean interval.  A cube map phi into [1]^k moves the span the
+    way it moves vertices: span[v] for v in phi.vertices.
+    """
+    span = (lo,)
+    for a in interval_atoms(L, lo, hi):
+        span = tuple(y for x in span for y in (x, L.join[x][a]))
+    return span
 
 
 def boolean_rank(L, lo, hi):
@@ -355,8 +375,7 @@ def subdivide_lattice_map(f, k):
         raise LatticeError(f"subdivision requires a distributive-lattice morphism ({witness})")
     dom = subdivide_lattice(f.dom, k)
     cod = subdivide_lattice(f.cod, k)
-    cod_index = {label: i for i, label in enumerate(cod.labels)}
-    values = tuple(cod_index[tuple(f(x) for x in label)] for label in dom.labels)
+    values = tuple(cod.index[tuple(f(x) for x in label)] for label in dom.labels)
     g = LatticeMap(dom, cod, values)
     ok, witness = is_dis_morphism(g)
     if not ok:
@@ -378,10 +397,7 @@ def subdivision_restriction(L, phi, m):
         raise LatticeError("phi must be strictly monotone and injective")
     dom = subdivide_lattice(L, m)
     cod = subdivide_lattice(L, n)
-    cod_index = {lab: i for i, lab in enumerate(cod.labels)}
-    values = tuple(
-        cod_index[tuple(lab[t] for t in phi)] for lab in dom.labels
-    )
+    values = tuple(cod.index[tuple(lab[t] for t in phi)] for lab in dom.labels)
     f = LatticeMap(dom, cod, values)
     ok, witness = is_dis_morphism(f)
     if not ok:

@@ -35,26 +35,16 @@ def _block(n, k, trunc):
 def _block_map(n_from, n_to, phi, k, trunc):
     """Cell table of the subdivided map between blocks, per dimension.
 
-    phi: [1]^n_from -> [1]^n_to acts on block-lattice labels pointwise.
+    phi: [1]^n_from -> [1]^n_to acts on block-lattice labels, which are
+    tuples of vertices, through its vertex table.
     """
     SLf, BLf = _block(n_from, k, trunc)
     SLt, BLt = _block(n_to, k, trunc)
-    elem_map = []
-    to_index = {label: e for e, label in enumerate(SLt.labels)}
-    for label in SLf.labels:
-        moved = tuple(
-            cube.point_index(phi(lat.boolean(n_from).labels[b])) for b in label
-        )
-        elem_map.append(to_index[moved])
-    tables = []
-    for j in range(trunc + 1):
-        idx = {key: i for i, key in enumerate(BLt.keys[j])}
-        tables.append(
-            tuple(
-                idx[tuple(elem_map[v] for v in key)] for key in BLf.keys[j]
-            )
-        )
-    return tables
+    elem_map = [SLt.index[tuple(phi.vertices[b] for b in label)] for label in SLf.labels]
+    return [
+        tuple(BLt.key_index(j)[tuple(elem_map[v] for v in key)] for key in BLf.keys[j])
+        for j in range(trunc + 1)
+    ]
 
 
 class Subdivision:
@@ -74,33 +64,17 @@ class Subdivision:
         L = self.base.lattice
         self.sdL = lat.subdivide_lattice(L, self.k)
         self.cset = cs.from_lattice(self.sdL, self.base.trunc)
-        self._sdl_index = {label: e for e, label in enumerate(self.sdL.labels)}
         self._fast = True
         self._carrier = {}
-        boolean_cache = {}
         for j in range(self.cset.trunc + 1):
-            for i in self.cset.cells(j):
-                key = self.cset.keys[j][i]
-                lo_label = self.sdL.labels[key[0]]
-                hi_label = self.sdL.labels[key[-1]]
-                lo, hi = lo_label[0], hi_label[-1]
+            for i, key in enumerate(self.cset.keys[j]):
+                lo, hi = self.sdL.labels[key[0]][0], self.sdL.labels[key[-1]][-1]
                 rank = lat.boolean_rank(L, lo, hi)
                 if rank is None:
                     raise SdError("internal: carrier interval is not Boolean")
-                self._carrier[(j, i)] = self._interval_cell(lo, hi, rank)
-
-    def _interval_cell(self, lo, hi, rank):
-        """Index of the canonical inclusion cell of the interval [lo, hi]."""
-        L = self.base.lattice
-        atoms = lat.interval_atoms(L, lo, hi)
-        table = []
-        for p in cube.points(rank):
-            elem = lo
-            for b, a in zip(p, atoms):
-                if b:
-                    elem = L.join[elem][a]
-            table.append(elem)
-        return (rank, self.base.keys[rank].index(tuple(table)))
+                # the carrier is the inclusion cell of the interval [lo, hi]
+                span = lat.interval_span(L, lo, hi)
+                self._carrier[(j, i)] = (rank, self.base.key_index(rank)[span])
 
     # -- general path: colimit of blocks over the category of elements ------
 
@@ -170,20 +144,24 @@ class Subdivision:
 
     def carrier_cell(self, cell):
         """The cell of the base whose subdivided block minimally carries `cell`."""
-        return self._carrier[cell]
+        found = self._carrier.get(cell)
+        if found is None:
+            raise SdError(f"no cell {cell} in the subdivision")
+        return found
 
     def class_of(self, c, u):
         """The subdivided cell represented by block cell u over base cell c."""
         n, i = c
         j, ub = u
+        if not self.base.has_cell(c):
+            raise SdError(f"no cell {c} in the base")
+        SLn, BL = _block(n, self.k, self.base.trunc)
+        if not BL.has_cell(u):
+            raise SdError(f"no cell {u} in the block of {c}")
         if self._fast:
-            SLn, BL = _block(n, self.k, self.base.trunc)
             ckey = self.base.keys[n][i]
-            to_index = self._sdl_index
             ukey = BL.keys[j][ub]
-            table = tuple(
-                to_index[tuple(ckey[b] for b in SLn.labels[v])] for v in ukey
-            )
+            table = tuple(self.sdL.index[tuple(ckey[b] for b in SLn.labels[v])] for v in ukey)
             return (j, self.cset.key_index(j)[table])
         return (j, self._cell_index[self._node_id(c, u)])
 
@@ -192,7 +170,6 @@ class Subdivision:
         j, idx = cell
         n, i = c
         if self._fast:
-            L = self.base.lattice
             ckey = self.base.keys[n][i]
             inverse = {}
             for b, e in enumerate(ckey):
@@ -200,14 +177,13 @@ class Subdivision:
                     raise SdError("reps_over requires an injective base cell")
                 inverse[e] = b
             SLn, BL = _block(n, self.k, self.base.trunc)
-            sl_index = {label: e for e, label in enumerate(SLn.labels)}
             xkey = self.cset.keys[j][idx]
             ukey = []
             for v in xkey:
                 label = self.sdL.labels[v]
                 if any(e not in inverse for e in label):
                     return []
-                ukey.append(sl_index.get(tuple(inverse[e] for e in label)))
+                ukey.append(SLn.index.get(tuple(inverse[e] for e in label)))
             if None in ukey:
                 return []
             found = BL.key_index(j).get(tuple(ukey))
@@ -229,7 +205,7 @@ class Subdivision:
 
     def supp_vertex(self, v):
         """Minimal subpresheaf B of the base with v a vertex of sd B."""
-        return self._atom(self._carrier[(0, v)])
+        return self._atom(self.carrier_cell((0, v)))
 
     def eps(self):
         """The collapse sd3 C -> C (middle evaluation); requires k == 2."""
@@ -454,23 +430,11 @@ def local_lift(d9, S):
     ]
 
     def face_cell_atom(lo, hi):
-        rank = lat.boolean_rank(bn, lo, hi)
-        atoms = lat.interval_atoms(bn, lo, hi)
-        outputs = []
-        lo_pt = bn.labels[lo]
-        atom_coord = {
-            a: next(t for t in range(n_star) if bn.labels[a][t] != lo_pt[t])
-            for a in atoms
-        }
-        coord_rank = {atom_coord[a]: r + 1 for r, a in enumerate(atoms)}
-        for t in range(n_star):
-            if t in coord_rank:
-                outputs.append(cube.proj(coord_rank[t]))
-            else:
-                outputs.append(("c", lo_pt[t]))
-        mono = cube.CubeMap(rank, n_star, tuple(outputs))
-        face_cell = (rank, C.act(mono, c_star[1]))
-        return cs.atom(C, face_cell)
+        span = lat.interval_span(bn, lo, hi)
+        rank = len(span).bit_length() - 1
+        table = cube.FunctionTable(rank, n_star, tuple(bn.labels[x] for x in span))
+        mono, _ = cube.from_function(table)
+        return cs.atom(C, (rank, C.act(mono, c_star[1])))
 
     chosen = None
     for lo, hi in sorted(minimal):
@@ -484,10 +448,7 @@ def local_lift(d9, S):
     clamp_elem = tuple(
         bn.meet[bn.join[e][lo]][hi] for e in range(bn.size)
     )
-    sl_index = {label: e for e, label in enumerate(SL.labels)}
-    clamp_sl = tuple(
-        sl_index[tuple(clamp_elem[b] for b in label)] for label in SL.labels
-    )
+    clamp_sl = tuple(SL.index[tuple(clamp_elem[b] for b in label)] for label in SL.labels)
 
     def clamp_block_cell(j, u):
         ukey = BL.keys[j][u]
@@ -536,12 +497,8 @@ def local_lift(d9, S):
     k_rank = lat.boolean_rank(SL, k_lo, k_hi)
     if k_rank != top_dim:
         raise SdError("internal: top interval rank mismatch")
-    k_atoms = lat.interval_atoms(SL, k_lo, k_hi)
-    bd = lat.boolean(top_dim)
-
-    def coordinatize(v):
-        bits = tuple(int(SL.leq(a, v)) for a in k_atoms)
-        return cube.point_index(bits)
+    # each element of the top interval -> its vertex of R
+    coords = {e: x for x, e in enumerate(lat.interval_span(SL, k_lo, k_hi))}
 
     R = cs.representable(top_dim, C.trunc)
     iso, iso_inv = {}, {}
@@ -551,9 +508,8 @@ def local_lift(d9, S):
             images = set()
             for jr, ur in reps:
                 ukey = BL.keys[jr][ur]
-                if not all(SL.leq(k_lo, v) and SL.leq(v, k_hi) for v in ukey):
-                    continue
-                images.add(tuple(coordinatize(v) for v in ukey))
+                if all(v in coords for v in ukey):
+                    images.add(tuple(coords[v] for v in ukey))
             if len(images) != 1:
                 raise SdError("internal: coordinatization not well defined")
             rkey = images.pop()
@@ -561,7 +517,7 @@ def local_lift(d9, S):
             iso[(j, i)] = (j, ri)
             iso_inv[(j, ri)] = (j, i)
     for j in range(r1.cset.trunc + 1):
-        if len([1 for i in B.sel[j]]) != R.sizes[j]:
+        if len(B.sel[j]) != R.sizes[j]:
             raise SdError("internal: intersection is not a full representable")
 
     down_maps = []

@@ -444,6 +444,41 @@ def test_subdivide_identity_at_zero():
     assert s.cset.census() == circ.census()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cset.vertex_sub(spaces.circle(), -1),
+        lambda: cset.vertex_sub(spaces.circle(), 1),
+        lambda: cset.closed_star(spaces.circle(), 5),
+        lambda: cset.atom(spaces.circle(), (0, 5)),
+        lambda: cset.supp(spaces.circle(), (3, 0)),
+        lambda: cset.closure(spaces.circle(), [(1, 0), (1, 99)]),
+        lambda: cset.rep_cell(cset.representable(1, 2), cube.identity(2)),
+        lambda: cset.rep_cell(cset.representable(1, 2), cube.identity(3)),
+    ],
+)
+def test_cells_outside_the_set_raise_cset_error(call):
+    with pytest.raises(cset.CsetError):
+        call()
+
+
+@pytest.mark.parametrize("space", ["circle", "edge"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda r: r.class_of((0, 5), (0, 0)),
+        lambda r: r.class_of((0, 0), (0, 99)),
+        lambda r: r.class_of((3, 0), (0, 0)),
+        lambda r: r.carrier_cell((0, 99)),
+        lambda r: r.supp_vertex(99),
+        lambda r: r.supp_vertex(r.cset.sizes[0]),
+    ],
+)
+def test_cells_outside_the_subdivision_raise_sd_error(space, call):
+    with pytest.raises(sd.SdError):
+        call(sd.sd3(spaces.by_name(space)))
+
+
 def test_json_round_trip():
     for name in ("circle", "torus", "klein"):
         C = spaces.by_name(name)
@@ -623,3 +658,63 @@ def test_quotient_matches_worklist_closure(space):
         assert proj_fn.maps == ref_proj
         assert Q.validate()
 
+
+
+# SHA-256 of outputs of the lattice path of the subdivision, recorded before
+# cube maps moved vertex indices through `CubeMap.vertices` and Boolean
+# intervals were coordinatized by `lattice.interval_span`:
+# - "sdK cubeN@T": `to_json` of `subdivide(cube_space(N, T), K - 1)`;
+# - "eps sd3 X": the maps of the collapse of sd3 X, followed for cube2@3 by
+#   the carrier cell of every cell of sd3;
+# - "sd9 cube1": `to_json` of sd9, the maps of both collapses, and the
+#   (dim, face, up, down) of the local lift of every vertex star.
+LATTICE_PATH_DIGESTS = {
+    "sd1 cube1@2": "509a8b920a771761156f3322e2bfa019ce617daaf681c335fd8f0b17e391f8e2",
+    "sd2 cube1@2": "415e3dabbe465ab4c6b72989d96bc1e4ca61394033ee860bbbeb0e7e0a5409d5",
+    "sd3 cube1@2": "6150c52b6c3301e2502db3e2baaf8d4b3b0dc92955ced826094c2dc68e2d3ba4",
+    "sd4 cube1@2": "0642c787659cfb4abe571fbaad429880ef5cc6386691217eb5470d858c85b679",
+    "sd1 cube1@3": "d30dc3e854b003ff6652b7900b427c234b23c8bf00e08fb5454719c04fcfba0a",
+    "sd2 cube1@3": "e094073b2ce87178a78599ba7fc47fc7824789c20fb930c39790b736cae93473",
+    "sd3 cube1@3": "b98aef8bc428325dcec8aa6611c1c1930de60af7e21eef534eeed1fe3e5b1241",
+    "sd4 cube1@3": "6cd666ffc3ae94efb0faab41045343beab6116df2857f67d5b9c6bbc132008c0",
+    "sd1 cube2@2": "d19ce3e0c6055297e86d89cbd5547ae3274377a149978bffc412e6e243e56dfb",
+    "sd2 cube2@2": "c99913e8e2002e9101454a1a8c3056f57c827a44b661fb2cddee364f2a6e3121",
+    "sd3 cube2@2": "8e7b6a9f340d73b82ba908fc188ba912fb2d4811a8477558f07dece463989f06",
+    "sd4 cube2@2": "74924e6bd7232c365beb2dbc8df6391bc15dcda384a82e57abbde452bd7e5814",
+    "sd1 cube2@3": "fee8325df503dd372a5d1b84c0b4985b6198d6039a2229f8aaa8285d23acc731",
+    "sd2 cube2@3": "b34a52c201b364a6d98a8dbfff0e14289e1a558b87ee44c986d098838a672f4d",
+    "sd3 cube2@3": "0eb242be400ae6196f191f9d7405a93964a438e99b89f2307b113d454dfdf553",
+    "sd4 cube2@3": "cc118178d06e828b143e05f74783b1b6792d163c0e62284f75bdc081d8ad10ad",
+    "eps sd3 cube2@3": "3a91f3d8ff6a6a0448101000443bbeca40009b18e018731d3e02031d92efe885",
+    "eps sd3 circle@2": "2adcc74529f985544ba66a8790301de79df3eabf11bc993441ba5b1dcb46b4b5",
+    "eps sd3 klein@2": "fa118738804d133761089d6a48a353b804f46b53ff18dcc99c915cac877868f5",
+    "eps sd3 torus@2": "f511289f4affebd25f95edb1366734506f6b695767b33defd12458cb6101444f",
+    "eps sd3 sphere2@2": "5fd2afbf583f5d83d1f1e5a33547efb44fcb37c20e2bae60ca1bb7da2fdf3620",
+    "sd9 cube1": "0c9145a746eb3d9bb3c646150276fb2882823a749cb7dc8fd581382411ecb29f",
+}
+
+
+def _lattice_path_text(name):
+    if name == "sd9 cube1":
+        d9 = sd.sd9(spaces.cube_space(1))
+        lifts = []
+        for v in d9.cset.cells(0):
+            lift = sd.local_lift(d9, cset.closed_star(d9.cset, v))
+            lifts.append([lift.dim, list(lift.face), sorted(lift.up.values.items()), lift.down.maps])
+        return cset.to_json(d9.cset) + json.dumps([d9.eps1.maps, d9.eps2.maps, lifts])
+    if name.startswith("eps sd3 "):
+        space, trunc = name[8:].split("@")
+        r = sd.sd3(spaces.by_name(space, int(trunc)))
+        text = json.dumps(r.eps().maps)
+        if space == "cube2":
+            text += json.dumps([r.carrier_cell(c) for c in r.cset.all_cells()])
+        return text
+    head, trunc = name.split("@")
+    k, n = head[2:].split(" cube")
+    return cset.to_json(sd.subdivide(spaces.cube_space(int(n), int(trunc)), int(k) - 1).cset)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_PATH_DIGESTS))
+def test_lattice_path_digest(name):
+    text = _lattice_path_text(name)
+    assert hashlib.sha256(text.encode()).hexdigest() == LATTICE_PATH_DIGESTS[name]

@@ -90,6 +90,14 @@ def test_classify_agrees_with_table_surjectivity_injectivity():
                 assert (cls == "iso") == (surj and inj), phi.text()
 
 
+def test_vertex_table_matches_evaluation():
+    for m in range(4):
+        for n in range(4):
+            for phi in cube.enumerate_maps(m, n):
+                expected = tuple(cube.point_index(phi(p)) for p in cube.points(m))
+                assert phi.vertices == expected, phi.text()
+
+
 def test_enumerate_counts():
     assert len(cube.enumerate_maps(1, 1)) == 3
     assert len(cube.enumerate_maps(2, 1)) == 4

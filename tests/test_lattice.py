@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from dicube import acceptance, cube
 from dicube import lattice as lat
 from dicube import oracle
 
@@ -60,6 +61,28 @@ def test_boolean_interval_counts():
     assert len(ivs) == 5
     assert lat.boolean_rank(lat.chain(2), 0, 2) is None
     assert len(lat.boolean_intervals(lat.chain(0))) == 1
+
+
+def test_interval_span_is_the_atom_join_per_vertex():
+    for name, L in acceptance._lattice_catalog().items():
+        if not L.is_distributive:
+            continue
+        for iv in lat.boolean_intervals(L):
+            atoms = lat.interval_atoms(L, iv.lo, iv.hi)
+            expected = []
+            for p in cube.points(iv.rank):
+                elem = iv.lo
+                for bit, a in zip(p, atoms):
+                    if bit:
+                        elem = L.join[elem][a]
+                expected.append(elem)
+            assert lat.interval_span(L, iv.lo, iv.hi) == tuple(expected), (name, iv.lo, iv.hi)
+
+
+def test_index_inverts_labels():
+    for L in (*catalog().values(), lat.subdivide_lattice(lat.boolean(2), 2)):
+        assert len(L.index) == L.size
+        assert all(L.index[label] == x for x, label in enumerate(L.labels))
 
 
 def test_boolean_rank_matches_isomorphism_search():
