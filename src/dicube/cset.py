@@ -559,8 +559,10 @@ def quotient(C, pairs):
     each cell to its class; classes are ordered by their smallest cell.
     """
     pairs = list(pairs)
-    for (n1, _), (n2, _) in pairs:
-        if n1 != n2:
+    for a, b in pairs:
+        if not (C.has_cell(a) and C.has_cell(b)):
+            raise CsetError(f"{a} or {b} is not a cell of this cubical set")
+        if a[0] != b[0]:
             raise CsetError("cannot identify cells of different dimensions")
     levels = range(C.trunc + 1)
     offset = [sum(C.sizes[:n]) for n in levels]

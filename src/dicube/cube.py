@@ -7,12 +7,15 @@ output coordinate, where each spec is a constant 0, a constant 1, or a
 projection onto an input coordinate, with all projections distinct.
 ("Distinct" is what rules diagonals out.)  Equivalently the morphisms are
 exactly the interval-preserving lattice homomorphisms between Boolean
-lattices; `from_function` decides that characterization on raw tables.
+lattices.
 
 Such a map is fixed by where it sends the vertices of [1]^dom, and
 `CubeMap.vertices` is that vertex table: the `points(cod)` index of the
 image of each vertex, in `points(dom)` order.  It is the one way a cube
 map moves vertex indices; the presheaf builders act on cells through it.
+`from_vertices` is its inverse.  On vertex indices join, meet and order
+are `|`, `&` and bit inclusion, and `from_function` decides the
+characterization above on raw tables that way.
 """
 
 from __future__ import annotations
@@ -313,25 +316,25 @@ class FunctionTable:
             if len(v) != self.cod or any(b not in (0, 1) for b in v):
                 raise CubeError("table value out of range")
 
-    def __call__(self, x):
-        return self.values[point_index(x)]
 
-    def is_monotone(self):
-        pts = points(self.dom)
-        for x in pts:
-            for y in pts:
-                if all(a <= b for a, b in zip(x, y)):
-                    if not all(a <= b for a, b in zip(self(x), self(y))):
-                        return False
-        return True
+def from_vertices(dom, cod, vertices):
+    """The cube map [1]^dom -> [1]^cod with this vertex table, or None.
 
-
-def _join(x, y):
-    return tuple(max(a, b) for a, b in zip(x, y))
-
-
-def _meet(x, y):
-    return tuple(min(a, b) for a, b in zip(x, y))
+    The inverse of `CubeMap.vertices`: each output coordinate is read off
+    as a constant column or one input bit, and the map is returned only
+    if its own vertex table reproduces `vertices`.
+    """
+    inputs = {column: proj(i) for i, column in enumerate(zip(*points(dom)), 1)}
+    outputs = []
+    for j in range(cod):
+        column = tuple(w >> (cod - 1 - j) & 1 for w in vertices)
+        # an input bit is popped once read, so no diagonal gets through
+        spec = ("c", column[0]) if len(set(column)) == 1 else inputs.pop(column, None)
+        if spec is None:
+            return None
+        outputs.append(spec)
+    phi = CubeMap(dom, cod, tuple(outputs))
+    return phi if phi.vertices == tuple(vertices) else None
 
 
 def from_function(table):
@@ -340,47 +343,31 @@ def from_function(table):
     Returns (cube_map, None) when the table is an interval-preserving
     lattice homomorphism, in which case the map's evaluation reproduces
     the table exactly; otherwise (None, witness), where the witness names
-    a violated join, meet or interval image.
+    a violated join, meet or interval image by its `points` tuples.  The
+    decision runs on vertex indices, where join, meet and order are `|`,
+    `&` and bit inclusion.
     """
-    if not table.is_monotone():
-        raise CubeError("table is not monotone")
     pts = points(table.dom)
-    for x in pts:
-        for y in pts:
-            if table(_join(x, y)) != _join(table(x), table(y)):
-                return None, ("join", x, y)
-            if table(_meet(x, y)) != _meet(table(x), table(y)):
-                return None, ("meet", x, y)
+    v = [point_index(w) for w in table.values]
+    r = range(len(v))
+    if any(v[x] & v[y] != v[x] for x in r for y in r if x & y == x):
+        raise CubeError("table is not monotone")
+    for x in r:
+        for y in r:
+            if v[x | y] != v[x] | v[y]:
+                return None, ("join", pts[x], pts[y])
+            if v[x & y] != v[x] & v[y]:
+                return None, ("meet", pts[x], pts[y])
     # Interval preservation: the image of [x, y] must be all of
     # [f(x), f(y)], order-convexity included.
-    for x in pts:
-        for y in pts:
-            if not all(a <= b for a, b in zip(x, y)):
+    for x in r:
+        for y in r:
+            if x & y != x:
                 continue
-            image = {
-                table(z)
-                for z in pts
-                if all(a <= c <= b for a, c, b in zip(x, z, y))
-            }
-            lo, hi = table(x), table(y)
-            expected = {
-                z for z in points(table.cod) if all(a <= c <= b for a, c, b in zip(lo, z, hi))
-            }
-            if image != expected:
-                return None, ("interval", x, y)
-    outputs = []
-    for j in range(table.cod):
-        column = [table(x)[j] for x in pts]
-        if all(v == column[0] for v in column):
-            outputs.append(("c", column[0]))
-            continue
-        for i in range(1, table.dom + 1):
-            if all(x[i - 1] == table(x)[j] for x in pts):
-                outputs.append(proj(i))
-                break
-        else:
-            raise CubeError("internal: homomorphic table without normal form")
-    phi = CubeMap(table.dom, table.cod, tuple(outputs))
-    if phi.table() != table:
-        raise CubeError("internal: normal form does not evaluate to the table")
+            image = {v[z] for z in r if x & z == x and z & y == z}
+            if image != {w for w in range(1 << table.cod) if v[x] & w == v[x] and w & v[y] == w}:
+                return None, ("interval", pts[x], pts[y])
+    phi = from_vertices(table.dom, table.cod, v)
+    if phi is None:
+        raise CubeError("internal: homomorphic table without normal form")
     return phi, None

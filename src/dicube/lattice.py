@@ -91,20 +91,23 @@ def lattice_from_leq(leq, labels=None):
     n = poset.size
     if n == 0:
         raise LatticeError("empty lattice")
+    # a join is the upper bound with the fewest elements below it, a meet
+    # the lower bound with the most, so only those candidates are checked
+    below = [sum(row[z] for row in leq) for z in range(n)]
     join_rows, meet_rows = [], []
     for x in range(n):
         jrow, mrow = [], []
         for y in range(n):
             uppers = [z for z in range(n) if leq[x][z] and leq[y][z]]
-            least = [z for z in uppers if all(leq[z][w] for w in uppers)]
-            if len(least) != 1:
+            least = min(uppers, key=below.__getitem__, default=None)
+            if least is None or not all(leq[least][w] for w in uppers):
                 raise LatticeError(f"no join for {x},{y}")
-            jrow.append(least[0])
+            jrow.append(least)
             lowers = [z for z in range(n) if leq[z][x] and leq[z][y]]
-            greatest = [z for z in lowers if all(leq[w][z] for w in lowers)]
-            if len(greatest) != 1:
+            greatest = max(lowers, key=below.__getitem__, default=None)
+            if greatest is None or not all(leq[w][greatest] for w in lowers):
                 raise LatticeError(f"no meet for {x},{y}")
-            mrow.append(greatest[0])
+            mrow.append(greatest)
         join_rows.append(tuple(jrow))
         meet_rows.append(tuple(mrow))
     join, meet = tuple(join_rows), tuple(meet_rows)
@@ -164,15 +167,11 @@ def n5():
 
 def covers(L):
     """Cover relations (x, y) with y an immediate successor of x."""
+    leq = L.poset.leq
     result = []
     for x in range(L.size):
-        for y in range(L.size):
-            if x != y and L.leq(x, y):
-                between = [
-                    z for z in range(L.size) if z not in (x, y) and L.leq(x, z) and L.leq(z, y)
-                ]
-                if not between:
-                    result.append((x, y))
+        above = [y for y in range(L.size) if y != x and leq[x][y]]
+        result.extend((x, y) for y in above if not any(z != y and leq[z][y] for z in above))
     return result
 
 
@@ -249,14 +248,20 @@ class Interval:
 
 
 def boolean_intervals(L):
-    """All Boolean intervals of L, singletons included, in index order."""
+    """All Boolean intervals of L, singletons included, in index order.
+
+    The atoms of a Boolean interval [lo, hi] cover lo and join to hi, so
+    only the joins of sets of upper covers of lo are tested as hi.
+    """
+    tops = [{lo} for lo in range(L.size)]
+    for lo, a in covers(L):
+        tops[lo] |= {L.join[t][a] for t in tops[lo]}
     result = []
     for lo in range(L.size):
-        for hi in range(L.size):
-            if L.leq(lo, hi):
-                rank = boolean_rank(L, lo, hi)
-                if rank is not None:
-                    result.append(Interval(L, lo, hi, interval_elements(L, lo, hi), rank))
+        for hi in sorted(tops[lo]):
+            rank = boolean_rank(L, lo, hi)
+            if rank is not None:
+                result.append(Interval(L, lo, hi, interval_elements(L, lo, hi), rank))
     return result
 
 

@@ -26,7 +26,8 @@ class SdError(ValueError):
 
 @lru_cache(maxsize=None)
 def _block(n, k, trunc):
-    """Subdivided n-cube block: its lattice and its cubical set."""
+    """Subdivided n-cube block: its lattice, labelled by chains of
+    `cube.points(n)` indices, and its cubical set."""
     SL = lat.subdivide_lattice(lat.boolean(n), k)
     BL = cs.from_lattice(SL, trunc)
     return SL, BL
@@ -167,6 +168,10 @@ class Subdivision:
 
     def reps_over(self, cell, c):
         """Block cells u with class_of(c, u) == cell."""
+        if not self.cset.has_cell(cell):
+            raise SdError(f"no cell {cell} in the subdivision")
+        if not self.base.has_cell(c):
+            raise SdError(f"no cell {c} in the base")
         j, idx = cell
         n, i = c
         if self._fast:
@@ -240,12 +245,10 @@ class Subdivision:
         n, i = c
         j, ub = u
         SLn, BL = _block(n, self.k, self.base.trunc)
-        ukey = BL.keys[j][ub]
-        bn = lat.boolean(n)
-        values = tuple(bn.labels[SLn.labels[v][1]] for v in ukey)
-        phi, witness = cube.from_function(cube.FunctionTable(j, n, values))
+        vertices = tuple(SLn.labels[v][1] for v in BL.keys[j][ub])
+        phi = cube.from_vertices(j, n, vertices)
         if phi is None:
-            raise SdError(f"internal: collapse component not a cube map ({witness})")
+            raise SdError(f"internal: collapse component {vertices} not a cube map")
         return self.base.act(phi, i)
 
     def induced(self, f, sd_cod):
@@ -389,18 +392,15 @@ def local_lift(d9, S):
     bn = lat.boolean(n_star)
     SL, BL = _block(n_star, 2, C.trunc)
 
-    # candidate faces of the carrier block, minimal by interval inclusion
+    # candidate faces of the carrier block, minimal by interval inclusion;
+    # elements of [1]^n are vertex indices, ordered by bit inclusion
     def block_cells_in_face(lo, hi):
         cells = []
         for j in range(BL.trunc + 1):
             level = set()
             for u in BL.cells(j):
                 ukey = BL.keys[j][u]
-                if all(
-                    bn.leq(lo, b) and bn.leq(b, hi)
-                    for v in ukey
-                    for b in SL.labels[v]
-                ):
+                if all(lo & b == lo and b & hi == b for v in ukey for b in SL.labels[v]):
                     level.add(u)
             cells.append(level)
         return cells
@@ -432,8 +432,9 @@ def local_lift(d9, S):
     def face_cell_atom(lo, hi):
         span = lat.interval_span(bn, lo, hi)
         rank = len(span).bit_length() - 1
-        table = cube.FunctionTable(rank, n_star, tuple(bn.labels[x] for x in span))
-        mono, _ = cube.from_function(table)
+        mono = cube.from_vertices(rank, n_star, span)
+        if mono is None:
+            raise SdError(f"internal: face inclusion {span} not a cube map")
         return cs.atom(C, (rank, C.act(mono, c_star[1])))
 
     chosen = None

@@ -7,11 +7,11 @@ from functools import lru_cache
 from . import cset, cube
 
 
-@lru_cache(maxsize=None)
+_representable = lru_cache(maxsize=None)(cset.representable)
+
+
 def cube_space(n, trunc=None):
-    if trunc is None:
-        trunc = max(n, 2)
-    return cset.representable(n, trunc)
+    return _representable(n, max(n, 2) if trunc is None else trunc)
 
 
 @lru_cache(maxsize=None)
@@ -111,10 +111,10 @@ def by_name(name, trunc=None):
         return nerve(monoid_by_name(name.split(":", 1)[1]), 3 if trunc is None else trunc)
     t = 2 if trunc is None else trunc
     builders = {
-        "cube0": lambda: cube_space(0, max(t, 0)),
-        "cube1": lambda: cube_space(1, max(t, 1)),
-        "cube2": lambda: cube_space(2, max(t, 2)),
-        "cube3": lambda: cube_space(3, max(t, 3)),
+        "cube0": lambda: cube_space(0, trunc),
+        "cube1": lambda: cube_space(1, trunc),
+        "cube2": lambda: cube_space(2, trunc),
+        "cube3": lambda: cube_space(3, trunc),
         "point": lambda: point(t),
         "edge": lambda: edge(t),
         "edge_boundary": lambda: edge_boundary(t),

@@ -275,6 +275,7 @@ BAD_SUITES = ("0", "11", "-1", "x")
         pytest.param(None, ("inv", "tau", "--vertex", "-1", "--space", "circle"), None, id="tau-vertex-neg"),
         pytest.param(None, ("inv", "h1", "--monoid", "zmod0", "--space", "circle"), None, id="h1-zmod0"),
         pytest.param(None, ("inv", "homclasses", "--s", "zmod-2", "--b", "circle"), None, id="homclasses-zmod-2"),
+        pytest.param(None, ("cset", "make", "--shape", "cube3", "--trunc", "2"), None, id="cube3-trunc-2"),
         *(
             pytest.param(None, ("verify", "--suite", suite), None, id=f"verify-suite-{suite}")
             for suite in BAD_SUITES

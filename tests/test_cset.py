@@ -247,6 +247,16 @@ def test_quotient_dimension_mismatch():
         cset.quotient(r1, [((0, 0), (1, 0))])
 
 
+def test_by_name_keeps_the_cube_truncation():
+    assert spaces.by_name("cube0").trunc == 2
+    assert spaces.by_name("cube3").trunc == 3
+    assert spaces.by_name("cube3", 4).trunc == 4
+    assert spaces.by_name("cube2") is spaces.by_name("cube2", 2) is spaces.cube_space(2)
+    for name, trunc in (("cube3", 2), ("cube2", 1), ("cube1", 0)):
+        with pytest.raises(cset.CsetError, match="truncation below"):
+            spaces.by_name(name, trunc)
+
+
 def test_quotient_composition_equals_union():
     r2 = cset.representable(2, 2)
     top = cset.rep_cell(r2, cube.identity(2))
@@ -455,6 +465,10 @@ def test_subdivide_identity_at_zero():
         lambda: cset.closure(spaces.circle(), [(1, 0), (1, 99)]),
         lambda: cset.rep_cell(cset.representable(1, 2), cube.identity(2)),
         lambda: cset.rep_cell(cset.representable(1, 2), cube.identity(3)),
+        lambda: cset.quotient(spaces.edge(), [((0, -1), (0, 0))]),
+        lambda: cset.quotient(spaces.edge(), [((0, 5), (0, 0))]),
+        lambda: cset.quotient(spaces.edge(), [((7, 0), (7, 0))]),
+        lambda: cset.quotient(spaces.edge(), [((0, 0), (0, -1))]),
     ],
 )
 def test_cells_outside_the_set_raise_cset_error(call):
@@ -472,6 +486,10 @@ def test_cells_outside_the_set_raise_cset_error(call):
         lambda r: r.carrier_cell((0, 99)),
         lambda r: r.supp_vertex(99),
         lambda r: r.supp_vertex(r.cset.sizes[0]),
+        lambda r: r.reps_over((0, 99), (0, 0)),
+        lambda r: r.reps_over((0, -1), (0, 0)),
+        lambda r: r.reps_over((0, 0), (0, -1)),
+        lambda r: r.reps_over((0, 0), (3, 0)),
     ],
 )
 def test_cells_outside_the_subdivision_raise_sd_error(space, call):
@@ -520,7 +538,6 @@ GOLDEN_DIGESTS = {
     "cube1@3": "d30dc3e854b003ff6652b7900b427c234b23c8bf00e08fb5454719c04fcfba0a",
     "cube2@2": "d19ce3e0c6055297e86d89cbd5547ae3274377a149978bffc412e6e243e56dfb",
     "cube2@3": "fee8325df503dd372a5d1b84c0b4985b6198d6039a2229f8aaa8285d23acc731",
-    "cube3@2": "a002cebaef49a77c6283c995b9b820a6f718812f0b954f4b7a5014c4bd51bbe0",
     "cube3@3": "a002cebaef49a77c6283c995b9b820a6f718812f0b954f4b7a5014c4bd51bbe0",
     "cylinder(circle)": "2015cb568c2c8b21c01ae2514a1d637bd2da13f5caa15449c53bb2021e0007ea",
     "edge@2": "509a8b920a771761156f3322e2bfa019ce617daaf681c335fd8f0b17e391f8e2",

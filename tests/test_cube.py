@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -139,12 +140,65 @@ def test_from_function_rejects_meet():
 
 
 def test_from_function_round_trip():
-    for m in range(4):
-        for n in range(4):
+    for m in range(5):
+        for n in range(5):
             for phi in cube.enumerate_maps(m, n):
                 back, witness = cube.from_function(phi.table())
                 assert witness is None
                 assert back == phi
+
+
+def test_from_vertices_inverts_the_vertex_table():
+    for m in range(5):
+        for n in range(5):
+            for phi in cube.enumerate_maps(m, n):
+                assert cube.from_vertices(m, n, phi.vertices) == phi
+
+
+# Every table [1]^m -> [1]^n for these (m, n), in `points` order.
+PINNED_SHAPES = ((0, 2), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1))
+# sha256 of the outcome of `from_function` on each pinned table, one line
+# each: the map's text, the witness, or the error message.
+FROM_FUNCTION_DIGEST = "3633e0767b7f7481f1d22c07f6064b7c168fb02937a62723375533d5ae5bd2c3"
+
+
+def _pinned_tables():
+    for m, n in PINNED_SHAPES:
+        for values in itertools.product(cube.points(n), repeat=2**m):
+            yield FunctionTable(m, n, values)
+
+
+def _from_function_outcome(table):
+    try:
+        phi, witness = cube.from_function(table)
+    except cube.CubeError as exc:
+        return str(exc)
+    return phi.text() if phi is not None else repr(witness)
+
+
+def test_from_function_outcomes_are_pinned():
+    lines = "\n".join(_from_function_outcome(table) for table in _pinned_tables())
+    assert hashlib.sha256(lines.encode()).hexdigest() == FROM_FUNCTION_DIGEST
+
+
+def test_from_vertices_accepts_exactly_the_cube_maps():
+    accepted = 0
+    for table in _pinned_tables():
+        vertices = tuple(cube.point_index(w) for w in table.values)
+        try:
+            phi, _ = cube.from_function(table)
+        except cube.CubeError:
+            phi = None
+        assert cube.from_vertices(table.dom, table.cod, vertices) == phi
+        accepted += phi is not None
+    assert accepted == sum(len(cube.enumerate_maps(m, n)) for m, n in PINNED_SHAPES)
+
+
+def test_from_vertices_rejects_malformed_tables():
+    assert cube.from_vertices(1, 2, (0, 3)) is None  # the diagonal
+    assert cube.from_vertices(1, 1, (0, 1, 1)) is None  # wrong length
+    assert cube.from_vertices(1, 1, (0, 2)) is None  # value out of range
+    assert cube.from_vertices(0, 0, ()) is None
 
 
 def test_epi_mono_factorize_examples():

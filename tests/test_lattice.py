@@ -41,6 +41,65 @@ def test_non_lattice_rejected():
         lat.lattice_from_leq(leq)
 
 
+def _lattice_by_all_candidates(leq):
+    """Join and meet tables, or the first error, with every upper bound
+    checked as the least one: `lattice_from_leq` before it checked only
+    the upper bound with the fewest elements below it."""
+    n = len(leq)
+    join, meet = [], []
+    for x in range(n):
+        for y in range(n):
+            uppers = [z for z in range(n) if leq[x][z] and leq[y][z]]
+            least = [z for z in uppers if all(leq[z][w] for w in uppers)]
+            if len(least) != 1:
+                return f"no join for {x},{y}"
+            lowers = [z for z in range(n) if leq[z][x] and leq[z][y]]
+            greatest = [z for z in lowers if all(leq[w][z] for w in lowers)]
+            if len(greatest) != 1:
+                return f"no meet for {x},{y}"
+            join.append(least[0])
+            meet.append(greatest[0])
+    return join, meet
+
+
+def _random_order(rng, n):
+    """A random partial order on n points: a transitively closed random
+    DAG, relabelled by a random permutation."""
+    rel = [[i == j or (i < j and rng.random() < 0.35) for j in range(n)] for i in range(n)]
+    for k, i, j in itertools.product(range(n), repeat=3):
+        rel[i][j] = rel[i][j] or (rel[i][k] and rel[k][j])
+    perm = rng.sample(range(n), n)
+    return [[rel[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+def test_lattice_from_leq_matches_the_all_candidates_search():
+    rng = random.Random(3)
+    lattices = 0
+    for _ in range(600):
+        leq = _random_order(rng, rng.randint(1, 7))
+        expected = _lattice_by_all_candidates(leq)
+        try:
+            L = lat.lattice_from_leq(leq)
+        except lat.LatticeError as exc:
+            assert str(exc) == expected
+            continue
+        lattices += 1
+        assert [v for row in L.join for v in row] == expected[0]
+        assert [v for row in L.meet for v in row] == expected[1]
+    assert lattices > 100
+
+
+def test_covers_match_the_interval_scan():
+    for L in (*catalog().values(), lat.subdivide_lattice(lat.boolean(2), 2)):
+        expected = [
+            (x, y)
+            for x in range(L.size)
+            for y in range(L.size)
+            if x != y and len(lat.interval_elements(L, x, y) if L.leq(x, y) else ()) == 2
+        ]
+        assert lat.covers(L) == expected
+
+
 def test_join_meet_laws_on_catalog():
     for name, L in catalog().items():
         rng = range(L.size)
@@ -61,6 +120,26 @@ def test_boolean_interval_counts():
     assert len(ivs) == 5
     assert lat.boolean_rank(lat.chain(2), 0, 2) is None
     assert len(lat.boolean_intervals(lat.chain(0))) == 1
+
+
+def test_boolean_intervals_match_the_all_pairs_scan():
+    b2 = lat.boolean(2)
+    lattices = {
+        **acceptance._lattice_catalog(),
+        "sd3 [1]^2": lat.subdivide_lattice(b2, 2),
+        "sd3 sd3 [1]^2": lat.subdivide_lattice(lat.subdivide_lattice(b2, 2), 2),
+        "sd3 [1]^3": lat.subdivide_lattice(lat.boolean(3), 2),
+        "M3 x [2]": lat.product(lat.m_lattice(3), lat.chain(2)),
+    }
+    for name, L in lattices.items():
+        scan = [
+            (lo, hi, rank)
+            for lo in range(L.size)
+            for hi in range(L.size)
+            if L.leq(lo, hi) and (rank := lat.boolean_rank(L, lo, hi)) is not None
+        ]
+        found = [(iv.lo, iv.hi, iv.rank) for iv in lat.boolean_intervals(L)]
+        assert found == scan, name
 
 
 def test_interval_span_is_the_atom_join_per_vertex():
