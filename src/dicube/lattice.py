@@ -61,18 +61,6 @@ class FiniteLattice:
     def leq(self, x, y):
         return self.poset.leq[x][y]
 
-    @property
-    def bottom(self):
-        return next(
-            x for x in range(self.size) if all(self.leq(x, y) for y in range(self.size))
-        )
-
-    @property
-    def top(self):
-        return next(
-            x for x in range(self.size) if all(self.leq(y, x) for y in range(self.size))
-        )
-
 
 def _check_distributive(join, meet, n):
     rng = range(n)
@@ -176,62 +164,41 @@ def covers(L):
 
 
 def interval_elements(L, lo, hi):
+    if not (0 <= lo < L.size and 0 <= hi < L.size):
+        raise LatticeError(f"element out of range: [{lo}, {hi}]")
     if not L.leq(lo, hi):
         raise LatticeError(f"not an interval: {lo} !<= {hi}")
     return tuple(z for z in range(L.size) if L.leq(lo, z) and L.leq(z, hi))
 
 
-def interval_atoms(L, lo, hi):
-    """The atoms of [lo, hi] (the elements covering lo), in index order."""
-    return tuple(
-        z
-        for z in interval_elements(L, lo, hi)
-        if z != lo and len(interval_elements(L, lo, z)) == 2
-    )
-
-
 def interval_span(L, lo, hi):
-    """The element at each vertex of [1]^k for a Boolean interval [lo, hi]
-    of rank k, in `cube.points(k)` order.
+    """The element at each vertex of [1]^k when [lo, hi] is Boolean of
+    rank k, in `cube.points(k)` order; None when it is not Boolean.
 
-    Coordinate t of a vertex says whether the t-th atom of [lo, hi], in
-    index order, lies below the element; this is the one coordinatization
-    of a Boolean interval.  A cube map phi into [1]^k moves the span the
-    way it moves vertices: span[v] for v in phi.vertices.
+    Coordinate t of a vertex says whether the t-th atom of [lo, hi] (an
+    element covering lo), in index order, lies below the element, which is
+    the join of lo and those atoms.  [lo, hi] is Boolean exactly when these
+    2^k joins are distinct and fill it: distinct joins make S -> join(S) an
+    order embedding of the sets of atoms (join(S) <= join(T) gives
+    join(S | T) = join(T), so S is a subset of T), and filling makes it
+    onto.  This is the one Boolean-interval test and the one
+    coordinatization of a Boolean interval.  A cube map phi into [1]^k
+    moves the span the way it moves vertices: span[v] for v in phi.vertices.
     """
+    elems = interval_elements(L, lo, hi)
+    atoms = [z for z in elems if sum(L.leq(w, z) for w in elems) == 2]
+    if len(elems) != 1 << len(atoms):
+        return None
     span = (lo,)
-    for a in interval_atoms(L, lo, hi):
+    for a in atoms:
         span = tuple(y for x in span for y in (x, L.join[x][a]))
-    return span
+    return span if len(set(span)) == len(elems) else None
 
 
 def boolean_rank(L, lo, hi):
-    """Rank k when [lo, hi] is isomorphic to [1]^k, else None.
-
-    A finite interval is Boolean iff it is distributive and every element
-    has a complement inside it.  (Size 2^k with complements is not enough
-    in non-modular or M_n-like ambients, so distributivity is checked too;
-    the oracle module cross-checks this against explicit isomorphism
-    search.)
-    """
-    elems = interval_elements(L, lo, hi)
-    size = len(elems)
-    k = size.bit_length() - 1
-    if size != 1 << k:
-        return None
-    eset = set(elems)
-    join, meet = L.join, L.meet
-    for x in elems:
-        for y in elems:
-            if join[x][y] not in eset or meet[x][y] not in eset:
-                return None  # not a sublattice (cannot happen for intervals)
-            for z in elems:
-                if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
-                    return None
-    for x in elems:
-        if not any(meet[x][y] == lo and join[x][y] == hi for y in elems):
-            return None
-    return k
+    """Rank k when [lo, hi] is isomorphic to [1]^k, else None."""
+    span = interval_span(L, lo, hi)
+    return None if span is None else len(span).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -244,7 +211,10 @@ class Interval:
 
     @staticmethod
     def of(L, lo, hi):
-        return Interval(L, lo, hi, interval_elements(L, lo, hi), boolean_rank(L, lo, hi))
+        span = interval_span(L, lo, hi)
+        if span is None:
+            return Interval(L, lo, hi, interval_elements(L, lo, hi), None)
+        return Interval(L, lo, hi, tuple(sorted(span)), len(span).bit_length() - 1)
 
 
 def boolean_intervals(L):
@@ -256,13 +226,8 @@ def boolean_intervals(L):
     tops = [{lo} for lo in range(L.size)]
     for lo, a in covers(L):
         tops[lo] |= {L.join[t][a] for t in tops[lo]}
-    result = []
-    for lo in range(L.size):
-        for hi in sorted(tops[lo]):
-            rank = boolean_rank(L, lo, hi)
-            if rank is not None:
-                result.append(Interval(L, lo, hi, interval_elements(L, lo, hi), rank))
-    return result
+    intervals = (Interval.of(L, lo, hi) for lo in range(L.size) for hi in sorted(tops[lo]))
+    return [iv for iv in intervals if iv.rank is not None]
 
 
 @dataclass(frozen=True)
@@ -315,20 +280,16 @@ def is_dis_morphism(f):
     verdict1, witness = is_lattice_hom(f)
     if verdict1:
         for iv in boolean_intervals(L):
-            image = sorted({f(z) for z in iv.elements})
-            lo, hi = f(iv.lo), f(iv.hi)
-            if boolean_rank(M, lo, hi) is None or set(image) != set(
-                interval_elements(M, lo, hi)
-            ):
+            span = interval_span(M, f(iv.lo), f(iv.hi))
+            if span is None or {f(z) for z in iv.elements} != set(span):
                 verdict1, witness = False, ("interval", iv.lo, iv.hi)
                 break
 
     # Interval-local criterion, evaluated independently.
     verdict2 = True
     for iv in boolean_intervals(L):
-        image = {f(z) for z in iv.elements}
-        lo, hi = f(iv.lo), f(iv.hi)
-        if boolean_rank(M, lo, hi) is None or image != set(interval_elements(M, lo, hi)):
+        span = interval_span(M, f(iv.lo), f(iv.hi))
+        if span is None or {f(z) for z in iv.elements} != set(span):
             verdict2 = False
             break
         ok = all(
@@ -359,11 +320,14 @@ def subdivide_lattice(L, k):
         raise LatticeError("subdivision parameter must be >= 0")
     if not L.is_distributive:
         raise LatticeError("subdivision requires a distributive lattice")
-    labels = []
-    for t in itertools.product(range(L.size), repeat=k + 1):
-        if all(L.leq(t[i], t[i + 1]) for i in range(k)):
-            if boolean_rank(L, t[0], t[-1]) is not None:
-                labels.append(t)
+    # every prefix of such a chain spans a Boolean interval too, so chains
+    # grow one element at a time, each step ending in a Boolean [t_0, t_i]
+    ends = [[] for _ in range(L.size)]
+    for iv in boolean_intervals(L):
+        ends[iv.lo].append(iv.hi)
+    labels = [(t,) for t in range(L.size)]
+    for _ in range(k):
+        labels = [t + (e,) for t in labels for e in ends[t[0]] if L.leq(t[-1], e)]
     return lattice_from_labels(
         labels, lambda a, b: all(L.leq(x, y) for x, y in zip(a, b))
     )
@@ -466,8 +430,8 @@ def distributivity_profile(L):
         for y, z in itertools.combinations(neighbours, 2):
             lo = L.meet[y][z]
             hi = L.join[y][z]
-            diamond = {lo, hi, y, z}
-            if set(interval_elements(L, lo, hi)) != diamond or boolean_rank(L, lo, hi) is None:
+            span = interval_span(L, lo, hi)
+            if span is None or set(span) != {lo, hi, y, z}:
                 b2 = False
                 break
         if not b2:
@@ -496,17 +460,17 @@ def boolean_interval_images(L, I, J):
     lattices that would falsify a structural fact and is treated as an
     internal error.
     """
+    images = []
     for name, op, lo, hi in (
         ("join", L.join, L.join[I.lo][J.lo], L.join[I.hi][J.hi]),
         ("meet", L.meet, L.meet[I.lo][J.lo], L.meet[I.hi][J.hi]),
     ):
+        iv = Interval.of(L, lo, hi)
         image = {op[x][y] for x in I.elements for y in J.elements}
-        if image != set(interval_elements(L, lo, hi)) or boolean_rank(L, lo, hi) is None:
+        if iv.rank is None or image != set(iv.elements):
             raise LatticeError(f"internal: {name}-image of Boolean intervals not Boolean")
-    return (
-        Interval.of(L, L.join[I.lo][J.lo], L.join[I.hi][J.hi]),
-        Interval.of(L, L.meet[I.lo][J.lo], L.meet[I.hi][J.hi]),
-    )
+        images.append(iv)
+    return tuple(images)
 
 
 def lattice_isomorphic(L, M):

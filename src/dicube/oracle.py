@@ -3,7 +3,6 @@
 Evaluation here is deliberately separate from the primary code paths: cube
 points are bitmasks (join = OR, meet = AND), composition is raw table
 lookup, and homotopy detection enumerates cubical functions directly.
-Agreement failures raise with a serialized counterexample.
 
 One DFS (`_monotone_tables`) lists the tables of `all_monotone`,
 `cube_monotone_tables` and `monotone_bijection_tables`, charging each point
@@ -17,10 +16,6 @@ from __future__ import annotations
 
 from .config import Budget
 from .cube import CubeError  # the error type only
-
-
-class OracleDisagreement(RuntimeError):
-    pass
 
 
 # ---------------------------------------------------------------------------

@@ -70,11 +70,11 @@ class Subdivision:
         for j in range(self.cset.trunc + 1):
             for i, key in enumerate(self.cset.keys[j]):
                 lo, hi = self.sdL.labels[key[0]][0], self.sdL.labels[key[-1]][-1]
-                rank = lat.boolean_rank(L, lo, hi)
-                if rank is None:
+                span = lat.interval_span(L, lo, hi)
+                if span is None:
                     raise SdError("internal: carrier interval is not Boolean")
                 # the carrier is the inclusion cell of the interval [lo, hi]
-                span = lat.interval_span(L, lo, hi)
+                rank = len(span).bit_length() - 1
                 self._carrier[(j, i)] = (rank, self.base.key_index(rank)[span])
 
     # -- general path: colimit of blocks over the category of elements ------
@@ -392,40 +392,23 @@ def local_lift(d9, S):
     bn = lat.boolean(n_star)
     SL, BL = _block(n_star, 2, C.trunc)
 
-    # candidate faces of the carrier block, minimal by interval inclusion;
-    # elements of [1]^n are vertex indices, ordered by bit inclusion
-    def block_cells_in_face(lo, hi):
-        cells = []
-        for j in range(BL.trunc + 1):
-            level = set()
-            for u in BL.cells(j):
-                ukey = BL.keys[j][u]
-                if all(lo & b == lo and b & hi == b for v in ukey for b in SL.labels[v]):
-                    level.add(u)
-            cells.append(level)
-        return cells
-
-    pre_sel = [set() for _ in range(BL.trunc + 1)]
+    # faces [lo, hi] of the carrier block that hold a block cell over A,
+    # minimal by interval inclusion.  Elements of [1]^n are vertex indices,
+    # ordered by bit inclusion.  The labels of a block cell's vertices lie
+    # between those of its first and last vertex, so the least face holding
+    # it runs from the first vertex of the one to the last of the other.
+    faces = set()
     for j in range(BL.trunc + 1):
         for u in BL.cells(j):
-            target = r1.class_of(c_star, (j, u))
-            if A.contains(target):
-                pre_sel[j].add(u)
-
-    face_candidates = []
-    for lo in range(bn.size):
-        for hi in range(bn.size):
-            if not bn.leq(lo, hi):
-                continue
-            in_face = block_cells_in_face(lo, hi)
-            if any(pre_sel[j] & in_face[j] for j in range(BL.trunc + 1)):
-                face_candidates.append((lo, hi))
+            if A.contains(r1.class_of(c_star, (j, u))):
+                ukey = BL.keys[j][u]
+                faces.add((SL.labels[ukey[0]][0], SL.labels[ukey[-1]][-1]))
     minimal = [
         (lo, hi)
-        for lo, hi in face_candidates
+        for lo, hi in faces
         if not any(
             (lo2, hi2) != (lo, hi) and bn.leq(lo, lo2) and bn.leq(hi2, hi)
-            for lo2, hi2 in face_candidates
+            for lo2, hi2 in faces
         )
     ]
 
@@ -494,12 +477,11 @@ def local_lift(d9, S):
     top_reps = r1.reps_over(top, c_star)
     jt, ut = top_reps[0]
     tkey = BL.keys[jt][ut]
-    k_lo, k_hi = tkey[0], tkey[-1]
-    k_rank = lat.boolean_rank(SL, k_lo, k_hi)
-    if k_rank != top_dim:
+    k_span = lat.interval_span(SL, tkey[0], tkey[-1])
+    if k_span is None or len(k_span) != 1 << top_dim:
         raise SdError("internal: top interval rank mismatch")
     # each element of the top interval -> its vertex of R
-    coords = {e: x for x, e in enumerate(lat.interval_span(SL, k_lo, k_hi))}
+    coords = {e: x for x, e in enumerate(k_span)}
 
     R = cs.representable(top_dim, C.trunc)
     iso, iso_inv = {}, {}

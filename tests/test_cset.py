@@ -447,6 +447,31 @@ def test_local_lift_rejects_empty_and_scattered():
         sd.local_lift(d9, far)
 
 
+# SHA-256 of the local lift of every vertex star of sd9 of torus, klein and
+# sphere2, in that order: (dim, face, up, down), or the `SdError` text where
+# the lift fails (32 klein stars).  Recorded before `local_lift` read the
+# faces of its carrier block off block-cell labels.
+LIFT_DIGEST = "6773eb37222c40516402c17aebaa638764703ad474157dc547d12cdbd4953415"
+
+
+def test_local_lift_digest():
+    outcomes = []
+    for name in ("torus", "klein", "sphere2"):
+        d9 = sd.sd9(spaces.by_name(name))
+        for v in d9.cset.cells(0):
+            try:
+                lift = sd.local_lift(d9, cset.closed_star(d9.cset, v))
+            except sd.SdError as exc:
+                outcomes.append(str(exc))
+                continue
+            outcomes.append(
+                [lift.dim, list(lift.face), sorted(lift.up.values.items()), lift.down.maps]
+            )
+    assert sum(isinstance(x, str) for x in outcomes) == 32
+    text = json.dumps(outcomes)
+    assert hashlib.sha256(text.encode()).hexdigest() == LIFT_DIGEST
+
+
 def test_subdivide_identity_at_zero():
     circ = spaces.circle()
     s = sd.subdivide(circ, 0)

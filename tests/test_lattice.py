@@ -144,18 +144,26 @@ def test_boolean_intervals_match_the_all_pairs_scan():
 
 def test_interval_span_is_the_atom_join_per_vertex():
     for name, L in acceptance._lattice_catalog().items():
-        if not L.is_distributive:
-            continue
-        for iv in lat.boolean_intervals(L):
-            atoms = lat.interval_atoms(L, iv.lo, iv.hi)
-            expected = []
-            for p in cube.points(iv.rank):
-                elem = iv.lo
-                for bit, a in zip(p, atoms):
-                    if bit:
-                        elem = L.join[elem][a]
-                expected.append(elem)
-            assert lat.interval_span(L, iv.lo, iv.hi) == tuple(expected), (name, iv.lo, iv.hi)
+        for lo in range(L.size):
+            for hi in range(L.size):
+                if not L.leq(lo, hi):
+                    continue
+                elems = lat.interval_elements(L, lo, hi)
+                if not oracle.is_boolean_by_isomorphism(L.poset.leq, elems):
+                    assert lat.interval_span(L, lo, hi) is None, (name, lo, hi)
+                    continue
+                # the atoms of [lo, hi] are the elements covering lo
+                atoms = [
+                    z for z in elems if z != lo and len(lat.interval_elements(L, lo, z)) == 2
+                ]
+                expected = []
+                for p in cube.points(len(atoms)):
+                    elem = lo
+                    for bit, a in zip(p, atoms):
+                        if bit:
+                            elem = L.join[elem][a]
+                    expected.append(elem)
+                assert lat.interval_span(L, lo, hi) == tuple(expected), (name, lo, hi)
 
 
 def test_index_inverts_labels():
@@ -164,15 +172,52 @@ def test_index_inverts_labels():
         assert all(L.index[label] == x for x, label in enumerate(L.labels))
 
 
+def _closure_system(rng, points):
+    """The lattice of a random intersection-closed family of subsets of
+    `points` points (bitmasks) that contains the full set; non-modular
+    lattices such as N5 turn up among them."""
+    family = {(1 << points) - 1}
+    family.update(rng.randrange(1 << points) for _ in range(rng.randint(1, 2 * points)))
+    while more := {a & b for a in family for b in family} - family:
+        family |= more
+    return lat.lattice_from_labels(family, lambda a, b: a & b == a)
+
+
 def test_boolean_rank_matches_isomorphism_search():
-    for name, L in catalog().items():
+    rng = random.Random(13)
+    randoms = [_closure_system(rng, rng.randint(1, 6)) for _ in range(150)]
+    assert any(not lat.is_modular(L) for L in randoms)
+    non_boolean = 0
+    for L in (*catalog().values(), *randoms):
         for lo in range(L.size):
             for hi in range(L.size):
                 if not L.leq(lo, hi):
                     continue
                 elems = lat.interval_elements(L, lo, hi)
+                if len(elems) > 16:
+                    continue
                 expected = oracle.is_boolean_by_isomorphism(L.poset.leq, elems)
                 assert (lat.boolean_rank(L, lo, hi) is not None) == expected
+                non_boolean += not expected
+    assert non_boolean > 100
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda L: lat.interval_elements(L, -1, 1),
+        lambda L: lat.interval_elements(L, 0, 2),
+        lambda L: lat.interval_span(L, -2, 1),
+        lambda L: lat.interval_span(L, 0, 2),
+        lambda L: lat.boolean_rank(L, 0, 5),
+        lambda L: lat.boolean_rank(L, -1, 1),
+        lambda L: lat.Interval.of(L, 0, 2),
+        lambda L: lat.Interval.of(L, -2, -1),
+    ],
+)
+def test_out_of_range_elements_raise_lattice_error(call):
+    with pytest.raises(lat.LatticeError):
+        call(lat.boolean(1))
 
 
 def test_is_dis_morphism_identity():
@@ -226,6 +271,29 @@ def test_lattice_isomorphic_returns_an_isomorphism():
         iso = lat.lattice_isomorphic(A, B)
         assert sorted(iso) == list(range(16))
         assert all(A.leq(x, y) == B.leq(iso[x], iso[y]) for x in range(16) for y in range(16))
+
+
+def test_subdivide_lattice_keeps_the_chains_in_boolean_intervals():
+    for name, L in catalog().items():
+        if not L.is_distributive:
+            continue
+        for k in range(4):
+            expected = [
+                t
+                for t in itertools.product(range(L.size), repeat=k + 1)
+                if all(L.leq(a, b) for a, b in zip(t, t[1:]))
+                and oracle.is_boolean_by_isomorphism(
+                    L.poset.leq, lat.interval_elements(L, t[0], t[-1])
+                )
+            ]
+            assert list(lat.subdivide_lattice(L, k).labels) == expected, (name, k)
+
+
+def test_subdivide_lattice_at_large_k():
+    # the 41-tuples of {0, 1} number 2^41; the monotone ones are 42
+    L = lat.subdivide_lattice(lat.boolean(1), 40)
+    assert L.labels == tuple((0,) * (41 - i) + (1,) * i for i in range(42))
+    assert lat.lattice_isomorphic(L, lat.chain(41)) is not None
 
 
 def test_subdivide_rejects_non_distributive():
