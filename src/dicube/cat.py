@@ -401,14 +401,13 @@ def as_cat(S):
 
 def cat_to_json(S):
     S = as_cat(S)
-    comp = [[(v if v is not None else None) for v in row] for row in S.comp]
     return json.dumps(
         {
             "objects": S.n_obj,
             "src": list(S.src),
             "tgt": list(S.tgt),
             "identities": list(S.ident),
-            "compose": comp,
+            "compose": [list(row) for row in S.comp],
         },
         sort_keys=True,
     )

@@ -87,7 +87,7 @@ def json_errors(error, what):
         yield
     except KeyError as exc:
         raise error(f"{what} JSON lacks the key {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, RecursionError, TypeError, ValueError) as exc:
         raise error(f"malformed {what} JSON: {exc}") from None
 
 

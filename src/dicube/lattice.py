@@ -62,14 +62,16 @@ class FiniteLattice:
         return self.poset.leq[x][y]
 
 
-def _check_distributive(join, meet, n):
-    rng = range(n)
-    for x in rng:
-        for y in rng:
-            for z in rng:
-                if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
-                    return False
-    return True
+def _check_distributive(join, down):
+    """Birkhoff: x -> (the join-irreducibles below x) is injective and keeps
+    meets, so the lattice is distributive exactly when it keeps joins too.
+    x is join-irreducible when the elements strictly below it are one element's down-set."""
+    principal = set(down)
+    irreducible = sum(1 << x for x, d in enumerate(down) if d ^ (1 << x) in principal)
+    return all(
+        down[join[x][y]] & irreducible == (down[x] | down[y]) & irreducible
+        for x, y in itertools.combinations(range(len(down)), 2)
+    )
 
 
 def lattice_from_leq(leq, labels=None):
@@ -79,29 +81,27 @@ def lattice_from_leq(leq, labels=None):
     n = poset.size
     if n == 0:
         raise LatticeError("empty lattice")
-    # a join is the upper bound with the fewest elements below it, a meet
-    # the lower bound with the most, so only those candidates are checked
-    below = [sum(row[z] for row in leq) for z in range(n)]
+    # with up- and down-sets as bitmasks, the join of x and y is the element
+    # whose up-set is up[x] & up[y], the meet the one whose down-set is down[x] & down[y]
+    up = [sum(1 << z for z in range(n) if leq[x][z]) for x in range(n)]
+    down = [sum(1 << z for z in range(n) if leq[z][x]) for x in range(n)]
+    by_up, by_down = {u: x for x, u in enumerate(up)}, {d: x for x, d in enumerate(down)}
     join_rows, meet_rows = [], []
     for x in range(n):
         jrow, mrow = [], []
         for y in range(n):
-            uppers = [z for z in range(n) if leq[x][z] and leq[y][z]]
-            least = min(uppers, key=below.__getitem__, default=None)
-            if least is None or not all(leq[least][w] for w in uppers):
+            jrow.append(by_up.get(up[x] & up[y]))
+            if jrow[-1] is None:
                 raise LatticeError(f"no join for {x},{y}")
-            jrow.append(least)
-            lowers = [z for z in range(n) if leq[z][x] and leq[z][y]]
-            greatest = max(lowers, key=below.__getitem__, default=None)
-            if greatest is None or not all(leq[w][greatest] for w in lowers):
+            mrow.append(by_down.get(down[x] & down[y]))
+            if mrow[-1] is None:
                 raise LatticeError(f"no meet for {x},{y}")
-            mrow.append(greatest)
         join_rows.append(tuple(jrow))
         meet_rows.append(tuple(mrow))
     join, meet = tuple(join_rows), tuple(meet_rows)
     if labels is None:
         labels = tuple(range(n))
-    return FiniteLattice(poset, join, meet, tuple(labels), _check_distributive(join, meet, n))
+    return FiniteLattice(poset, join, meet, tuple(labels), _check_distributive(join, down))
 
 
 def lattice_from_labels(labels, leq_fn):

@@ -355,25 +355,14 @@ def local_lift(d9, S):
 
     A = d9.eps2.image_of(S)
 
-    # minimal atom of C whose subdivision meets A
-    candidates = []
-    seen = set()
-    for cell in C.all_cells():
-        a = cs.atom(C, cell)
-        key = a.sel
-        if key in seen:
-            continue
-        seen.add(key)
-        if not A.intersection(r1.sd_sub(a)).is_empty():
-            candidates.append(a)
-    least = None
-    for a in candidates:
-        if all(a.issubset(b) for b in candidates if b is not a):
-            least = a
-            break
-    if least is None or not all(least.issubset(b) for b in candidates):
+    # least atom of C whose subdivision meets A: each such atom contains the
+    # atom of the carrier of a cell of A, so it is the carrier atom that lies
+    # inside all the others
+    carriers = {r1.carrier_cell((j, i)) for j in range(r1.cset.trunc + 1) for i in A.sel[j]}
+    atoms = list({a.sel: a for a in (cs.atom(C, c) for c in carriers)}.values())
+    c_s = next((a for a in atoms if all(a.issubset(b) for b in atoms)), None)
+    if c_s is None:
         raise SdError("no least atom meets the collapsed subpresheaf")
-    c_s = least
     B = A.intersection(r1.sd_sub(c_s))
 
     # ambient atom of A inside sd3 C and its carrier block

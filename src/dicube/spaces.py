@@ -86,25 +86,8 @@ def edge_boundary(trunc=2):
     return C
 
 
-BUILTIN_NAMES = (
-    "cube0",
-    "cube1",
-    "cube2",
-    "cube3",
-    "point",
-    "edge",
-    "edge_boundary",
-    "circle",
-    "torus",
-    "klein",
-    "sphere2",
-)
-
-
 def by_name(name, trunc=None):
     """Look up a built-in space; `nerve:<monoid>` builds a nerve."""
-    from . import cat
-
     if name.startswith("nerve:"):
         from .cat import nerve, monoid_by_name
 
@@ -124,5 +107,5 @@ def by_name(name, trunc=None):
         "sphere2": lambda: sphere2(t),
     }
     if name not in builders:
-        raise ValueError(f"unknown space {name!r} (have {', '.join(BUILTIN_NAMES)})")
+        raise ValueError(f"unknown space {name!r} (have {', '.join(builders)})")
     return builders[name]()

@@ -238,6 +238,10 @@ BAD_SUITES = ("0", "11", "-1", "x")
         pytest.param("abc", (*CSET, "circle"), None, id="budget-not-a-number"),
         pytest.param("0", (*CSET, "circle"), None, id="budget-zero"),
         pytest.param("-1", (*CSET, "circle"), None, id="budget-negative"),
+        pytest.param(None, ("--budget", "0", *CSET, "circle"), None, id="budget-flag-zero"),
+        pytest.param(
+            None, ("--budget", "-3", "inv", "pi0", "circle"), None, id="budget-flag-negative"
+        ),
         pytest.param(None, CSET, "{", id="cset-not-json"),
         pytest.param(None, CSET, "[]", id="cset-not-an-object"),
         pytest.param(None, CSET, _edited_json(TORUS, degens=None), id="cset-no-degens"),
@@ -271,6 +275,11 @@ BAD_SUITES = ("0", "11", "-1", "x")
         pytest.param(None, LATTICE, "[1, 2]", id="lattice-not-an-object"),
         pytest.param(None, LATTICE, '{"size": 1}', id="lattice-no-leq"),
         pytest.param(None, LATTICE, '{"size": 1, "leq": [["yes"]]}', id="lattice-string-entry"),
+        *(
+            pytest.param(None, command, "[" * 10_000, id=f"{what}-nested-too-deep")
+            for what, command in
+            (("cset", CSET), ("monoid", MONOID), ("cat", CAT), ("lattice", LATTICE))
+        ),
         pytest.param(None, ("inv", "tau", "--vertex", "5", "--space", "circle"), None, id="tau-vertex-5"),
         pytest.param(None, ("inv", "tau", "--vertex", "-1", "--space", "circle"), None, id="tau-vertex-neg"),
         pytest.param(None, ("inv", "h1", "--monoid", "zmod0", "--space", "circle"), None, id="h1-zmod0"),
@@ -360,3 +369,100 @@ def test_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["count"] == 1
+
+
+def _transcript(capsys, argv):
+    """Exit code, stdout, stderr and every file in the working directory
+    after `dicube argv`; an exit by SystemExit counts by its code."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    files = {name: open(name).read() for name in sorted(os.listdir("."))}
+    return json.dumps([code, out, err, files], sort_keys=True)
+
+
+# sha256 (first 16 hex digits) of `_transcript` per invocation, in order,
+# recorded before the handlers returned their reports to `main`
+CLI_DIGESTS = {
+    "cube enumerate --dom 2 --cod 1 --class epi": "788037edf8b1fc06",
+    "cset make --shape torus --trunc 2 --save torus.json": "8fd5c13dbf8fe218",
+    "cset validate torus.json": "256ac7088fd665fb",
+    "cset sd torus.json --k 3 --save sd3.json": "196e156535fd31af",
+    "cset sd circle --k 0": "f18a861af2fde474",
+    "cset dot circle --save circle.dot": "e15e230df5273be1",
+    "cset dot torus.json": "98b644c0c304745b",
+    "lattice check m3.json --dot m3.dot": "9545900042c8afce",
+    "lattice check n5.json": "c6006bcc13484284",
+    "cat classes --monoid s3": "f766d75363dd52d4",
+    "cat classes --monoid z4.json": "086a5a15ced7d480",
+    "cat nerve --cat arrow.json --trunc 2": "04dbbba6d9b9fa03",
+    "cat nerve --cat discrete2 --trunc 1": "8f78afd54df1f4f4",
+    "t1 klein --trunc 2 --dot klein.dot": "0842a1713bf41233",
+    "inv pi0 edge_boundary": "032dfd113cf1590a",
+    "--out pi0.json inv pi0 circle": "a6ac0572f5f615a1",
+    "inv h1 --space torus --monoid zmod2": "e6bea374c3ed4bbb",
+    "inv h1 --space circle --monoid idem2 --no-table": "79e0cef91766d07c",
+    "inv tau --space nerve:zmod2 --n 1": "7f61015a55bc7d8a",
+    "inv homclasses --b circle --s arrow": "32eab71f6e2fa6cc",
+    "--budget 5 inv h1 --space torus --monoid zmod4": "ffd3d0a29bb3fe8d",
+    "--budget 5 cat nerve --cat s3 --trunc 2": "ffd3d0a29bb3fe8d",
+    "inv pi0 dodecahedron": "1bb6eefbe0c583f7",
+    "oracle check --suite lattice": "ff48b0b34cca795c",
+    "verify --suite 6": "1fa8f9a02ad98cd4",
+    "verify --suite 11": "482e74ac71fa8f1e",
+    "oracle check failing": "f9e4dc8d27cb1721",
+}
+
+CLI_INVOCATIONS = (
+    ("cube", "enumerate", "--dom", "2", "--cod", "1", "--class", "epi"),
+    ("cset", "make", "--shape", "torus", "--trunc", "2", "--save", "torus.json"),
+    ("cset", "validate", "torus.json"),
+    ("cset", "sd", "torus.json", "--k", "3", "--save", "sd3.json"),
+    ("cset", "sd", "circle", "--k", "0"),
+    ("cset", "dot", "circle", "--save", "circle.dot"),
+    ("cset", "dot", "torus.json"),
+    ("lattice", "check", "m3.json", "--dot", "m3.dot"),
+    ("lattice", "check", "n5.json"),
+    ("cat", "classes", "--monoid", "s3"),
+    ("cat", "classes", "--monoid", "z4.json"),
+    ("cat", "nerve", "--cat", "arrow.json", "--trunc", "2"),
+    ("cat", "nerve", "--cat", "discrete2", "--trunc", "1"),
+    ("t1", "klein", "--trunc", "2", "--dot", "klein.dot"),
+    ("inv", "pi0", "edge_boundary"),
+    ("--out", "pi0.json", "inv", "pi0", "circle"),
+    ("inv", "h1", "--space", "torus", "--monoid", "zmod2"),
+    ("inv", "h1", "--space", "circle", "--monoid", "idem2", "--no-table"),
+    ("inv", "tau", "--space", "nerve:zmod2", "--n", "1"),
+    ("inv", "homclasses", "--b", "circle", "--s", "arrow"),
+    ("--budget", "5", "inv", "h1", "--space", "torus", "--monoid", "zmod4"),
+    ("--budget", "5", "cat", "nerve", "--cat", "s3", "--trunc", "2"),
+    ("inv", "pi0", "dodecahedron"),
+    ("oracle", "check", "--suite", "lattice"),
+    ("verify", "--suite", "6"),
+    ("verify", "--suite", "11"),
+)
+
+
+def test_cli_transcripts_are_pinned(tmp_path, capsys, monkeypatch):
+    from dicube import lattice as lat
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DICUBE_BUDGET", raising=False)
+    monkeypatch.setattr(acceptance, "time", types.SimpleNamespace(monotonic=lambda: 0.0))
+    (tmp_path / "m3.json").write_text(lat.to_json(lat.m_lattice(3)))
+    (tmp_path / "n5.json").write_text(lat.to_json(lat.n5()))
+    (tmp_path / "z4.json").write_text(cat.monoid_to_json(cat.zmod(4)))
+    (tmp_path / "arrow.json").write_text(ARROW)
+    digests = {}
+    for argv in CLI_INVOCATIONS:
+        transcript = _transcript(capsys, argv)
+        digests[" ".join(argv)] = hashlib.sha256(transcript.encode()).hexdigest()[:16]
+    # a failing criterion: the report says so and the exit code is 1
+    monkeypatch.setitem(acceptance.CRITERIA, 9, ("always fails", lambda: [("x", False, "why")]))
+    transcript = _transcript(capsys, ("oracle", "check", "--suite", "lattice"))
+    assert json.loads(json.loads(transcript)[1])["result"]["ok"] is False
+    assert json.loads(transcript)[0] == 1
+    digests["oracle check failing"] = hashlib.sha256(transcript.encode()).hexdigest()[:16]
+    assert digests == CLI_DIGESTS

@@ -447,6 +447,23 @@ def test_local_lift_rejects_empty_and_scattered():
         sd.local_lift(d9, far)
 
 
+def _lift_outcomes(C):
+    """(dim, face, up, down) of the local lift of every vertex star of
+    sd9 C, or the `SdError` text where the lift fails."""
+    d9 = sd.sd9(C)
+    outcomes = []
+    for v in d9.cset.cells(0):
+        try:
+            lift = sd.local_lift(d9, cset.closed_star(d9.cset, v))
+        except sd.SdError as exc:
+            outcomes.append(str(exc))
+            continue
+        outcomes.append(
+            [lift.dim, list(lift.face), sorted(lift.up.values.items()), lift.down.maps]
+        )
+    return outcomes
+
+
 # SHA-256 of the local lift of every vertex star of sd9 of torus, klein and
 # sphere2, in that order: (dim, face, up, down), or the `SdError` text where
 # the lift fails (32 klein stars).  Recorded before `local_lift` read the
@@ -455,21 +472,44 @@ LIFT_DIGEST = "6773eb37222c40516402c17aebaa638764703ad474157dc547d12cdbd4953415"
 
 
 def test_local_lift_digest():
-    outcomes = []
-    for name in ("torus", "klein", "sphere2"):
-        d9 = sd.sd9(spaces.by_name(name))
-        for v in d9.cset.cells(0):
-            try:
-                lift = sd.local_lift(d9, cset.closed_star(d9.cset, v))
-            except sd.SdError as exc:
-                outcomes.append(str(exc))
-                continue
-            outcomes.append(
-                [lift.dim, list(lift.face), sorted(lift.up.values.items()), lift.down.maps]
-            )
+    outcomes = [
+        x for name in ("torus", "klein", "sphere2") for x in _lift_outcomes(spaces.by_name(name))
+    ]
     assert sum(isinstance(x, str) for x in outcomes) == 32
     text = json.dumps(outcomes)
     assert hashlib.sha256(text.encode()).hexdigest() == LIFT_DIGEST
+
+
+def _collapsed_square(edges):
+    """The square with each edge d_i^eps in `edges` glued to the degenerate
+    edge of its first vertex."""
+    r2 = cset.representable(2, 2)
+    top = cset.rep_cell(r2, cube.identity(2))
+    pairs = []
+    for i, eps in edges:
+        e = r2.faces[(2, i, eps)][top]
+        v = r2.faces[(1, 1, 0)][e]
+        pairs.append(((1, e), (1, r2.degens[(0, 1)][v])))
+    C, _ = cset.quotient(r2, pairs)
+    return C
+
+
+# SHA-256 of `_lift_outcomes` on three quotients of the square whose faces
+# are degenerate, recorded before `local_lift` read its least atom off the
+# carriers of the collapsed piece.
+COLLAPSED_SQUARE_LIFT_DIGESTS = {
+    ((1, 0),): "b5e3de24cb06316da654239dee2994cea3b4f59af76c48b04f9682d0a96fab1c",
+    ((1, 0), (2, 0)): "7d5db3ba008a5dd1a99045c847ed05d563884d3a2dbeeeab7b3eccd574c586ce",
+    ((1, 0), (1, 1)): "b6be32ea937496a05216dee709c3e03444748b17554690b37044b2bf5a10c39e",
+}
+
+
+@pytest.mark.parametrize("edges", sorted(COLLAPSED_SQUARE_LIFT_DIGESTS), ids=str)
+def test_local_lift_on_collapsed_squares(edges):
+    outcomes = _lift_outcomes(_collapsed_square(edges))
+    assert not any(isinstance(x, str) for x in outcomes)
+    text = json.dumps(outcomes)
+    assert hashlib.sha256(text.encode()).hexdigest() == COLLAPSED_SQUARE_LIFT_DIGESTS[edges]
 
 
 def test_subdivide_identity_at_zero():

@@ -183,6 +183,26 @@ def _closure_system(rng, points):
     return lat.lattice_from_labels(family, lambda a, b: a & b == a)
 
 
+
+def test_is_distributive_matches_the_triple_identity():
+    """Birkhoff's criterion against x & (y | z) == (x & y) | (x & z) on every
+    triple, with elements shuffled so that index order is no linear
+    extension of the lattice order."""
+    rng = random.Random(27)
+    non_distributive = 0
+    for _ in range(400):
+        family = list(_closure_system(rng, rng.randint(1, 5)).labels)
+        rng.shuffle(family)
+        L = lat.lattice_from_leq([[a & b == a for b in family] for a in family])
+        join, meet, elems = L.join, L.meet, range(L.size)
+        expected = all(
+            meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]
+            for x, y, z in itertools.product(elems, repeat=3)
+        )
+        assert L.is_distributive == expected
+        non_distributive += not expected
+    assert non_distributive > 50
+
 def test_boolean_rank_matches_isomorphism_search():
     rng = random.Random(13)
     randoms = [_closure_system(rng, rng.randint(1, 6)) for _ in range(150)]
