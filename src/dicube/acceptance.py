@@ -143,16 +143,9 @@ def criterion_3():
     return out
 
 
-def _catalog(trunc=2):
-    return {
-        "cube0": spaces.cube_space(0, trunc),
-        "cube1": spaces.cube_space(1, trunc),
-        "cube2": spaces.cube_space(2, trunc),
-        "circle": spaces.circle(trunc),
-        "torus": spaces.torus(trunc),
-        "klein": spaces.klein(trunc),
-        "sphere2": spaces.sphere2(trunc),
-    }
+def _catalog():
+    names = ("cube0", "cube1", "cube2", "circle", "torus", "klein", "sphere2")
+    return {name: spaces.by_name(name) for name in names}
 
 
 def criterion_4():

@@ -75,7 +75,7 @@ def cmd_lattice(args):
 
 
 def cmd_cset_make(args):
-    C = _load(args.shape, cset.from_json, spaces.by_name, args.trunc)
+    C = _load(args.shape, cset.from_json, spaces.by_name, args.trunc, args.budget)
     result = {
         "trunc": C.trunc,
         "cells": list(C.sizes),
@@ -89,20 +89,21 @@ def cmd_cset_make(args):
 def cmd_cset_sd(args):
     if args.k < 1:
         raise UsageError("subdivision subscript must be >= 1")
-    s = sd.subdivide(_load(args.path, cset.from_json, spaces.by_name, args.trunc), args.k - 1)
+    C = _load(args.path, cset.from_json, spaces.by_name, args.trunc, args.budget)
+    s = sd.subdivide(C, args.k - 1)
     result = {"cells": list(s.cset.sizes), "census": list(s.cset.census())}
     _save(args.save, lambda: cset.to_json(s.cset), result, "saved")
     return {"path": args.path, "k": args.k}, result
 
 
 def cmd_cset_validate(args):
-    C = _load(args.path, cset.from_json, spaces.by_name, args.trunc)
+    C = _load(args.path, cset.from_json, spaces.by_name, args.trunc, args.budget)
     C.validate()
     return {"path": args.path}, {"valid": True, "cells": list(C.sizes)}
 
 
 def cmd_cset_dot(args):
-    C = _load(args.path, cset.from_json, spaces.by_name, args.trunc)
+    C = _load(args.path, cset.from_json, spaces.by_name, args.trunc, args.budget)
     text = cset.dot_skeleton(C)
     result = {"dot": text.splitlines()}
     _save(args.save, lambda: text, result)
@@ -129,7 +130,7 @@ def cmd_cat_nerve(args):
 
 
 def cmd_t1(args):
-    C = _load(args.path, cset.from_json, spaces.by_name, args.trunc)
+    C = _load(args.path, cset.from_json, spaces.by_name, args.trunc, args.budget)
     P, edges = t1.fundamental_presentation(C)
     result = json.loads(t1.presentation_json(P, edges))
     _save(args.dot, lambda: t1.presentation_dot(P), result, "dot")
@@ -137,13 +138,13 @@ def cmd_t1(args):
 
 
 def cmd_inv_pi0(args):
-    r = inv.pi0(_load(args.space, cset.from_json, spaces.by_name, args.trunc))
+    r = inv.pi0(_load(args.space, cset.from_json, spaces.by_name, args.trunc, args.budget))
     result = {"count": r.count, "representatives": list(r.reps), "class_of": list(r.class_of)}
     return {"space": args.space}, result
 
 
 def cmd_inv_h1(args):
-    C = _load(args.space, cset.from_json, spaces.by_name, args.trunc)
+    C = _load(args.space, cset.from_json, spaces.by_name, args.trunc, args.budget)
     M = _load(args.monoid, cat.monoid_from_json, cat.monoid_by_name)
     r = inv.h1(C, M, budget=args.budget, with_table=not args.no_table)
     result = {"class_count": r.count, "representatives": [list(w) for w in r.reps]}
@@ -154,7 +155,8 @@ def cmd_inv_h1(args):
 
 
 def cmd_inv_tau(args):
-    C = _load(args.space, cset.from_json, spaces.by_name, args.trunc if args.trunc else args.n + 1)
+    trunc = args.trunc if args.trunc else args.n + 1
+    C = _load(args.space, cset.from_json, spaces.by_name, trunc, args.budget)
     r = inv.loop_classes(C, args.vertex, args.n, budget=args.budget)
     result = {"degree": r.degree, "class_count": r.count}
     if r.table is not None:
@@ -163,7 +165,7 @@ def cmd_inv_tau(args):
 
 
 def cmd_inv_homclasses(args):
-    B = _load(args.b, cset.from_json, spaces.by_name, args.trunc)
+    B = _load(args.b, cset.from_json, spaces.by_name, args.trunc, args.budget)
     S = _load(args.s, cat.cat_from_json, _cat_by_name)
     r = inv.hom_classes(B, S, budget=args.budget)
     return {"b": args.b, "s": args.s}, {"class_count": r.count, "map_count": r.functor_count}

@@ -344,6 +344,7 @@ def from_lattice(L, trunc):
     return build_presheaf(trunc, keys_by_dim, act, lattice=L)
 
 
+@lru_cache(maxsize=None)
 def representable(n, trunc):
     """The cubical set of the n-cube; k-cells are cube maps [1]^k -> [1]^n."""
     if trunc < n:
@@ -586,12 +587,13 @@ def quotient(C, pairs):
 # tensor product (Day convolution)
 
 
+@lru_cache(maxsize=None)
 def _epis(n, k):
-    return [
+    return tuple(
         e
         for e in cube.enumerate_maps(n, k)
         if all(cube.is_proj(s) for s in e.outputs)
-    ]
+    )
 
 
 def _split(p_dim, phi):

@@ -166,35 +166,6 @@ class Subdivision:
             return (j, self.cset.key_index(j)[table])
         return (j, self._cell_index[self._node_id(c, u)])
 
-    def reps_over(self, cell, c):
-        """Block cells u with class_of(c, u) == cell."""
-        if not self.cset.has_cell(cell):
-            raise SdError(f"no cell {cell} in the subdivision")
-        if not self.base.has_cell(c):
-            raise SdError(f"no cell {c} in the base")
-        j, idx = cell
-        n, i = c
-        if self._fast:
-            ckey = self.base.keys[n][i]
-            inverse = {}
-            for b, e in enumerate(ckey):
-                if e in inverse and inverse[e] != b:
-                    raise SdError("reps_over requires an injective base cell")
-                inverse[e] = b
-            SLn, BL = _block(n, self.k, self.base.trunc)
-            xkey = self.cset.keys[j][idx]
-            ukey = []
-            for v in xkey:
-                label = self.sdL.labels[v]
-                if any(e not in inverse for e in label):
-                    return []
-                ukey.append(SLn.index.get(tuple(inverse[e] for e in label)))
-            if None in ukey:
-                return []
-            found = BL.key_index(j).get(tuple(ukey))
-            return [] if found is None else [(j, found)]
-        return [node[1] for node in self._members[j][idx] if node[0] == (n, i)]
-
     def sd_sub(self, S):
         """The subdivision of a subpresheaf, inside the subdivided base."""
         sel = []
@@ -235,11 +206,19 @@ class Subdivision:
         return f
 
     def _cell_nodes(self, cell):
+        """The nodes (c, u) of a cell: on the lattice path, its one node
+        over its carrier, whose labels are coordinatized in the carrier's
+        span."""
         j, idx = cell
-        if self._fast:
-            c = self._carrier[cell]
-            return [(c, u) for u in self.reps_over(cell, c)]
-        return self._members[j][idx]
+        if not self._fast:
+            return self._members[j][idx]
+        n, i = c = self._carrier[cell]
+        coord = {e: b for b, e in enumerate(self.base.keys[n][i])}
+        SLn, BL = _block(n, self.k, self.base.trunc)
+        ukey = tuple(
+            SLn.index[tuple(coord[e] for e in self.sdL.labels[v])] for v in self.cset.keys[j][idx]
+        )
+        return [(c, (j, BL.key_index(j)[ukey]))]
 
     def _eps_node(self, c, u):
         n, i = c
@@ -340,8 +319,18 @@ def local_lift(d9, S):
 
     S must be a nonempty subpresheaf of sd9(C) contained in the closed
     star of one of its vertices.  Returns the factorization (up, down)
-    with down o up equal to the double collapse restricted to S; the
-    commutativity is verified cell by cell.
+    with down o up equal to the double collapse restricted to S.  Steps:
+    1. A is S's image under the second collapse, c_s the least atom of C
+       whose subdivision meets A, and B the part of A over c_s.
+    2. One pass over the block of c_star, the carrier of A's atom in sd3 C,
+       gives each cell of A its block representatives, and each least face
+       [lo, hi] of a block cell over A the atom of that cell's carrier.
+    3. Clamping to the first minimal face whose atom is c_s is the
+       retraction pi: A -> B; it must fix B and commute with the collapse.
+    4. R's cell phi goes to phi acting on the class of the block cell whose
+       table is the span of B's top interval; this must be a bijection.
+    5. down is the first collapse on B and up is pi after the second
+       collapse; both are validated, and down o up is checked cell by cell.
     """
     C, r1, r2 = d9.base, d9.r1, d9.r2
     E = r2.cset
@@ -377,51 +366,36 @@ def local_lift(d9, S):
     if anchor is None:
         raise SdError("collapsed subpresheaf is not contained in an atom")
     c_star = r1.carrier_cell(anchor)
-    n_star = c_star[0]
-    bn = lat.boolean(n_star)
-    SL, BL = _block(n_star, 2, C.trunc)
+    SL, BL = _block(c_star[0], 2, C.trunc)
 
-    # faces [lo, hi] of the carrier block that hold a block cell over A,
-    # minimal by interval inclusion.  Elements of [1]^n are vertex indices,
-    # ordered by bit inclusion.  The labels of a block cell's vertices lie
-    # between those of its first and last vertex, so the least face holding
-    # it runs from the first vertex of the one to the last of the other.
-    faces = set()
+    # Elements of [1]^n are vertex indices, ordered by bit inclusion.  The
+    # labels of a block cell's vertices lie between those of its first and
+    # last vertex, so its least face runs from the first vertex of the one
+    # to the last of the other.  The carrier of its class and the face cell
+    # of c_star at that face generate the same atom of C.
+    faces, reps = {}, {}
     for j in range(BL.trunc + 1):
         for u in BL.cells(j):
-            if A.contains(r1.class_of(c_star, (j, u))):
+            x = r1.class_of(c_star, (j, u))
+            if A.contains(x):
                 ukey = BL.keys[j][u]
-                faces.add((SL.labels[ukey[0]][0], SL.labels[ukey[-1]][-1]))
+                face = (SL.labels[ukey[0]][0], SL.labels[ukey[-1]][-1])
+                faces[face] = cs.atom(C, r1.carrier_cell(x)).sel
+                reps.setdefault(x, []).append((j, u))
     minimal = [
         (lo, hi)
         for lo, hi in faces
         if not any(
-            (lo2, hi2) != (lo, hi) and bn.leq(lo, lo2) and bn.leq(hi2, hi)
+            (lo2, hi2) != (lo, hi) and lo & lo2 == lo and hi2 & hi == hi2
             for lo2, hi2 in faces
         )
     ]
-
-    def face_cell_atom(lo, hi):
-        span = lat.interval_span(bn, lo, hi)
-        rank = len(span).bit_length() - 1
-        mono = cube.from_vertices(rank, n_star, span)
-        if mono is None:
-            raise SdError(f"internal: face inclusion {span} not a cube map")
-        return cs.atom(C, (rank, C.act(mono, c_star[1])))
-
-    chosen = None
-    for lo, hi in sorted(minimal):
-        if face_cell_atom(lo, hi).sel == c_s.sel:
-            chosen = (lo, hi)
-            break
+    chosen = next((face for face in sorted(minimal) if faces[face] == c_s.sel), None)
     if chosen is None:
         raise SdError("no carrier-block face matches the minimal atom")
     lo, hi = chosen
 
-    clamp_elem = tuple(
-        bn.meet[bn.join[e][lo]][hi] for e in range(bn.size)
-    )
-    clamp_sl = tuple(SL.index[tuple(clamp_elem[b] for b in label)] for label in SL.labels)
+    clamp_sl = tuple(SL.index[tuple((b | lo) & hi for b in label)] for label in SL.labels)
 
     def clamp_block_cell(j, u):
         ukey = BL.keys[j][u]
@@ -430,12 +404,11 @@ def local_lift(d9, S):
     pi = {}
     for j in range(r1.cset.trunc + 1):
         for i in sorted(A.sel[j]):
-            reps = r1.reps_over((j, i), c_star)
-            if not reps:
+            if (j, i) not in reps:
                 raise SdError("internal: no block representative over the carrier")
             targets = {
                 r1.class_of(c_star, (jr, clamp_block_cell(jr, ur)))
-                for jr, ur in reps
+                for jr, ur in reps[(j, i)]
             }
             if len(targets) != 1:
                 raise SdError("internal: retraction not well defined")
@@ -443,8 +416,7 @@ def local_lift(d9, S):
             if not B.contains(target):
                 raise SdError("internal: retraction leaves the intersection")
             pi[(j, i)] = target
-    pi_fn = SubFunction(A, r1.cset, pi)
-    pi_fn.validate()
+    SubFunction(A, r1.cset, pi).validate()
     for j in range(r1.cset.trunc + 1):
         for i in B.sel[j]:
             if pi[(j, i)] != (j, i):
@@ -462,43 +434,23 @@ def local_lift(d9, S):
     tops = sorted(set(r1.cset.nondegenerate(top_dim)) & B.sel[top_dim])
     if not tops or cs.atom(r1.cset, (top_dim, tops[0])).sel != B.sel:
         raise SdError("intersection is not atomic")
-    top = (top_dim, tops[0])
-    top_reps = r1.reps_over(top, c_star)
-    jt, ut = top_reps[0]
-    tkey = BL.keys[jt][ut]
+    _, ut = reps[(top_dim, tops[0])][0]
+    tkey = BL.keys[top_dim][ut]
     k_span = lat.interval_span(SL, tkey[0], tkey[-1])
     if k_span is None or len(k_span) != 1 << top_dim:
         raise SdError("internal: top interval rank mismatch")
-    # each element of the top interval -> its vertex of R
-    coords = {e: x for x, e in enumerate(k_span)}
+    # the block cell whose table is the span, not tops[0]: a top cell may
+    # be a transposition of it
+    std = r1.class_of(c_star, (top_dim, BL.key_index(top_dim)[k_span]))[1]
 
     R = cs.representable(top_dim, C.trunc)
-    iso, iso_inv = {}, {}
-    for j in range(r1.cset.trunc + 1):
-        for i in B.sel[j]:
-            reps = r1.reps_over((j, i), c_star)
-            images = set()
-            for jr, ur in reps:
-                ukey = BL.keys[jr][ur]
-                if all(v in coords for v in ukey):
-                    images.add(tuple(coords[v] for v in ukey))
-            if len(images) != 1:
-                raise SdError("internal: coordinatization not well defined")
-            rkey = images.pop()
-            ri = R.key_index(j)[rkey]
-            iso[(j, i)] = (j, ri)
-            iso_inv[(j, ri)] = (j, i)
-    for j in range(r1.cset.trunc + 1):
-        if len(B.sel[j]) != R.sizes[j]:
-            raise SdError("internal: intersection is not a full representable")
-
-    down_maps = []
+    iso, down_maps = {}, []
     for j in range(R.trunc + 1):
-        level = []
-        for ri in R.cells(j):
-            bi = iso_inv[(j, ri)][1]
-            level.append(d9.eps1.maps[j][bi])
-        down_maps.append(tuple(level))
+        images = [r1.cset.act(cube.from_vertices(j, top_dim, key), std) for key in R.keys[j]]
+        if sorted(images) != sorted(B.sel[j]):
+            raise SdError("internal: intersection is not a full representable")
+        iso.update(((j, bi), (j, ri)) for ri, bi in enumerate(images))
+        down_maps.append(tuple(d9.eps1.maps[j][bi] for bi in images))
     down = cs.CubicalFunction(R, C, tuple(down_maps))
     down.validate()
 

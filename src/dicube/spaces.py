@@ -7,11 +7,8 @@ from functools import lru_cache
 from . import cset, cube
 
 
-_representable = lru_cache(maxsize=None)(cset.representable)
-
-
 def cube_space(n, trunc=None):
-    return _representable(n, max(n, 2) if trunc is None else trunc)
+    return cset.representable(n, max(n, 2) if trunc is None else trunc)
 
 
 @lru_cache(maxsize=None)
@@ -86,12 +83,13 @@ def edge_boundary(trunc=2):
     return C
 
 
-def by_name(name, trunc=None):
-    """Look up a built-in space; `nerve:<monoid>` builds a nerve."""
+def by_name(name, trunc=None, budget=None):
+    """Look up a built-in space; `nerve:<monoid>` builds a nerve, charging
+    `budget` for its functor enumeration."""
     if name.startswith("nerve:"):
         from .cat import nerve, monoid_by_name
 
-        return nerve(monoid_by_name(name.split(":", 1)[1]), 3 if trunc is None else trunc)
+        return nerve(monoid_by_name(name.split(":", 1)[1]), 3 if trunc is None else trunc, budget)
     t = 2 if trunc is None else trunc
     builders = {
         "cube0": lambda: cube_space(0, trunc),

@@ -199,6 +199,23 @@ def test_budget_exit_code(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("inv", "pi0", "nerve:zmod2"),
+        ("inv", "tau", "--space", "nerve:zmod2"),
+        ("cset", "make", "--shape", "nerve:zmod2"),
+        ("inv", "h1", "--space", "nerve:zmod2", "--monoid", "zmod2"),
+    ],
+    ids=" ".join,
+)
+def test_budget_governs_the_nerve_a_space_name_builds(capsys, command):
+    code, out, err = run_cli(capsys, "--budget", "5", *command)
+    assert code == 3
+    assert out == ""
+    assert err == "error: enumeration budget exceeded (6 > 5)\n"
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("DICUBE_BUDGET", "5")
     code, _, err = run_cli(capsys, "inv", "h1", "--space", "torus", "--monoid", "zmod4")

@@ -512,6 +512,36 @@ def test_local_lift_on_collapsed_squares(edges):
     assert hashlib.sha256(text.encode()).hexdigest() == COLLAPSED_SQUARE_LIFT_DIGESTS[edges]
 
 
+def _one_twist_square():
+    """The square with only klein's first gluing: d_1^1 onto d_2^0."""
+    r2 = cset.representable(2, 2)
+    top = cset.rep_cell(r2, cube.identity(2))
+    C, _ = cset.quotient(r2, [((1, r2.faces[(2, 1, 1)][top]), (1, r2.faces[(2, 2, 0)][top]))])
+    return C
+
+
+# SHA-256 of `_lift_outcomes` on sd9 of cube2 (the lattice path at both
+# subdivision levels), circle, edge_boundary, torus_by_quotient and the
+# one-twist square, in that order.  Recorded before `local_lift` walked its
+# carrier block once and coordinatized the intersection from one cell.
+MORE_LIFTS_DIGEST = "4ef2c1394d9d6913443224006a8d2537e32dba7c61c86e00ad0dcbf8e4905c02"
+
+
+def test_local_lift_digest_on_more_spaces():
+    named = [spaces.by_name(name) for name in ("cube2", "circle", "edge_boundary")]
+    per_space = [
+        _lift_outcomes(C)
+        for C in named + [spaces.torus_by_quotient(2), _one_twist_square()]
+    ]
+    assert [len(x) for x in per_space] == [100, 9, 2, 81, 90]
+    failed = [v for v, x in enumerate(per_space[-1]) if isinstance(x, str)]
+    # the smallest known repro of ROADMAP item 1's twisted-gluing failure
+    assert failed == [32, 33, 44, 45, 48, 49, 52, 53, 62, 63, 64, 65, 82, 83, 84, 85]
+    assert all(not isinstance(x, str) for outcomes in per_space[:-1] for x in outcomes)
+    text = json.dumps(per_space)
+    assert hashlib.sha256(text.encode()).hexdigest() == MORE_LIFTS_DIGEST
+
+
 def test_subdivide_identity_at_zero():
     circ = spaces.circle()
     s = sd.subdivide(circ, 0)
@@ -551,10 +581,6 @@ def test_cells_outside_the_set_raise_cset_error(call):
         lambda r: r.carrier_cell((0, 99)),
         lambda r: r.supp_vertex(99),
         lambda r: r.supp_vertex(r.cset.sizes[0]),
-        lambda r: r.reps_over((0, 99), (0, 0)),
-        lambda r: r.reps_over((0, -1), (0, 0)),
-        lambda r: r.reps_over((0, 0), (0, -1)),
-        lambda r: r.reps_over((0, 0), (3, 0)),
     ],
 )
 def test_cells_outside_the_subdivision_raise_sd_error(space, call):
