@@ -285,9 +285,11 @@ def colimit(trunc, dims, pairs, act):
     """Glue nodes into cells and induce the presheaf structure.
 
     Nodes are the integers 0 .. len(dims) - 1, node x of dimension
-    dims[x]; `pairs` yields the node pairs to identify, and `act(phi, x)`
-    is the node that the cube map phi sends node x to.  Every class must
-    stay in one dimension and act must send all members of a class into a
+    dims[x]; `pairs` yields the node pairs to identify.  `act(phi, xs)`
+    gets the list of every node of dimension phi.cod in increasing order
+    and returns an iterable of the nodes that the cube map phi sends them
+    to, in the same order; it is called once per generator table.  Every class must stay
+    in one dimension and act must send all members of a class into a
     single class.  The classes of each dimension are numbered in the order
     of their least node, which is also their key.  Returns the cubical set,
     the class index of every node and the member nodes of every class.
@@ -298,24 +300,30 @@ def colimit(trunc, dims, pairs, act):
     # the root of a class is its least member, so it comes first here
     cls = [None] * len(dims)
     members = [[] for _ in range(trunc + 1)]
+    nodes = [[] for _ in range(trunc + 1)]
     for x, n in enumerate(dims):
         root = uf.find(x)
         if dims[root] != n:
             raise CsetError("internal: colimit class spans dimensions")
+        nodes[n].append(x)
         if root == x:
             cls[x] = len(members[n])
             members[n].append([x])
         else:
             cls[x] = cls[root]
             members[n][cls[x]].append(x)
+    images = {}
 
     def act_on_class(phi, key):
-        targets = {cls[act(phi, x)] for x in members[phi.cod][cls[key]]}
-        if len(targets) != 1:
-            raise CsetError("internal: colimit action not well defined")
-        return members[phi.dom][targets.pop()][0]
+        if phi not in images:
+            xs = nodes[phi.cod]
+            moved = {(cls[x], cls[y]) for x, y in zip(xs, act(phi, xs))}
+            if len(moved) != len(members[phi.cod]):
+                raise CsetError("internal: colimit action not well defined")
+            images[phi] = dict(moved)
+        return keys_by_dim[phi.dom][images[phi][cls[key]]]
 
-    keys_by_dim = [[nodes[0] for nodes in level] for level in members]
+    keys_by_dim = [[cl[0] for cl in level] for level in members]
     return build_presheaf(trunc, keys_by_dim, act_on_class), cls, members
 
 
@@ -484,10 +492,6 @@ def atom(C, cell):
     return C._atom_cache[cell]
 
 
-def supp(C, cell):
-    return atom(C, cell)
-
-
 def vertex_sub(C, v):
     """The minimal subpresheaf with unique vertex v."""
     return atom(C, (0, v))
@@ -575,8 +579,8 @@ def quotient(C, pairs):
                 tbl = C.action(phi)
                 yield offset[phi.dom] + tbl[a], offset[phi.dom] + tbl[b]
 
-    def act(phi, x):
-        return offset[phi.dom] + C.action(phi)[x - offset[phi.cod]]
+    def act(phi, xs):
+        return [offset[phi.dom] + v for v in C.action(phi)]
 
     Q, cls, _ = colimit(C.trunc, dims, relations(), act)
     proj = tuple(tuple(cls[offset[n] : offset[n] + C.sizes[n]]) for n in levels)
@@ -684,10 +688,13 @@ def tensor(A, B):
                                         rhs = ((ka, ta[ia]), (kb, tb[ib]), e)
                                         yield node_id[(*lhs, psi)], node_id[rhs]
 
-    def act(phi, x):
-        (p, ia), (_, ib), e = nodes[x]
-        ka, ta, kb, tb, f = split(p, e, phi)
-        return node_id[((ka, ta[ia]), (kb, tb[ib]), f)]
+    def act(phi, xs):
+        images = []
+        for x in xs:
+            (p, ia), (_, ib), e = nodes[x]
+            ka, ta, kb, tb, f = split(p, e, phi)
+            images.append(node_id[((ka, ta[ia]), (kb, tb[ib]), f)])
+        return images
 
     dims = [e.dom for _, _, e in nodes]
     T, cls, _ = colimit(trunc, dims, relations(), act)

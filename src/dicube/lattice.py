@@ -31,14 +31,17 @@ class Poset:
         for x in range(n):
             if not self.leq[x][x]:
                 raise LatticeError(f"leq not reflexive at {x}")
-        for x in range(n):
-            for y in range(n):
-                if x != y and self.leq[x][y] and self.leq[y][x]:
+        # up[x] has bit z set iff x <= z; a set bit of up[y] & ~up[x] with
+        # x <= y is a witness z against transitivity
+        up = [int("".join("01"[bool(b)] for b in reversed(row)), 2) for row in self.leq]
+        for x, row in enumerate(self.leq):
+            for y in itertools.compress(range(n), row):
+                if x != y and self.leq[y][x]:
                     raise LatticeError(f"leq not antisymmetric at {x},{y}")
-                if self.leq[x][y]:
-                    for z in range(n):
-                        if self.leq[y][z] and not self.leq[x][z]:
-                            raise LatticeError(f"leq not transitive at {x},{y},{z}")
+                bad = up[y] & ~up[x]
+                if bad:
+                    z = (bad & -bad).bit_length() - 1
+                    raise LatticeError(f"leq not transitive at {x},{y},{z}")
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,18 @@ def _block(n, k, trunc):
     return SL, BL
 
 
+@lru_cache(maxsize=None)
+def _collapse_component(n, j, ub, trunc):
+    """The collapse component [1]^j -> [1]^n of block cell (j, ub) of the
+    threefold subdivided n-cube: its vertex labels' middle elements."""
+    SLn, BL = _block(n, 2, trunc)
+    vertices = tuple(SLn.labels[v][1] for v in BL.keys[j][ub])
+    phi = cube.from_vertices(j, n, vertices)
+    if phi is None:
+        raise SdError(f"internal: collapse component {vertices} not a cube map")
+    return phi
+
+
 def _block_map(n_from, n_to, phi, k, trunc):
     """Cell table of the subdivided map between blocks, per dimension.
 
@@ -112,9 +124,13 @@ class Subdivision:
                             for u in blocks[npr].cells(j):
                                 yield lhs + u, rhs + tbl[u]
 
-        def act(phi, x):
-            c, (_, u) = nodes[x]
-            return node_id(c, (phi.dom, blocks[c[0]].act(phi, u)))
+        def act(phi, xs):
+            # the nodes of dimension phi.cod are block after block, base
+            # cell after base cell, in block-cell order
+            for n in levels:
+                tbl, size = blocks[n].action(phi), blocks[n].sizes[phi.dom]
+                first = start[(phi.dom, n)]
+                yield from (first + i * size + v for i in base.cells(n) for v in tbl)
 
         dims = [u[0] for _, u in nodes]
         self.cset, self._cell_index, members = cs.colimit(trunc, dims, relations(), act)
@@ -221,14 +237,10 @@ class Subdivision:
         return [(c, (j, BL.key_index(j)[ukey]))]
 
     def _eps_node(self, c, u):
+        """Node (c, u) collapses to c moved by u's component, which is
+        decided once per block cell."""
         n, i = c
-        j, ub = u
-        SLn, BL = _block(n, self.k, self.base.trunc)
-        vertices = tuple(SLn.labels[v][1] for v in BL.keys[j][ub])
-        phi = cube.from_vertices(j, n, vertices)
-        if phi is None:
-            raise SdError(f"internal: collapse component {vertices} not a cube map")
-        return self.base.act(phi, i)
+        return self.base.act(_collapse_component(n, *u, self.base.trunc), i)
 
     def induced(self, f, sd_cod):
         """sd f : sd(dom) -> sd(cod) for a cubical function f from the base."""

@@ -386,7 +386,7 @@ def test_closed_star_of_edge_end_is_whole_edge():
 def test_supp_of_degenerate_edge_is_vertex():
     r1 = cset.representable(1, 2)
     sv = r1.degens[(0, 1)][0]
-    supp = cset.supp(r1, (1, sv))
+    supp = cset.atom(r1, (1, sv))
     assert supp.sel[0] == frozenset({0})
     assert sv in supp.sel[1]
     assert len(supp.sel[1]) == 1
@@ -480,6 +480,61 @@ def test_local_lift_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == LIFT_DIGEST
 
 
+# SHA-256 of the maps of both collapses of sd9 of klein and torus, in that
+# order, recorded before `Subdivision.eps` decided each collapse component
+# once per block cell.
+SD9_COLLAPSE_DIGEST = "12feb0e45f4cddce5f992295062941558bd459f4370c5c05587887a5111165e3"
+
+
+def test_sd9_collapse_digest():
+    d9s = [sd.sd9(spaces.by_name(name)) for name in ("klein", "torus")]
+    text = json.dumps([[d9.eps1.maps, d9.eps2.maps] for d9 in d9s])
+    assert hashlib.sha256(text.encode()).hexdigest() == SD9_COLLAPSE_DIGEST
+
+
+def _cell_colimit(C, pairs, calls=None):
+    """`cset.colimit` on the cells of C, numbered dimension by dimension,
+    with the action of C; `calls` collects each (phi, nodes) it is asked."""
+    offset = [sum(C.sizes[:n]) for n in range(C.trunc + 1)]
+    dims = [n for n in range(C.trunc + 1) for _ in C.cells(n)]
+
+    def act(phi, xs):
+        if calls is not None:
+            calls.append((phi, list(xs)))
+        tbl = C.action(phi)
+        return [offset[phi.dom] + tbl[x - offset[phi.cod]] for x in xs]
+
+    return cset.colimit(C.trunc, dims, pairs, act)
+
+
+def test_colimit_rejects_class_across_dimensions():
+    with pytest.raises(cset.CsetError, match="internal: colimit class spans dimensions"):
+        _cell_colimit(cset.representable(1, 1), [(0, 2)])
+
+
+def test_colimit_rejects_action_that_splits_a_class():
+    # the identity edge and the constant edge at vertex 0 glued without
+    # their vertices: their upper faces 1 and 0 stay apart
+    C = cset.representable(1, 1)
+    ident = 2 + cset.rep_cell(C, cube.identity(1))
+    const = 2 + cset.rep_cell(C, cube.CubeMap(1, 1, (cube.CONST0,)))
+    with pytest.raises(cset.CsetError, match="internal: colimit action not well defined"):
+        _cell_colimit(C, [(ident, const)])
+
+
+def test_colimit_acts_once_per_generator_table():
+    C = spaces.klein(3)
+    calls = []
+    Q, cls, _ = _cell_colimit(C, [], calls)
+    assert len(calls) == len(cset._generator_tables(3))
+    assert {phi for phi, _ in calls} == {g for _, _, g in cset._generator_tables(3)}
+    offset = [sum(C.sizes[:n]) for n in range(4)]
+    for phi, xs in calls:
+        assert xs == list(range(offset[phi.cod], offset[phi.cod] + C.sizes[phi.cod]))
+    assert cset.to_json(Q) == cset.to_json(cset.quotient(C, [])[0])
+    assert cls == [i for n in range(4) for i in C.cells(n)]
+
+
 def _collapsed_square(edges):
     """The square with each edge d_i^eps in `edges` glued to the degenerate
     edge of its first vertex."""
@@ -556,7 +611,7 @@ def test_subdivide_identity_at_zero():
         lambda: cset.vertex_sub(spaces.circle(), 1),
         lambda: cset.closed_star(spaces.circle(), 5),
         lambda: cset.atom(spaces.circle(), (0, 5)),
-        lambda: cset.supp(spaces.circle(), (3, 0)),
+        lambda: cset.atom(spaces.circle(), (3, 0)),
         lambda: cset.closure(spaces.circle(), [(1, 0), (1, 99)]),
         lambda: cset.rep_cell(cset.representable(1, 2), cube.identity(2)),
         lambda: cset.rep_cell(cset.representable(1, 2), cube.identity(3)),
@@ -616,8 +671,10 @@ def test_disjoint_union_doubles_components():
 # builders as they were before they shared `cset.colimit`, from the nerves
 # as they were before `cat.cube_functors` ran on `cat.enumerate_functors`,
 # and from `disjoint_union` and `sub_to_cset` as they were before they
-# walked `_elementary_maps_into`.  The digests pin cell order, which the
-# census and size checks above do not.
+# walked `_elementary_maps_into`; "sd3 klein@3", "sd3 torus@3" and "sd9 klein"
+# from the general subdivision path before `cset.colimit` acted on whole
+# node lists.  The digests pin cell order, which the census and size checks
+# above do not.
 GOLDEN_DIGESTS = {
     "boundary(2, 3)": "e1cbaeb0862dc1615483559b96d04f9e7cfda716671e85aacb7099c78c2d468c",
     "circle@2": "7375eeb57ece3adf4a086fe5f721c66b2049cd481c502c046cc244a6ca49d3be",
@@ -646,10 +703,13 @@ GOLDEN_DIGESTS = {
     "point@3": "3e7d32564bd48355949bf4058c494e51cb5aa1b167da0fa7af376a5c43f0ab4f",
     "sd3 circle": "3e1dbc3ec5171f8ffd7f02856e7f2e96835b299fb15b636385c9253642caffe8",
     "sd3 klein": "9071f3ac32f6c870f003a3aa4fbf3c2959d1c7773936dd384540ea6760c09957",
+    "sd3 klein@3": "145ae50b92e77d7264b20d0e862aa27dee4477928c4c0814ea9b1dfb5f4eb6b5",
     "sd3 sphere2": "1c66bac8f1fc8374c83d28f922d1004fcb724eae87afb6dc41953f807882cfda",
     "sd3 torus": "b1f15585726e7c0cd7dfbd76d15ad14f05c1bf5cf4e9718e7448ab24640e0944",
+    "sd3 torus@3": "0cb10a87a71bfa6e2ca4a79660dcfb1219c891e04c49c98d3ae657e3cf35ea6a",
     "sd3 torus_by_quotient": "b1f15585726e7c0cd7dfbd76d15ad14f05c1bf5cf4e9718e7448ab24640e0944",
     "sd9 circle": "e55aa05445225baa7b2ddecd0c9a86050f0248e0c4ed0866b322422eaee4d8aa",
+    "sd9 klein": "344e3402e144986494c9e6b0242efa0fecd0a01c4d0eedc590fda3d36e33729b",
     "sphere2@2": "af60ebae780e72126b7a445ec55d9c1ad09d63e490df9033490a315b2126e501",
     "sphere2@3": "4e744f36e4ca23cecda406949f4ffc259bc7dcf8c97c39ec2fc158536d98192c",
     "tensor(circle@3, klein@3)": "22d0c2d39d0f1246a425884b4de09294f34553613caf2fb6e35b4df278876a82",
@@ -680,7 +740,8 @@ def _golden_space(name):
     if name == "boundary(2, 3)":
         return cset.sub_to_cset(cset.boundary(2, 3)[1])[0]
     if name.startswith("sd3 "):
-        return sd.sd3(getattr(spaces, name[4:])()).cset
+        space, _, trunc = name[4:].partition("@")
+        return sd.sd3(getattr(spaces, space)(*([int(trunc)] if trunc else []))).cset
     if name.startswith("sd9 "):
         return sd.sd9(getattr(spaces, name[4:])()).cset
     if name.startswith("nerve "):

@@ -28,6 +28,41 @@ def test_poset_validation():
         lat.Poset(2, ((True, False), (False, False)))  # not reflexive
     with pytest.raises(lat.LatticeError):
         lat.Poset(2, ((True, True), (True, True)))  # not antisymmetric
+    leq = ((True, True, False), (False, True, True), (False, False, True))
+    with pytest.raises(lat.LatticeError, match="leq not transitive at 0,1,2"):
+        lat.Poset(3, leq)
+
+
+def _first_intransitive(leq):
+    n = len(leq)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if leq[x][y] and leq[y][z] and not leq[x][z]:
+                    return f"leq not transitive at {x},{y},{z}"
+    return None
+
+
+def test_poset_reports_first_intransitive_triple():
+    rng = random.Random(5)
+    seen = 0
+    for _ in range(300):
+        n = rng.randint(3, 7)
+        leq = [[x == y for y in range(n)] for x in range(n)]
+        for x in range(n):
+            for y in range(x + 1, n):
+                leq[x][y] = rng.random() < 0.4
+        perm = rng.sample(range(n), n)
+        leq = tuple(tuple(leq[perm[x]][perm[y]] for y in range(n)) for x in range(n))
+        expected = _first_intransitive(leq)
+        if expected is None:
+            assert lat.Poset(n, leq).size == n
+            continue
+        seen += 1
+        with pytest.raises(lat.LatticeError) as info:
+            lat.Poset(n, leq)
+        assert str(info.value) == expected
+    assert seen > 100
 
 
 def test_non_lattice_rejected():
