@@ -39,7 +39,7 @@ def criterion_1():
                 detail += f" (pinned {expected[(m, n)]})"
             out.append((f"three-way agreement at ({m},{n})", ok, detail))
     # naive monotone-filter cross-check where the full scan is affordable
-    for m, n in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (3, 2), (2, 3)]:
+    for m, n in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (3, 2), (2, 3), (3, 3), (2, 4)]:
         tables = oracle.cube_monotone_tables(m, n, budget=10**7)
         filtered = {
             t

@@ -14,6 +14,8 @@ also when an earlier call built the closure.
 
 from __future__ import annotations
 
+import functools
+
 from .config import Budget
 from .cube import CubeError  # the error type only
 
@@ -109,22 +111,27 @@ def _table_is_hom(values, m, n):
     return True
 
 
+@functools.cache
+def _interval_tables(d):
+    """The intervals (lo, hi, points) of [1]^d, and masks[a][b], the bitmask
+    of the points of [a, b] (0 unless a <= b)."""
+    points = range(1 << d)
+    inside = [
+        [[z for z in points if _cube_leq(a, z) and _cube_leq(z, b)] for b in points]
+        for a in points
+    ]
+    intervals = [(a, b, inside[a][b]) for a in points for b in points if _cube_leq(a, b)]
+    return intervals, [[sum(1 << z for z in inside[a][b]) for b in points] for a in points]
+
+
 def _table_preserves_intervals(values, m, n):
-    size = 1 << m
-    for lo in range(size):
-        for hi in range(size):
-            if not _cube_leq(lo, hi):
-                continue
-            image = {
-                values[z] for z in range(size) if _cube_leq(lo, z) and _cube_leq(z, hi)
-            }
-            expected = {
-                w
-                for w in range(1 << n)
-                if _cube_leq(values[lo], w) and _cube_leq(w, values[hi])
-            }
-            if image != expected:
-                return False
+    masks = _interval_tables(n)[1]
+    for lo, hi, points in _interval_tables(m)[0]:
+        image = 0
+        for z in points:
+            image |= 1 << values[z]
+        if image != masks[values[lo]][values[hi]]:
+            return False
     return True
 
 
@@ -134,7 +141,10 @@ def interval_hom_tables(m, n, budget=None):
     DFS over assignments in mask order.  When mask i is assigned: meets
     j & i are already assigned for every j < i, and every pair with union
     exactly i has both members assigned, so the homomorphism equations can
-    be enforced incrementally; a final interval-image filter follows.
+    be enforced incrementally.  Mask 0 and the atoms are offered every
+    value; any other mask is the join of an earlier pair and is offered
+    that one forced value.  Each level is charged once for all it offers.
+    A final hom check and interval-image filter follow.
     This enumerator never consults the normal-form calculus it checks.
     """
     _check_dims(m, n)
@@ -152,8 +162,9 @@ def interval_hom_tables(m, n, budget=None):
             if _table_is_hom(values, m, n) and _table_preserves_intervals(values, m, n):
                 out.append(tuple(values))
             return
-        for v in range(1 << n):
-            b.spend()
+        offered = [values[x] | values[y] for x, y in join_pairs[i][:1]] or range(1 << n)
+        b.spend(len(offered))
+        for v in offered:
             ok = True
             for j in range(i):
                 if _cube_leq(j, i) and not _cube_leq(values[j], v):
