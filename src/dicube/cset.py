@@ -76,6 +76,7 @@ class CubicalSet:
     _nondeg_cache: dict = field(default_factory=dict, repr=False)
     _key_index_cache: dict = field(default_factory=dict, repr=False)
     _atom_cache: dict = field(default_factory=dict, repr=False)
+    _presentation: tuple = field(default=None, repr=False)  # t1.fundamental_presentation
 
     def __post_init__(self):
         self.structural_check()

@@ -116,23 +116,6 @@ class CubeMap:
             parts.append(str(spec[1]) if is_const(spec) else f"p{spec[1]}")
         return f"{self.dom}->{self.cod}: [{', '.join(parts)}]"
 
-    @staticmethod
-    def from_text(s):
-        head, _, body = s.partition(":")
-        dom_s, _, cod_s = head.partition("->")
-        body = body.strip().strip("[]")
-        outputs = []
-        if body:
-            for part in body.split(","):
-                part = part.strip()
-                if part in ("0", "1"):
-                    outputs.append(("c", int(part)))
-                elif part.startswith("p"):
-                    outputs.append(proj(int(part[1:])))
-                else:
-                    raise CubeError(f"bad morphism text {s!r}")
-        return CubeMap(int(dom_s), int(cod_s), tuple(outputs))
-
 
 def identity(n):
     return CubeMap(n, n, tuple(proj(i) for i in range(1, n + 1)))

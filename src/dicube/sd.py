@@ -4,10 +4,13 @@ double collapse through representables.
 
 Subdivision of a lattice-backed cubical set is computed directly on the
 lattice; anything else is glued by `cset.colimit` from subdivided
-representable blocks over the category of elements, whose nodes are the
-pairs (cell of C, cell of the block).  Both paths expose the same interface:
-carrier cells, subdivided subpresheaves, the collapse map, and induced
-maps of subdivided cubical functions.
+representable blocks, whose nodes are the pairs (nondegenerate cell of C,
+cell of its block).  Every cell of C is C(s)(z) for an epi s and a
+nondegenerate z, unique up to a cube automorphism (Eilenberg-Zilber), so
+the blocks over degenerate cells add nothing to the colimit over the
+category of elements: a node (C(s)(z), u) is the node (z, sd(s) u).  Both
+paths expose the same interface: carrier cells, subdivided subpresheaves,
+the collapse map, and induced maps of subdivided cubical functions.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ def _collapse_component(n, j, ub, trunc):
     return phi
 
 
+@lru_cache(maxsize=None)
 def _block_map(n_from, n_to, phi, k, trunc):
     """Cell table of the subdivided map between blocks, per dimension.
 
@@ -54,10 +58,27 @@ def _block_map(n_from, n_to, phi, k, trunc):
     SLf, BLf = _block(n_from, k, trunc)
     SLt, BLt = _block(n_to, k, trunc)
     elem_map = [SLt.index[tuple(phi.vertices[b] for b in label)] for label in SLf.labels]
-    return [
+    return tuple(
         tuple(BLt.key_index(j)[tuple(elem_map[v] for v in key)] for key in BLf.keys[j])
         for j in range(trunc + 1)
-    ]
+    )
+
+
+def _normal_forms(C):
+    """Per n-cell x, its normal form (m, z, s): z a nondegenerate m-cell and
+    s: [1]^n -> [1]^m an epi with C(s)(z) == x.  The first s_i to reach x
+    from a cell with normal form (m, z, s) gives (m, z, s o s_i)."""
+    normal = []
+    for n in range(C.trunc + 1):
+        level = [None] * C.sizes[n]
+        for i in range(1, n + 1):
+            g = cube.codegeneracy(i, n)
+            for x, y in enumerate(C.degens[(n - 1, i)]):
+                if level[y] is None:
+                    m, z, s = normal[n - 1][x]
+                    level[y] = (m, z, cube.compose(s, g))
+        normal.append([form or (n, x, cube.identity(n)) for x, form in enumerate(level)])
+    return normal
 
 
 class Subdivision:
@@ -89,68 +110,68 @@ class Subdivision:
                 rank = len(span).bit_length() - 1
                 self._carrier[(j, i)] = (rank, self.base.key_index(rank)[span])
 
-    # -- general path: colimit of blocks over the category of elements ------
+    # -- general path: colimit of blocks over nondegenerate cells ------------
 
     def _init_general(self):
         self._fast = False
-        base = self.base
-        trunc = base.trunc
+        base, k, trunc = self.base, self.k, self.base.trunc
         levels = range(trunc + 1)
-        blocks = {n: _block(n, self.k, trunc)[1] for n in levels}
-        # node (cell of C, cell of its block), numbered by the block cell's
-        # dimension j, then by (n, i, u)
+        self._normal = _normal_forms(base)
+        nondeg = [base.nondegenerate(n) for n in levels]
+        top = max((n for n in levels if nondeg[n]), default=0)
+        blocks = [_block(n, k, trunc)[1] for n in range(top + 1)]
+        # node (nondegenerate cell of C, cell of its block), numbered by the
+        # block cell's dimension j, then by (n, i, u); the nodes of (j, n, i)
+        # start at start[(j, n, i)]
         nodes, start = [], {}
         for j in levels:
-            for n in levels:
-                start[(j, n)] = len(nodes)
-                us = [(j, u) for u in blocks[n].cells(j)]
-                nodes.extend((c, u) for c in ((n, i) for i in base.cells(n)) for u in us)
-
-        def node_id(c, u):
-            (n, i), (j, ub) = c, u
-            return start[(j, n)] + i * blocks[n].sizes[j] + ub
+            for n in range(top + 1):
+                for i in nondeg[n]:
+                    start[(j, n, i)] = len(nodes)
+                    nodes.extend(((n, i), (j, u)) for u in blocks[n].cells(j))
 
         def relations():
-            for n in levels:
-                for _, _, phi in cs._elementary_maps_into(n, trunc):
-                    npr = phi.dom
-                    moved = base.action(phi)
-                    tables = _block_map(npr, n, phi, self.k, trunc)
-                    for i in base.cells(n):
+            # (C(g)(c), u) ~ (c, sd(g) u) for each face or transposition g out of
+            # a nondegenerate c, read as (z, sd(s) u) for C(g)(c)'s normal form
+            for n in range(top + 1):
+                for family, key, g in cs._elementary_maps_into(n, trunc):
+                    if family == "degens":
+                        continue
+                    moved = getattr(base, family)[key]
+                    tables = _block_map(g.dom, n, g, k, trunc)
+                    for i in nondeg[n]:
+                        m, z, s = self._normal[g.dom][moved[i]]
+                        aliases = _block_map(g.dom, m, s, k, trunc)
                         for j in levels:
-                            tbl = tables[j]
-                            lhs = node_id((npr, moved[i]), (j, 0))
-                            rhs = node_id((n, i), (j, 0))
-                            for u in blocks[npr].cells(j):
-                                yield lhs + u, rhs + tbl[u]
+                            lhs, rhs = start[(j, m, z)], start[(j, n, i)]
+                            for v, w in zip(aliases[j], tables[j]):
+                                yield lhs + v, rhs + w
 
         def act(phi, xs):
             # the nodes of dimension phi.cod are block after block, base
             # cell after base cell, in block-cell order
-            for n in levels:
-                tbl, size = blocks[n].action(phi), blocks[n].sizes[phi.dom]
-                first = start[(phi.dom, n)]
-                yield from (first + i * size + v for i in base.cells(n) for v in tbl)
+            for n in range(top + 1):
+                tbl = blocks[n].action(phi)
+                for i in nondeg[n]:
+                    first = start[(phi.dom, n, i)]
+                    yield from (first + v for v in tbl)
 
         dims = [u[0] for _, u in nodes]
         self.cset, self._cell_index, members = cs.colimit(trunc, dims, relations(), act)
-        self._node_id = node_id
+        self._start = start
         self._members = [[[nodes[x] for x in cls] for cls in level] for level in members]
         # carrier: the minimal-dimension member cell; all members must
         # contain it in their atoms, which makes sd_sub a carrier test
         self._carrier = {}
         for j, level in enumerate(self._members):
             for idx, cls in enumerate(level):
-                cells = {node[0] for node in cls}
-                min_dim = min(c[0] for c in cells)
-                mins = sorted(c for c in cells if c[0] == min_dim)
-                c0 = mins[0]
+                c0, *cells = sorted({node[0] for node in cls})
                 a0 = self._atom(c0)
-                for c in mins[1:]:
-                    if self._atom(c).sel != a0.sel:
-                        raise SdError("internal: ambiguous carrier")
                 for c in cells:
-                    if not a0.issubset(self._atom(c)):
+                    a = self._atom(c)
+                    if c[0] == c0[0] and a.sel != a0.sel:
+                        raise SdError("internal: ambiguous carrier")
+                    if not a0.issubset(a):
                         raise SdError("internal: carrier not minimal")
                 self._carrier[(j, idx)] = c0
 
@@ -168,8 +189,7 @@ class Subdivision:
 
     def class_of(self, c, u):
         """The subdivided cell represented by block cell u over base cell c."""
-        n, i = c
-        j, ub = u
+        (n, i), (j, ub) = c, u
         if not self.base.has_cell(c):
             raise SdError(f"no cell {c} in the base")
         SLn, BL = _block(n, self.k, self.base.trunc)
@@ -180,20 +200,18 @@ class Subdivision:
             ukey = BL.keys[j][ub]
             table = tuple(self.sdL.index[tuple(ckey[b] for b in SLn.labels[v])] for v in ukey)
             return (j, self.cset.key_index(j)[table])
-        return (j, self._cell_index[self._node_id(c, u)])
+        m, z, s = self._normal[n][i]
+        if m < n:
+            ub = _block_map(n, m, s, self.k, self.base.trunc)[j][ub]
+        return (j, self._cell_index[self._start[(j, m, z)] + ub])
 
     def sd_sub(self, S):
         """The subdivision of a subpresheaf, inside the subdivided base."""
-        sel = []
-        for j in range(self.cset.trunc + 1):
-            sel.append(
-                frozenset(
-                    i
-                    for i in self.cset.cells(j)
-                    if S.contains(self._carrier[(j, i)])
-                )
-            )
-        return cs.Subpresheaf(self.cset, tuple(sel))
+        sel = tuple(
+            frozenset(i for i in self.cset.cells(j) if S.contains(self._carrier[(j, i)]))
+            for j in range(self.cset.trunc + 1)
+        )
+        return cs.Subpresheaf(self.cset, sel)
 
     def supp_vertex(self, v):
         """Minimal subpresheaf B of the base with v a vertex of sd B."""
@@ -222,9 +240,9 @@ class Subdivision:
         return f
 
     def _cell_nodes(self, cell):
-        """The nodes (c, u) of a cell: on the lattice path, its one node
-        over its carrier, whose labels are coordinatized in the carrier's
-        span."""
+        """The nodes (c, u) of a cell: on the general path, its nodes over
+        nondegenerate cells c; on the lattice path, its one node over its
+        carrier, whose labels are coordinatized in the carrier's span."""
         j, idx = cell
         if not self._fast:
             return self._members[j][idx]
@@ -349,9 +367,7 @@ def local_lift(d9, S):
     if S.is_empty():
         raise SdError("local lift of an empty subpresheaf")
     S.check_closed()
-    if not any(
-        S.issubset(cs.closed_star(E, v)) for v in S.sel[0]
-    ):
+    if not any(S.issubset(cs.closed_star(E, v)) for v in S.sel[0]):
         raise SdError("subpresheaf is not contained in a closed star")
 
     A = d9.eps2.image_of(S)
@@ -429,14 +445,11 @@ def local_lift(d9, S):
                 raise SdError("internal: retraction leaves the intersection")
             pi[(j, i)] = target
     SubFunction(A, r1.cset, pi).validate()
-    for j in range(r1.cset.trunc + 1):
-        for i in B.sel[j]:
-            if pi[(j, i)] != (j, i):
-                raise SdError("internal: retraction does not fix the intersection")
-    for j in range(r1.cset.trunc + 1):
-        for i in A.sel[j]:
-            if d9.eps1.maps[j][pi[(j, i)][1]] != d9.eps1.maps[j][i]:
-                raise SdError("internal: retraction does not commute with the collapse")
+    if any(pi[(j, i)] != (j, i) for j, level in enumerate(B.sel) for i in level):
+        raise SdError("internal: retraction does not fix the intersection")
+    eps1 = d9.eps1.maps
+    if any(eps1[j][pi[(j, i)][1]] != eps1[j][i] for j, level in enumerate(A.sel) for i in level):
+        raise SdError("internal: retraction does not commute with the collapse")
 
     # the intersection is a representable: find its top cell and coordinatize
     top_dim = max(

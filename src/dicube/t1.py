@@ -25,8 +25,10 @@ def fundamental_presentation(C):
     edge_cells[g] is the 1-cell of C behind generator g.  The relation per
     nondegenerate square reads: lower-2 face then upper-1 face equals
     lower-1 face then upper-2 face; degenerate boundary edges are
-    identities and are dropped from the words.
+    identities and are dropped from the words.  Built once per cubical set.
     """
+    if C._presentation is not None:
+        return C._presentation
     if C.trunc < 2:
         raise T1Error("fundamental presentation needs cells up to dimension 2")
     edges = list(C.nondegenerate(1))
@@ -50,7 +52,8 @@ def fundamental_presentation(C):
         relations.add((word1, word2) if word1 <= word2 else (word2, word1))
     P = cat.CatPresentation(C.sizes[0], gens, tuple(sorted(relations)))
     P.validate()
-    return P, tuple(edges)
+    C._presentation = (P, tuple(edges))
+    return C._presentation
 
 
 def t1_functor_count(C, S, budget=None):

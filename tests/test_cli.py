@@ -149,6 +149,21 @@ def test_cset_roundtrip_through_files(tmp_path, capsys):
     assert json.loads(out)["result"]["census"] == [9, 18, 9]
 
 
+# sha256 of the stdout of `cset sd circle --k K`, recorded before the
+# subdivision glued over nondegenerate cells only
+CSET_SD_CIRCLE_DIGESTS = {
+    "16": "e0533c5930bc6e7c8f7764d5ae8dab8f23358166403095a639aa5e0a52fd5a31",
+    "24": "e6aaa2b8b85200d9ece30fdafbd0f89caba35ac90a1962d9efe199c5b2ea6f2f",
+}
+
+
+@pytest.mark.parametrize("k", sorted(CSET_SD_CIRCLE_DIGESTS))
+def test_cset_sd_circle_large_k_is_pinned(capsys, k):
+    code, out, _ = run_cli(capsys, "cset", "sd", "circle", "--k", k)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CSET_SD_CIRCLE_DIGESTS[k]
+
+
 def test_cset_sd_usage_error(tmp_path, capsys):
     path = tmp_path / "c.json"
     run_cli(capsys, "cset", "make", "--shape", "circle", "--trunc", "2", "--save", str(path))

@@ -306,14 +306,18 @@ def test_subdivide_top_cell_counts():
             assert len(s.cset.orbits(n)) == (k + 1) ** n
 
 
+def _stripped(C):
+    """C without its lattice tag, so that it is subdivided by gluing."""
+    return cset.CubicalSet(
+        C.trunc, C.sizes, dict(C.faces), dict(C.degens), dict(C.transps), keys=C.keys
+    )
+
+
 def test_general_gluing_agrees_with_lattice_path():
     # strip the lattice tag to force the colimit gluing, then compare
     for n in (1, 2):
         C = cset.representable(n, 2)
-        stripped = cset.CubicalSet(
-            C.trunc, C.sizes, dict(C.faces), dict(C.degens), dict(C.transps), keys=C.keys
-        )
-        general = sd.sd3(stripped)
+        general = sd.sd3(_stripped(C))
         fast = sd.sd3(C)
         assert general.cset.sizes == fast.cset.sizes
         assert general.cset.census() == fast.cset.census()
@@ -537,7 +541,7 @@ def test_colimit_acts_once_per_generator_table():
 
 def _collapsed_square(edges):
     """The square with each edge d_i^eps in `edges` glued to the degenerate
-    edge of its first vertex."""
+    edge of its first vertex, and its projection from the square."""
     r2 = cset.representable(2, 2)
     top = cset.rep_cell(r2, cube.identity(2))
     pairs = []
@@ -545,8 +549,7 @@ def _collapsed_square(edges):
         e = r2.faces[(2, i, eps)][top]
         v = r2.faces[(1, 1, 0)][e]
         pairs.append(((1, e), (1, r2.degens[(0, 1)][v])))
-    C, _ = cset.quotient(r2, pairs)
-    return C
+    return cset.quotient(r2, pairs)
 
 
 # SHA-256 of `_lift_outcomes` on three quotients of the square whose faces
@@ -561,7 +564,7 @@ COLLAPSED_SQUARE_LIFT_DIGESTS = {
 
 @pytest.mark.parametrize("edges", sorted(COLLAPSED_SQUARE_LIFT_DIGESTS), ids=str)
 def test_local_lift_on_collapsed_squares(edges):
-    outcomes = _lift_outcomes(_collapsed_square(edges))
+    outcomes = _lift_outcomes(_collapsed_square(edges)[0])
     assert not any(isinstance(x, str) for x in outcomes)
     text = json.dumps(outcomes)
     assert hashlib.sha256(text.encode()).hexdigest() == COLLAPSED_SQUARE_LIFT_DIGESTS[edges]
@@ -595,6 +598,187 @@ def test_local_lift_digest_on_more_spaces():
     assert all(not isinstance(x, str) for outcomes in per_space[:-1] for x in outcomes)
     text = json.dumps(per_space)
     assert hashlib.sha256(text.encode()).hexdigest() == MORE_LIFTS_DIGEST
+
+
+def test_normal_forms_resolve_every_cell():
+    for C in (spaces.klein(3), spaces.sphere2(), sd.sd3(spaces.circle()).cset, _one_twist_square()):
+        for n, level in enumerate(sd._normal_forms(C)):
+            assert [x for x, (m, _, _) in enumerate(level) if m == n] == list(C.nondegenerate(n))
+            for x, (m, z, s) in enumerate(level):
+                assert z in C.nondegenerate(m)
+                assert (s.dom, s.cod) == (n, m) and cube.classify(s) in ("iso", "epi")
+                assert C.act(s, z) == x
+
+
+def _all_cells_subdivision(C, k):
+    """Reference gluing of sd_{k+1} C: the colimit of blocks over every cell
+    of C, degenerate or not, related along all three generator families.
+    Returns the cubical set and, per cell, its carrier: the least cell of C
+    under one of its nodes."""
+    levels = range(C.trunc + 1)
+    blocks = [sd._block(n, k, C.trunc)[1] for n in levels]
+    start, dims, owner = {}, [], []
+    for j in levels:
+        for n in levels:
+            start[(j, n)] = len(dims)
+            for i in C.cells(n):
+                dims += [j] * blocks[n].sizes[j]
+                owner += [(n, i)] * blocks[n].sizes[j]
+
+    def node(n, i, j):
+        return start[(j, n)] + i * blocks[n].sizes[j]
+
+    def relations():
+        for n in levels:
+            for _, _, g in cset._elementary_maps_into(n, C.trunc):
+                moved, tables = C.action(g), sd._block_map(g.dom, n, g, k, C.trunc)
+                for i in C.cells(n):
+                    for j in levels:
+                        lhs, rhs = node(g.dom, moved[i], j), node(n, i, j)
+                        for u, v in enumerate(tables[j]):
+                            yield lhs + u, rhs + v
+
+    def act(phi, xs):
+        for n in levels:
+            tbl = blocks[n].action(phi)
+            for i in C.cells(n):
+                first = node(n, i, phi.dom)
+                yield from (first + v for v in tbl)
+
+    Q, _, members = cset.colimit(C.trunc, dims, relations(), act)
+    return Q, [[min(owner[x] for x in cls) for cls in level] for level in members]
+
+
+def _random_quotient(rng, n):
+    """The n-cube glued along one to three random pairs of its faces; the
+    second cell of a pair may be transposed, or a degenerate cell on a face
+    of the first."""
+    R = cset.representable(n, n)
+    pairs = []
+    for _ in range(rng.randint(1, 3)):
+        d = rng.randint(1, n - 1)
+        a = rng.choice(R.nondegenerate(d))
+        if rng.random() < 0.3:
+            face = R.faces[(d, rng.randint(1, d), rng.randint(0, 1))][a]
+            b = R.degens[(d - 1, rng.randint(1, d))][face]
+        else:
+            b = rng.choice(R.nondegenerate(d))
+            if d > 1 and rng.random() < 0.5:
+                b = R.transps[(d, 1)][b]
+        pairs.append(((d, a), (d, b)))
+    return cset.quotient(R, pairs)[0]
+
+
+BUILT_IN = (
+    "cube0", "cube1", "cube2", "cube3", "point", "edge", "edge_boundary",
+    "circle", "torus", "klein", "sphere2",
+)
+REFERENCE_CASES = (
+    [("space", name) for name in BUILT_IN]
+    + [("space", name) for name in ("klein@3", "torus_by_quotient@3", "sd3 sd3 klein")]
+    + [("space", "one-twist square")]
+    + [("collapsed", edges) for edges in sorted(COLLAPSED_SQUARE_LIFT_DIGESTS)]
+    + [("random square", seed) for seed in range(18)]
+    + [("random cube", seed) for seed in range(4)]
+)
+
+
+def _reference_case(kind, arg):
+    """(cubical set, k) of a reference gluing case: sd3 throughout, except
+    sd2 of the 3-cube and its quotients, whose sd3 takes seconds to glue
+    over every cell."""
+    if kind == "random square":
+        return _random_quotient(random.Random(arg), 2), 2
+    if kind == "random cube":
+        return _random_quotient(random.Random(arg), 3), 1
+    if arg == "cube3":
+        return spaces.cube_space(3), 1
+    if kind == "collapsed":
+        return _collapsed_square(arg)[0], 2
+    named = {
+        "klein@3": lambda: spaces.klein(3),
+        "torus_by_quotient@3": lambda: spaces.torus_by_quotient(3),
+        "sd3 sd3 klein": lambda: sd.sd3(spaces.klein()).cset,
+        "one-twist square": _one_twist_square,
+    }
+    return (named[arg]() if arg in named else spaces.by_name(arg)), 2
+
+
+@pytest.mark.parametrize("kind, arg", REFERENCE_CASES, ids=str)
+def test_gluing_over_nondegenerate_cells_matches_all_cells_reference(kind, arg):
+    C, k = _reference_case(kind, arg)
+    ref, carriers = _all_cells_subdivision(C, k)
+    s = sd.subdivide(_stripped(C), k)
+    assert s.cset.sizes == ref.sizes
+    for family in cset.FAMILIES:
+        assert getattr(s.cset, family) == getattr(ref, family), family
+    assert [[s.carrier_cell((j, i)) for i in s.cset.cells(j)] for j in range(C.trunc + 1)] == carriers
+
+
+PIN_SPACES = (
+    "circle", "torus", "klein", "sphere2", "klein@3", "torus_by_quotient@3", "edge_boundary",
+)
+
+# SHA-256 of `class_of(c, u)` for every cell c of the base and every cell u
+# of its block, degenerate c included, then the collapse maps, then the
+# carrier of every cell, of sd3 of each of PIN_SPACES in order.  Recorded
+# before the gluing ran over nondegenerate cells only.
+CLASS_OF_DIGEST = "1cac36cbfeae926bb37b26cd72bf65e95690b50cbd91a0cfb819a1917ce27999"
+
+
+def test_class_of_on_every_base_cell_is_pinned():
+    pins = []
+    for name in PIN_SPACES:
+        space, _, trunc = name.partition("@")
+        C = getattr(spaces, space)(*([int(trunc)] if trunc else []))
+        s = sd.sd3(C)
+        blocks = [sd._block(n, 2, C.trunc)[1] for n in range(C.trunc + 1)]
+        pins.append(
+            [
+                [[s.class_of(c, u) for u in blocks[c[0]].all_cells()] for c in C.all_cells()],
+                s.eps().maps,
+                [s.carrier_cell(x) for x in s.cset.all_cells()],
+            ]
+        )
+    text = json.dumps(pins)
+    assert hashlib.sha256(text.encode()).hexdigest() == CLASS_OF_DIGEST
+
+
+def _maps_hitting_degenerate_cells():
+    """Cubical functions some of whose images are degenerate cells: the
+    projections of the collapsed squares, klein with an edge collapsed,
+    and the square sent onto a degenerate square of the circle."""
+    fs = [_collapsed_square(edges)[1] for edges in sorted(COLLAPSED_SQUARE_LIFT_DIGESTS)]
+    K = spaces.klein()
+    e = K.nondegenerate(1)[0]
+    fs.append(cset.quotient(K, [((1, e), (1, K.degens[(0, 1)][K.faces[(1, 1, 0)][e]]))])[1])
+    circ, R = spaces.circle(), cset.representable(2, 2)
+    x = circ.degens[(1, 1)][circ.nondegenerate(1)[0]]
+    maps = tuple(
+        tuple(circ.act(cube.from_vertices(j, 2, key), x) for key in R.keys[j]) for j in range(3)
+    )
+    fs.append(cset.CubicalFunction(R, circ, maps))
+    return fs
+
+
+# SHA-256 of the maps of sd3 f for each of `_maps_hitting_degenerate_cells`,
+# recorded before the gluing ran over nondegenerate cells only.
+INDUCED_DIGEST = "91e3e9059527ea8fd9778b4d72961deccc14e46d0ee720146ec97b621309c4b8"
+
+
+def test_induced_through_degenerate_images():
+    induced = []
+    for f in _maps_hitting_degenerate_cells():
+        f.validate()
+        assert any(
+            f.maps[n][i] not in f.cod.nondegenerate(n) for n, i in f.dom.all_cells()
+        )
+        sd_dom, sd_cod = sd.sd3(f.dom), sd.sd3(f.cod)
+        sdf = sd_dom.induced(f, sd_cod)
+        assert sd_cod.eps().compose_after(sdf).maps == f.compose_after(sd_dom.eps()).maps
+        induced.append(sdf.maps)
+    text = json.dumps(induced)
+    assert hashlib.sha256(text.encode()).hexdigest() == INDUCED_DIGEST
 
 
 def test_subdivide_identity_at_zero():

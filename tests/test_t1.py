@@ -114,6 +114,14 @@ def test_requires_two_dimensions():
         t1.fundamental_presentation(spaces.cube_space(1, 1))
 
 
+def test_presentation_is_built_once_per_cubical_set():
+    C = sd.sd3(spaces.torus()).cset
+    first = t1.fundamental_presentation(C)
+    assert t1.fundamental_presentation(C) is first
+    rebuilt = cset.from_json(cset.to_json(C))
+    assert t1.fundamental_presentation(rebuilt) == first
+
+
 def test_presentation_exports():
     P, edges = t1.fundamental_presentation(spaces.torus())
     text = t1.presentation_json(P, edges)
