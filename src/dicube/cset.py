@@ -9,6 +9,9 @@ and key of its table, and every builder and checker here walks it.  The
 action of an arbitrary cube-category morphism is assembled from a
 canonical decomposition into generators, and validation checks that this
 assembly is functorial, which pins down all generator relations at once.
+Every cell is an epi acting on a nondegenerate cell (Eilenberg-Zilber), as
+`_normal_forms` records; the tensor product glues over nondegenerate pairs
+only and resolves every triple through the normal forms of its cells.
 
 Cells are plain integer indices per dimension; constructors carry
 canonical keys so results are reproducible bit for bit.
@@ -19,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 
 from . import cube
 from . import lattice as lat
@@ -32,10 +36,6 @@ class CsetError(ValueError):
 class UnionFind:
     def __init__(self, items=()):
         self.parent = {x: x for x in items}
-
-    def add(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
 
     def find(self, x):
         p = self.parent
@@ -76,6 +76,7 @@ class CubicalSet:
     _nondeg_cache: dict = field(default_factory=dict, repr=False)
     _key_index_cache: dict = field(default_factory=dict, repr=False)
     _atom_cache: dict = field(default_factory=dict, repr=False)
+    _star_index: list = field(default=None, repr=False)  # vertex -> atoms containing it
     _presentation: tuple = field(default=None, repr=False)  # t1.fundamental_presentation
 
     def __post_init__(self):
@@ -260,6 +261,23 @@ def _tabulate(trunc, sizes, table, **kwargs):
 def _maps_into(n, trunc):
     """All cube maps with codomain [1]^n and domain within trunc."""
     return tuple(phi for m in range(trunc + 1) for phi in cube.enumerate_maps(m, n))
+
+
+def _normal_forms(C):
+    """Per n-cell x, its normal form (m, z, s): z a nondegenerate m-cell and
+    s: [1]^n -> [1]^m an epi with C(s)(z) == x.  The first s_i to reach x
+    from a cell with normal form (m, z, s) gives (m, z, s o s_i)."""
+    normal = []
+    for n in range(C.trunc + 1):
+        level = [None] * C.sizes[n]
+        for i in range(1, n + 1):
+            g = cube.codegeneracy(i, n)
+            for x, y in enumerate(C.degens[(n - 1, i)]):
+                if level[y] is None:
+                    m, z, s = normal[n - 1][x]
+                    level[y] = (m, z, cube.compose(s, g))
+        normal.append([form or (n, x, cube.identity(n)) for x, form in enumerate(level)])
+    return normal
 
 
 # ---------------------------------------------------------------------------
@@ -499,17 +517,15 @@ def vertex_sub(C, v):
 
 
 def closed_star(C, v):
-    """Union of the atomic subpresheaves whose vertex set contains v."""
+    """Union of the atomic subpresheaves whose vertex set contains v: the
+    atoms of nondegenerate cells, indexed by vertex once per set."""
     if not C.has_cell((0, v)):
         raise CsetError(f"no vertex {v} in this cubical set")
-    sel = [set() for _ in range(C.trunc + 1)]
-    for n in range(C.trunc + 1):
-        for i in C.nondegenerate(n):
-            a = atom(C, (n, i))
-            if v in a.sel[0]:
-                for m in range(C.trunc + 1):
-                    sel[m] |= a.sel[m]
-    return Subpresheaf(C, tuple(frozenset(s) for s in sel))
+    if C._star_index is None:
+        atoms = [atom(C, (n, i)) for n in range(C.trunc + 1) for i in C.nondegenerate(n)]
+        C._star_index = [[a for a in atoms if w in a.sel[0]] for w in C.cells(0)]
+    star = [a.sel for a in C._star_index[v]]  # never empty: v's own atom is in it
+    return Subpresheaf(C, tuple(frozenset().union(*level) for level in zip(*star)))
 
 
 def boundary(n, trunc):
@@ -601,14 +617,16 @@ def _epis(n, k):
     )
 
 
-def _split(p_dim, phi):
-    """Factor phi: [1]^n -> [1]^p_dim (x) [1]^q as (mu_a (x) mu_b) o e.
+@lru_cache(maxsize=None)
+def _split(p_dim, g, f):
+    """Factor g o f: [1]^n -> [1]^p_dim (x) [1]^q as (mu_a (x) mu_b) o e.
 
     e is the epi that projects onto the inputs used by the first block,
     then onto those used by the second, each in increasing order; mu_a and
     mu_b keep each block's constants and renumber its projections.  No
     cell enters the factorization.
     """
+    phi = cube.compose(g, f)
     sides = (phi.outputs[:p_dim], phi.outputs[p_dim:])
     used = [sorted(s[1] for s in side if cube.is_proj(s)) for side in sides]
     mu_a, mu_b = (
@@ -623,102 +641,101 @@ def _split(p_dim, phi):
     return mu_a, mu_b, e
 
 
+def _tensor_node(normal, a, b, e):
+    """The node ((m, z_a), (k, z_b), (s_a (x) s_b) o e) of the triple (a, b, e),
+    e an epi, where normal = (normal forms of the left factor, of the right)
+    gives a its normal form (m, z_a, s_a) and b its normal form (k, z_b, s_b)."""
+    (m, za, sa), (k, zb, sb) = normal[0][a[0]][a[1]], normal[1][b[0]][b[1]]
+    if (m, k) != (a[0], b[0]):  # s_a and s_b are identities on nondegenerate cells
+        e = cube.compose(cube.tensor(sa, sb), e)
+    return (m, za), (k, zb), e
+
+
 @dataclass(eq=False)
 class TensorSet:
     cset: CubicalSet
     left: CubicalSet
     right: CubicalSet
-    _node_index: dict
+    _node_index: dict  # node over nondegenerate cells -> class index
+    _normal: tuple  # normal forms of the left and of the right factor
 
     def pair_class(self, a, b):
-        """The cell class of a (x) b for a in the left, b in the right factor."""
+        """The cell class of a (x) b for a in the left, b in the right factor,
+        either cell degenerate or not: the class of the node of (a, b, id)."""
         n = a[0] + b[0]
-        node = self._node_index.get((a, b, cube.identity(n)))
-        if node is None:
+        if not (self.left.has_cell(a) and self.right.has_cell(b) and n <= self.cset.trunc):
             raise CsetError(f"not a pair of cells within the truncation: {a}, {b}")
-        return (n, node)
+        return (n, self._node_index[_tensor_node(self._normal, a, b, cube.identity(n))])
 
 
 def tensor(A, B):
     """Day-convolution tensor product, truncated at min(A.trunc, B.trunc).
 
-    Cells are the colimit classes of triples (a, b, e) with e an epi, glued
-    by the naturality relations generated by elementary maps on either
-    factor; triples are numbered in sorted order.
+    Cells are the colimit classes of triples (a, b, e) with e an epi.  Every
+    cell of a factor is an epi acting on a nondegenerate cell
+    (Eilenberg-Zilber), so every triple resolves through its normal form
+    (`_tensor_node`) to a node over nondegenerate a and b; only these nodes
+    are made, numbered in sorted order, and they are glued by the
+    naturality relations of faces and transpositions on either factor.
     """
     trunc = min(A.trunc, B.trunc)
-    nodes = []
-    for n in range(trunc + 1):
-        for p in range(0, min(A.trunc, n) + 1):
-            for q in range(0, min(B.trunc, n - p) + 1):
-                for e in _epis(n, p + q):
-                    for ia in A.cells(p):
-                        for ib in B.cells(q):
-                            nodes.append(((p, ia), (q, ib), e))
-    nodes.sort()
+    normal = (_normal_forms(A), _normal_forms(B))
+    nodes = sorted(
+        ((p, ia), (q, ib), e)
+        for n in range(trunc + 1)
+        for p in range(min(A.trunc, n) + 1)
+        for q in range(min(B.trunc, n - p) + 1)
+        for e in _epis(n, p + q)
+        for ia in A.nondegenerate(p)
+        for ib in B.nondegenerate(q)
+    )
     node_id = {node: x for x, node in enumerate(nodes)}
-    splits = {}
 
-    def split(p, g, f):
-        # (a, b, g o f) with a of dimension p is the triple
-        # ((ka, ta[a]), (kb, tb[b]), e): the actions of mu_a and mu_b move
-        # the cells, and e is an epi
-        key = (p, g, f)
-        if key not in splits:
-            mu_a, mu_b, e = _split(p, cube.compose(g, f))
-            splits[key] = (mu_a.dom, A.action(mu_a), mu_b.dom, B.action(mu_b), e)
-        return splits[key]
+    def resolve(a, b, g, f):
+        # the node of (a, b, g o f): the actions of mu_a and mu_b move the
+        # cells, and the epi e is left over
+        mu_a, mu_b, e = _split(a[0], g, f)
+        a, b = (mu_a.dom, A.action(mu_a)[a[1]]), (mu_b.dom, B.action(mu_b)[b[1]])
+        return node_id[_tensor_node(normal, a, b, e)]
 
     def relations():
-        # an elementary map alpha into a cell x of either factor, a cell y
-        # of the other and an epi psi: (x alpha, y, psi) is glued to the
-        # normal form of (x, y, (alpha (x) id) psi), factors in their order
+        # a face or transposition alpha into a nondegenerate cell x of either
+        # factor, a nondegenerate cell y of the other and an epi psi:
+        # (x alpha, y, psi) is glued to (x, y, (alpha (x) id) psi), factors in
+        # their order; a degeneracy relates two triples with one normal form
         for X, Y, pair in ((A, B, lambda u, v: (u, v)), (B, A, lambda u, v: (v, u))):
-            for p in range(X.trunc + 1):
-                for _, _, alpha in _elementary_maps_into(p, X.trunc):
-                    moved = X.action(alpha)
-                    for q in range(min(Y.trunc, trunc - alpha.dom) + 1):
-                        shifted = cube.tensor(*pair(alpha, cube.identity(q)))
-                        for n in range(alpha.dom + q, trunc + 1):
-                            for psi in _epis(n, alpha.dom + q):
-                                ka, ta, kb, tb, e = split(pair(p, q)[0], shifted, psi)
-                                for ix in X.cells(p):
-                                    for iy in Y.cells(q):
-                                        lhs = pair((alpha.dom, moved[ix]), (q, iy))
-                                        ia, ib = pair(ix, iy)
-                                        rhs = ((ka, ta[ia]), (kb, tb[ib]), e)
-                                        yield node_id[(*lhs, psi)], node_id[rhs]
+            levels = [[n for n in range(C.trunc + 1) if C.nondegenerate(n)] for C in (X, Y)]
+            for p, q in product(*levels):
+                for family, key, alpha in _elementary_maps_into(p, X.trunc):
+                    if family == "degens":
+                        continue
+                    moved = getattr(X, family)[key]
+                    shifted = cube.tensor(*pair(alpha, cube.identity(q)))
+                    k = alpha.dom + q
+                    epis = [psi for n in range(k, trunc + 1) for psi in _epis(n, k)]
+                    for psi, ix, iy in product(epis, X.nondegenerate(p), Y.nondegenerate(q)):
+                        lhs = _tensor_node(normal, *pair((alpha.dom, moved[ix]), (q, iy)), psi)
+                        yield node_id[lhs], resolve(*pair((p, ix), (q, iy)), shifted, psi)
 
     def act(phi, xs):
-        images = []
-        for x in xs:
-            (p, ia), (_, ib), e = nodes[x]
-            ka, ta, kb, tb, f = split(p, e, phi)
-            images.append(node_id[((ka, ta[ia]), (kb, tb[ib]), f)])
-        return images
+        return [resolve(a, b, e, phi) for a, b, e in (nodes[x] for x in xs)]
 
-    dims = [e.dom for _, _, e in nodes]
-    T, cls, _ = colimit(trunc, dims, relations(), act)
-    return TensorSet(T, A, B, {node: cls[x] for x, node in enumerate(nodes)})
+    T, cls, _ = colimit(trunc, [e.dom for _, _, e in nodes], relations(), act)
+    return TensorSet(T, A, B, {node: cls[x] for x, node in enumerate(nodes)}, normal)
 
 
 def cylinder(B):
     """B (x) [1] with the two end inclusions."""
     interval = representable(1, max(B.trunc, 1))
     ts = tensor(B, interval)
-    end0 = rep_cell(interval, cube.CubeMap(0, 1, (cube.CONST0,)))
-    end1 = rep_cell(interval, cube.CubeMap(0, 1, (cube.CONST1,)))
-    maps0, maps1 = [], []
-    for n in range(ts.cset.trunc + 1):
-        row0, row1 = [], []
-        for i in B.cells(n):
-            row0.append(ts.pair_class((n, i), (0, end0))[1])
-            row1.append(ts.pair_class((n, i), (0, end1))[1])
-        maps0.append(tuple(row0))
-        maps1.append(tuple(row1))
-    incl0 = CubicalFunction(B, ts.cset, tuple(maps0))
-    incl1 = CubicalFunction(B, ts.cset, tuple(maps1))
-    return ts.cset, incl0, incl1
+    levels = range(ts.cset.trunc + 1)
+
+    def incl(const):
+        end = rep_cell(interval, cube.CubeMap(0, 1, (const,)))
+        maps = [[ts.pair_class((n, i), (0, end))[1] for i in B.cells(n)] for n in levels]
+        return CubicalFunction(B, ts.cset, maps)
+
+    return ts.cset, incl(cube.CONST0), incl(cube.CONST1)
 
 
 # ---------------------------------------------------------------------------

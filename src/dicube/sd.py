@@ -64,23 +64,6 @@ def _block_map(n_from, n_to, phi, k, trunc):
     )
 
 
-def _normal_forms(C):
-    """Per n-cell x, its normal form (m, z, s): z a nondegenerate m-cell and
-    s: [1]^n -> [1]^m an epi with C(s)(z) == x.  The first s_i to reach x
-    from a cell with normal form (m, z, s) gives (m, z, s o s_i)."""
-    normal = []
-    for n in range(C.trunc + 1):
-        level = [None] * C.sizes[n]
-        for i in range(1, n + 1):
-            g = cube.codegeneracy(i, n)
-            for x, y in enumerate(C.degens[(n - 1, i)]):
-                if level[y] is None:
-                    m, z, s = normal[n - 1][x]
-                    level[y] = (m, z, cube.compose(s, g))
-        normal.append([form or (n, x, cube.identity(n)) for x, form in enumerate(level)])
-    return normal
-
-
 class Subdivision:
     """sd_{k+1} C together with its gluing data."""
 
@@ -116,7 +99,7 @@ class Subdivision:
         self._fast = False
         base, k, trunc = self.base, self.k, self.base.trunc
         levels = range(trunc + 1)
-        self._normal = _normal_forms(base)
+        self._normal = cs._normal_forms(base)
         nondeg = [base.nondegenerate(n) for n in levels]
         top = max((n for n in levels if nondeg[n]), default=0)
         blocks = [_block(n, k, trunc)[1] for n in range(top + 1)]
@@ -166,17 +149,14 @@ class Subdivision:
         for j, level in enumerate(self._members):
             for idx, cls in enumerate(level):
                 c0, *cells = sorted({node[0] for node in cls})
-                a0 = self._atom(c0)
+                a0 = cs.atom(base, c0)
                 for c in cells:
-                    a = self._atom(c)
+                    a = cs.atom(base, c)
                     if c[0] == c0[0] and a.sel != a0.sel:
                         raise SdError("internal: ambiguous carrier")
                     if not a0.issubset(a):
                         raise SdError("internal: carrier not minimal")
                 self._carrier[(j, idx)] = c0
-
-    def _atom(self, cell):
-        return cs.atom(self.base, cell)
 
     # -- shared interface ----------------------------------------------------
 
@@ -215,7 +195,7 @@ class Subdivision:
 
     def supp_vertex(self, v):
         """Minimal subpresheaf B of the base with v a vertex of sd B."""
-        return self._atom(self.carrier_cell((0, v)))
+        return cs.atom(self.base, self.carrier_cell((0, v)))
 
     def eps(self):
         """The collapse sd3 C -> C (middle evaluation); requires k == 2."""

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from itertools import product
 
 import pytest
 
@@ -602,7 +603,7 @@ def test_local_lift_digest_on_more_spaces():
 
 def test_normal_forms_resolve_every_cell():
     for C in (spaces.klein(3), spaces.sphere2(), sd.sd3(spaces.circle()).cset, _one_twist_square()):
-        for n, level in enumerate(sd._normal_forms(C)):
+        for n, level in enumerate(cset._normal_forms(C)):
             assert [x for x, (m, _, _) in enumerate(level) if m == n] == list(C.nondegenerate(n))
             for x, (m, z, s) in enumerate(level):
                 assert z in C.nondegenerate(m)
@@ -649,16 +650,16 @@ def _all_cells_subdivision(C, k):
     return Q, [[min(owner[x] for x in cls) for cls in level] for level in members]
 
 
-def _random_quotient(rng, n):
+def _random_quotient(rng, n, collapse=0.3):
     """The n-cube glued along one to three random pairs of its faces; the
-    second cell of a pair may be transposed, or a degenerate cell on a face
-    of the first."""
+    second cell of a pair may be transposed, or, with probability collapse,
+    a degenerate cell on a face of the first."""
     R = cset.representable(n, n)
     pairs = []
     for _ in range(rng.randint(1, 3)):
         d = rng.randint(1, n - 1)
         a = rng.choice(R.nondegenerate(d))
-        if rng.random() < 0.3:
+        if rng.random() < collapse:
             face = R.faces[(d, rng.randint(1, d), rng.randint(0, 1))][a]
             b = R.degens[(d - 1, rng.randint(1, d))][face]
         else:
@@ -713,6 +714,162 @@ def test_gluing_over_nondegenerate_cells_matches_all_cells_reference(kind, arg):
     for family in cset.FAMILIES:
         assert getattr(s.cset, family) == getattr(ref, family), family
     assert [[s.carrier_cell((j, i)) for i in s.cset.cells(j)] for j in range(C.trunc + 1)] == carriers
+
+
+def _all_cells_tensor(A, B):
+    """Reference Day-convolution tensor: the colimit of the triples (a, b, e)
+    over every pair of cells, degenerate or not, glued along all three
+    generator families of either factor.  Returns the cubical set, the class
+    of every triple, and the numbers of nodes and of relation pairs."""
+    trunc = min(A.trunc, B.trunc)
+    nodes = sorted(
+        ((p, ia), (q, ib), e)
+        for n in range(trunc + 1)
+        for p in range(min(A.trunc, n) + 1)
+        for q in range(min(B.trunc, n - p) + 1)
+        for e in cset._epis(n, p + q)
+        for ia in A.cells(p)
+        for ib in B.cells(q)
+    )
+    node_id = {node: x for x, node in enumerate(nodes)}
+
+    def resolve(a, b, g, f):
+        mu_a, mu_b, e = cset._split(a[0], g, f)
+        return node_id[((mu_a.dom, A.action(mu_a)[a[1]]), (mu_b.dom, B.action(mu_b)[b[1]]), e)]
+
+    pairs = []
+    for X, Y, pair in ((A, B, lambda u, v: (u, v)), (B, A, lambda u, v: (v, u))):
+        for p in range(X.trunc + 1):
+            for _, _, alpha in cset._elementary_maps_into(p, X.trunc):
+                moved = X.action(alpha)
+                for q in range(min(Y.trunc, trunc - alpha.dom) + 1):
+                    shifted = cube.tensor(*pair(alpha, cube.identity(q)))
+                    k = alpha.dom + q
+                    epis = [psi for n in range(k, trunc + 1) for psi in cset._epis(n, k)]
+                    for psi, ix, iy in product(epis, X.cells(p), Y.cells(q)):
+                        lhs = node_id[(*pair((alpha.dom, moved[ix]), (q, iy)), psi)]
+                        pairs.append((lhs, resolve(*pair((p, ix), (q, iy)), shifted, psi)))
+
+    def act(phi, xs):
+        return [resolve(a, b, e, phi) for a, b, e in (nodes[x] for x in xs)]
+
+    T, cls, _ = cset.colimit(trunc, [e.dom for _, _, e in nodes], pairs, act)
+    return T, {node: cls[x] for x, node in enumerate(nodes)}, len(nodes), len(pairs)
+
+
+def _tensor_factor(name):
+    """A factor of a reference tensor case: "space" (truncation 2),
+    "space@trunc", "nerve <target>@trunc" or "random square|cube <seed>",
+    a seeded quotient that sends faces to degenerate cells."""
+    if name.startswith("random "):
+        shape, seed = name[7:].split()
+        n = {"square": 2, "cube": 3}[shape]
+        return _random_quotient(random.Random(int(seed)), n, collapse=1.0)
+    if name.startswith("nerve "):
+        return _golden_space(name)
+    space, _, trunc = name.partition("@")
+    return spaces.by_name(space, int(trunc) if trunc else None)
+
+
+TENSOR_RIGHT = ("point", "edge", "circle", "sphere2", "edge_boundary")
+TENSOR_CASES = (
+    [(space, right) for space in BUILT_IN for right in TENSOR_RIGHT]
+    + [("klein@3", "circle@3"), ("sphere2@3", "circle@3"), ("cube3", "edge@3")]
+    + [(f"nerve {target}@2", right) for target in ("zmod2", "idem2") for right in ("edge", "circle")]
+    + [("nerve arrow@3", "edge@3"), ("nerve arrow@3", "circle@3")]
+    + [(f"random square {seed}", "edge") for seed in range(8)]
+    + [(f"random cube {seed}", "edge@3") for seed in range(4)]
+)
+
+
+@pytest.mark.parametrize("left, right", TENSOR_CASES, ids=str)
+def test_tensor_over_nondegenerate_pairs_matches_all_cells_reference(left, right):
+    A, B = _tensor_factor(left), _tensor_factor(right)
+    ref, ref_class, _, _ = _all_cells_tensor(A, B)
+    ts = cset.tensor(A, B)
+    assert cset.to_json(ts.cset) == cset.to_json(ref)
+    for (p, ia), (q, ib), _ in ts._node_index:
+        assert ia in A.nondegenerate(p) and ib in B.nondegenerate(q)
+    for a, b in product(A.all_cells(), B.all_cells()):
+        n = a[0] + b[0]
+        if n > ts.cset.trunc:
+            with pytest.raises(cset.CsetError):
+                ts.pair_class(a, b)
+        else:
+            assert ts.pair_class(a, b) == (n, ref_class[(a, b, cube.identity(n))])
+    interval = cset.representable(1, max(A.trunc, 1))
+    if B is interval:
+        # the cylinder on A is this tensor: its inclusions are the reference
+        # classes of the cells of A next to either end of the interval
+        _, *incls = cset.cylinder(A)
+        for incl, const in zip(incls, (cube.CONST0, cube.CONST1)):
+            end = (0, cset.rep_cell(interval, cube.CubeMap(0, 1, (const,))))
+            expected = [
+                tuple(ref_class[((n, i), end, cube.identity(n))] for i in A.cells(n))
+                for n in range(A.trunc + 1)
+            ]
+            assert list(incl.maps) == expected
+
+
+# (nodes, relation pairs) of the colimit: over every cell pair, then over
+# nondegenerate pairs only
+TENSOR_COLIMIT_SIZES = {
+    "torus(3)": ((228, 2996), (24, 40)),
+    "cylinder(cube2)": ((244, 2176), (76, 200)),
+    "circle(3) (x) klein(3)": ((402, 6114), (66, 244)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TENSOR_COLIMIT_SIZES))
+def test_tensor_colimit_sizes(name, monkeypatch):
+    A, B = {
+        "torus(3)": (spaces.circle(3), spaces.circle(3)),
+        "cylinder(cube2)": (spaces.cube_space(2), cset.representable(1, 2)),
+        "circle(3) (x) klein(3)": (spaces.circle(3), spaces.klein(3)),
+    }[name]
+    sizes = []
+    colimit = cset.colimit
+
+    def counting(trunc, dims, pairs, act):
+        pairs = list(pairs)
+        sizes.append((len(dims), len(pairs)))
+        return colimit(trunc, dims, pairs, act)
+
+    monkeypatch.setattr(cset, "colimit", counting)
+    _, _, *reference = _all_cells_tensor(A, B)
+    cset.tensor(A, B)
+    assert (tuple(reference), sizes[-1]) == TENSOR_COLIMIT_SIZES[name]
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [((0, -1), (0, 0)), ((1, 0), (0, -1)), ((0, 1), (0, 0)), ((0, 0), (1, 3)), ((2, 0), (1, 0))],
+    ids=str,
+)
+def test_pair_class_rejects_bad_cells(a, b):
+    ts = cset.tensor(spaces.circle(), spaces.edge())
+    with pytest.raises(cset.CsetError):
+        ts.pair_class(a, b)
+
+
+def _closed_star_by_scan(C, v):
+    """Reference closed star: the union of the atoms of every nondegenerate
+    cell of C whose vertices include v, found by scanning all of them."""
+    sel = [set() for _ in range(C.trunc + 1)]
+    for n in range(C.trunc + 1):
+        for i in C.nondegenerate(n):
+            a = cset.atom(C, (n, i))
+            if v in a.sel[0]:
+                for m in range(C.trunc + 1):
+                    sel[m] |= a.sel[m]
+    return tuple(frozenset(s) for s in sel)
+
+
+@pytest.mark.parametrize("name", ["sd9 klein", "sd3 torus", "sd3 sphere2", "nerve idem2@3"])
+def test_closed_star_matches_scan_reference(name):
+    C = _golden_space(name)
+    for v in C.cells(0):
+        assert cset.closed_star(C, v).sel == _closed_star_by_scan(C, v)
 
 
 PIN_SPACES = (
@@ -857,8 +1014,9 @@ def test_disjoint_union_doubles_components():
 # and from `disjoint_union` and `sub_to_cset` as they were before they
 # walked `_elementary_maps_into`; "sd3 klein@3", "sd3 torus@3" and "sd9 klein"
 # from the general subdivision path before `cset.colimit` acted on whole
-# node lists.  The digests pin cell order, which the census and size checks
-# above do not.
+# node lists; "tensor(sphere2@3, circle@3)" before `tensor` glued over
+# nondegenerate pairs only.  The digests pin cell order, which the census
+# and size checks above do not.
 GOLDEN_DIGESTS = {
     "boundary(2, 3)": "e1cbaeb0862dc1615483559b96d04f9e7cfda716671e85aacb7099c78c2d468c",
     "circle@2": "7375eeb57ece3adf4a086fe5f721c66b2049cd481c502c046cc244a6ca49d3be",
@@ -897,28 +1055,37 @@ GOLDEN_DIGESTS = {
     "sphere2@2": "af60ebae780e72126b7a445ec55d9c1ad09d63e490df9033490a315b2126e501",
     "sphere2@3": "4e744f36e4ca23cecda406949f4ffc259bc7dcf8c97c39ec2fc158536d98192c",
     "tensor(circle@3, klein@3)": "22d0c2d39d0f1246a425884b4de09294f34553613caf2fb6e35b4df278876a82",
+    "tensor(sphere2@3, circle@3)": "3f009a48654bc0f1ebec3e8a903ccc17a3a4189be92815c9bc73115601b7403f",
     "torus@2": "af3329bb266533ebb724b332ab34cf77ad9bc0c842d56b076eb7bf99c78642be",
     "torus@3": "c13372e0b20291e8d0314180768639a0dec7a0c71c4645c27d5ef35770ffa45a",
 }
 
 # SHA-256 of `to_json` of the cylinder followed by the JSON of the maps of
 # its two end inclusions, recorded before `tensor` computed each
-# factorization of a cube map once per build.
+# factorization of a cube map once per build; the sphere2, torus, klein and
+# nerve entries before `tensor` glued over nondegenerate pairs only.
 CYLINDER_DIGESTS = {
     "circle@2": "d67e6b6167d4005c4ed18449f40dafa95842e02232277478c167377133530d71",
     "cube2@2": "98bfda74c50a8d0f4e19d33fb60a9435f4f727dc75fe10d476dd6d6a7e3d5ce1",
     "cube2@3": "0210a0aa0b68c377e2c978bd28acb0bc2cb9a180dfa15ebfd24e9f8644bf2515",
     "edge@2": "31e8d8ecf999937003f385f6f2c2b3768fc7c49ed37095dd73881ecf099da905",
     "edge_boundary@2": "2509e6934cd5106451dd6cad50e7cbccbf9cd133d13d35ea4c9257a89559d05a",
+    "klein@2": "721d5f103dfc8842b03484796f8ea0fd1d7993c17100161a533dbc559d9c2ca5",
+    "klein@3": "7a0000d564f06d5fa31d34d81844e7e586aa75596f5e9fb818192c4b55979bfc",
+    "nerve:zmod2@2": "61b164b991ec3530a6e908853a563e809d6112c89312ada4c12dd19f0862024f",
     "point@2": "555c5c9f33aa53366c0abf9a9d5eb0e3851eb4c58608c3c77578c22c69084b21",
+    "sphere2@2": "3de9f07a29a2212ed482573aad160aef22aac9790493296d381c4d70a3c0464d",
+    "sphere2@3": "7eb4f7e95bb6d5034ec2dde0af3cc4d2fafe20eb33daba786aa7fcc72ad3354b",
+    "torus@2": "c753f22cda96ea4b13c2dcf4070a0ac7d223d83d3bb583ddcc9d04c0889f7ab6",
 }
 
 
 def _golden_space(name):
     if name == "cylinder(circle)":
         return cset.cylinder(spaces.circle())[0]
-    if name == "tensor(circle@3, klein@3)":
-        return cset.tensor(spaces.circle(3), spaces.klein(3)).cset
+    if name.startswith("tensor("):
+        factors = (part.split("@") for part in name[7:-1].split(", "))
+        return cset.tensor(*(spaces.by_name(space, int(trunc)) for space, trunc in factors)).cset
     if name == "circle+circle":
         return cset.disjoint_union(spaces.circle(), spaces.circle())
     if name == "boundary(2, 3)":
@@ -954,9 +1121,7 @@ def test_cylinder_digest(name):
 def _quotient_by_worklist(C, pairs):
     """Reference quotient: close the pairs under the generator actions with
     a worklist, then induce the tables; classes ordered by least cell."""
-    uf = cset.UnionFind()
-    for cell in C.all_cells():
-        uf.add(cell)
+    uf = cset.UnionFind(C.all_cells())
     worklist = [(a, b) for a, b in pairs if uf.union(a, b)]
 
     def moves(n):

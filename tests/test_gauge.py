@@ -74,9 +74,7 @@ def exhaustive(P, G):
     functors = cat.enumerate_functors(P, G, 10**8)
     index = {F.gen_map: i for i, F in enumerate(functors)}  # one object
     inverse = [row.index(G.unit) for row in G.table]
-    uf = cset.UnionFind()
-    for i in range(len(functors)):
-        uf.add(i)
+    uf = cset.UnionFind(range(len(functors)))
     for i, F in enumerate(functors):
         # the elementary gauge u at object o: e -> u^-1 F(e) at a source o,
         # F(e) u at a target o
