@@ -216,9 +216,9 @@ def _functor_classes(B, S, budget):
 
 
 def hom_classes_presheaf_oracle(B, C, budget=None):
-    """Exhaustive computation of [B, C]: all cubical functions modulo
-    elementary homotopies through the cylinder.  Desk-scale only; used as
-    an independent check of `hom_classes` with C a nerve."""
+    """[B, C] by the oracle, desk-scale only: cubical functions modulo
+    elementary homotopies, each pair decided by a pinned first-hit search
+    over the cylinder.  An independent check of `hom_classes` with C a nerve."""
     maps, edges = oracle.homotopy_graph(B, C, budget)
     uf = cset.UnionFind(range(len(maps)))
     for i, j in edges:

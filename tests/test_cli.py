@@ -416,7 +416,8 @@ def _transcript(capsys, argv):
 
 
 # sha256 (first 16 hex digits) of `_transcript` per invocation, in order,
-# recorded before the handlers returned their reports to `main`
+# recorded before the handlers returned their reports to `main` (the homotopy
+# suite: before `homotopy_graph` searched the cylinder pair by pair)
 CLI_DIGESTS = {
     "cube enumerate --dom 2 --cod 1 --class epi": "788037edf8b1fc06",
     "cset make --shape torus --trunc 2 --save torus.json": "8fd5c13dbf8fe218",
@@ -442,6 +443,7 @@ CLI_DIGESTS = {
     "--budget 5 cat nerve --cat s3 --trunc 2": "ffd3d0a29bb3fe8d",
     "inv pi0 dodecahedron": "1bb6eefbe0c583f7",
     "oracle check --suite lattice": "ff48b0b34cca795c",
+    "oracle check --suite homotopy": "f0cc087c31e235bc",
     "verify --suite 6": "1fa8f9a02ad98cd4",
     "verify --suite 11": "482e74ac71fa8f1e",
     "oracle check failing": "f9e4dc8d27cb1721",
@@ -472,6 +474,7 @@ CLI_INVOCATIONS = (
     ("--budget", "5", "cat", "nerve", "--cat", "s3", "--trunc", "2"),
     ("inv", "pi0", "dodecahedron"),
     ("oracle", "check", "--suite", "lattice"),
+    ("oracle", "check", "--suite", "homotopy"),
     ("verify", "--suite", "6"),
     ("verify", "--suite", "11"),
 )

@@ -409,6 +409,114 @@ def test_budget_exceeded_is_reported():
         oracle.homotopy_graph(B, C, budget=50)
 
 
+def _homotopy_graph_by_cylinder_maps(B, C, b):
+    """Reference for `homotopy_graph`: every cubical function out of the
+    cylinder, composed with both end inclusions."""
+    maps = oracle.enumerate_cubical_functions(B, C, b)
+    index = {f.maps: i for i, f in enumerate(maps)}
+    cyl, incl0, incl1 = cset.cylinder(B)
+    edges = set()
+    for h in oracle.enumerate_cubical_functions(cyl, C, b):
+        i, j = index[h.compose_after(incl0).maps], index[h.compose_after(incl1).maps]
+        if i != j:
+            edges.add((min(i, j), max(i, j)))
+    return maps, edges
+
+
+def _random_quotient(rng, n, collapse=0.3):
+    """The n-cube glued along one to three random pairs of its faces, by the
+    recipe of tests/test_cset.py: the second cell of a pair may be
+    transposed, or, with probability collapse, a degenerate cell on a face
+    of the first."""
+    R = cset.representable(n, n)
+    pairs = []
+    for _ in range(rng.randint(1, 3)):
+        d = rng.randint(1, n - 1)
+        a = rng.choice(R.nondegenerate(d))
+        if rng.random() < collapse:
+            face = R.faces[(d, rng.randint(1, d), rng.randint(0, 1))][a]
+            b = R.degens[(d - 1, rng.randint(1, d))][face]
+        else:
+            b = rng.choice(R.nondegenerate(d))
+            if d > 1 and rng.random() < 0.5:
+                b = R.transps[(d, 1)][b]
+        pairs.append(((d, a), (d, b)))
+    return cset.quotient(R, pairs)[0]
+
+
+HOMOTOPY_TARGETS = {
+    "arrow": cat.arrow_cat,
+    "discrete-2": lambda: cat.discrete_cat(2),
+    "chain3": lambda: cat.poset_cat([[x <= y for y in range(3)] for x in range(3)]),
+    "idem2": cat.idempotent2,
+    "Z/2": lambda: cat.zmod(2),
+    "Z/3": lambda: cat.zmod(3),
+    "Z/4": lambda: cat.zmod(4),
+    "S3": cat.sym3,
+}
+GRID_SPACES = ("point", "edge", "edge_boundary", "cube2", "circle")
+GRID_TARGETS = ("arrow", "discrete-2", "Z/2", "Z/3", "Z/4")
+CLOSED_TARGETS = ("Z/4", "S3", "discrete-2", "idem2", "chain3")
+HOMOTOPY_CASES = (
+    # the benchmark and criterion-7 grids
+    [(f"{bn}@2", f"{tn}@2") for bn in GRID_SPACES for tn in GRID_TARGETS]
+    + [(f"{bn}@2", f"{tn}@2") for bn in ("torus", "klein", "sphere2") for tn in CLOSED_TARGETS]
+    # truncation mismatches
+    + [("circle@3", "Z/2@2"), ("point@2", "arrow@3"), ("edge@2", "idem2@3")]
+    + [(f"quotient {seed}@2", f"{tn}@2") for seed in range(6) for tn in ("Z/2", "arrow")]
+)
+# (reference, pair search) charges; on the torus into Z/4, where the 16 maps
+# are joined by no homotopy, the pair search charges more
+HOMOTOPY_CHARGES = {
+    ("cube2@2", "Z/3@2"): (39_159, 5_767),
+    ("cube2@2", "Z/4@2"): (337_652, 40_728),
+    ("torus@2", "Z/4@2"): (699, 997),
+}
+
+
+@lru_cache(maxsize=None)
+def _homotopy_input(space, target):
+    name, trunc = space.rsplit("@", 1)
+    if name.startswith("quotient"):
+        B = _random_quotient(random.Random(int(name.split()[1])), 2)
+    else:
+        B = spaces.by_name(name, int(trunc))
+    tn, tt = target.rsplit("@", 1)
+    return B, cat.nerve(HOMOTOPY_TARGETS[tn](), int(tt))
+
+
+@pytest.mark.parametrize("space, target", HOMOTOPY_CASES)
+def test_homotopy_graph_matches_the_cylinder_maps(space, target):
+    B, C = _homotopy_input(space, target)
+    b, b_ref = Budget(10**7), Budget(10**7)
+    maps, edges = oracle.homotopy_graph(B, C, b)
+    ref_maps, ref_edges = _homotopy_graph_by_cylinder_maps(B, C, b_ref)
+    assert [f.maps for f in maps] == [f.maps for f in ref_maps]
+    assert edges == ref_edges
+    if (space, target) in HOMOTOPY_CHARGES:
+        assert (b_ref.used, b.used) == HOMOTOPY_CHARGES[(space, target)]
+
+
+def test_homotopy_graph_charges_the_pair_searches():
+    # a budget that covers the enumeration of the maps is overrun by the
+    # searches over the cylinder
+    B, C = _homotopy_input("cube2@2", "Z/3@2")
+    b = Budget(10**7)
+    oracle.enumerate_cubical_functions(B, C, b)
+    with pytest.raises(BudgetExceeded):
+        oracle.homotopy_graph(B, C, Budget(b.used + 100))
+
+
+def test_a_homotopy_with_wrong_ends_is_an_internal_error(monkeypatch):
+    # a search that ignores its pins finds cylinder maps joining other pairs
+    search = oracle._function_search
+    monkeypatch.setattr(
+        oracle, "_function_search", lambda B, C, b, pinned=None: lambda fixed: search(B, C, b)(None)
+    )
+    with pytest.raises(oracle.OracleError, match="^internal: "):
+        oracle.homotopy_graph(spaces.edge(), cat.nerve(cat.arrow_cat(), 2))
+
+
 def _scan_enumerate_cubical_functions(B, C, b):
     """Reference for `enumerate_cubical_functions` without the boundary
     index: each representative is tried against every cell of C_n, one
