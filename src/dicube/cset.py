@@ -71,7 +71,6 @@ class CubicalSet:
     degens: dict  # (n, i) -> tuple, s_i: C_n -> C_{n+1}
     transps: dict  # (n, i) -> tuple, t_i: C_n -> C_n
     keys: tuple = None  # optional per-dimension canonical cell keys
-    lattice: object = None  # set when the cells are lattice-homomorphism tables
     _action_cache: dict = field(default_factory=dict, repr=False)
     _nondeg_cache: dict = field(default_factory=dict, repr=False)
     _key_index_cache: dict = field(default_factory=dict, repr=False)
@@ -284,7 +283,7 @@ def _normal_forms(C):
 # generic builder from canonical cell keys and a precomposition action
 
 
-def build_presheaf(trunc, keys_by_dim, act, lattice=None):
+def build_presheaf(trunc, keys_by_dim, act):
     """Assemble explicit tables from `act(phi, key) -> key`.
 
     keys_by_dim[n] lists the canonical keys of the n-cells in index order;
@@ -296,7 +295,6 @@ def build_presheaf(trunc, keys_by_dim, act, lattice=None):
         tuple(len(keys) for keys in keys_by_dim),
         lambda family, key, g: tuple(index[g.dom][act(g, k)] for k in keys_by_dim[g.cod]),
         keys=tuple(tuple(keys) for keys in keys_by_dim),
-        lattice=lattice,
     )
 
 
@@ -368,7 +366,7 @@ def from_lattice(L, trunc):
     def act(phi, key):
         return tuple(key[v] for v in phi.vertices)
 
-    return build_presheaf(trunc, keys_by_dim, act, lattice=L)
+    return build_presheaf(trunc, keys_by_dim, act)
 
 
 @lru_cache(maxsize=None)

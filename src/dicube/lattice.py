@@ -336,25 +336,6 @@ def subdivide_lattice(L, k):
     )
 
 
-def subdivide_lattice_map(f, k):
-    """The subdivision functor on maps: pointwise postcomposition with f.
-
-    Sends a distributive-lattice morphism L -> M to a map of the
-    subdivided lattices; the result passes is_dis_morphism (checked).
-    """
-    ok, witness = is_dis_morphism(f)
-    if not ok:
-        raise LatticeError(f"subdivision requires a distributive-lattice morphism ({witness})")
-    dom = subdivide_lattice(f.dom, k)
-    cod = subdivide_lattice(f.cod, k)
-    values = tuple(cod.index[tuple(f(x) for x in label)] for label in dom.labels)
-    g = LatticeMap(dom, cod, values)
-    ok, witness = is_dis_morphism(g)
-    if not ok:
-        raise LatticeError(f"internal: subdivided map fails is_dis_morphism ({witness})")
-    return g
-
-
 def subdivision_restriction(L, phi, m):
     """Precomposition map sd_{m+1}L -> sd_{n+1}L for an injection phi: [n] -> [m].
 

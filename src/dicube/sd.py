@@ -2,15 +2,15 @@
 sd3 C -> C, supports of subdivision vertices, and local lifting of the
 double collapse through representables.
 
-Subdivision of a lattice-backed cubical set is computed directly on the
-lattice; anything else is glued by `cset.colimit` from subdivided
-representable blocks, whose nodes are the pairs (nondegenerate cell of C,
-cell of its block).  Every cell of C is C(s)(z) for an epi s and a
-nondegenerate z, unique up to a cube automorphism (Eilenberg-Zilber), so
-the blocks over degenerate cells add nothing to the colimit over the
-category of elements: a node (C(s)(z), u) is the node (z, sd(s) u).  Both
-paths expose the same interface: carrier cells, subdivided subpresheaves,
-the collapse map, and induced maps of subdivided cubical functions.
+Every cubical set, the cubical set of a lattice included, is subdivided by
+one engine: `cset.colimit` glues subdivided representable blocks, whose
+nodes are the pairs (nondegenerate cell of C, cell of its block).  Every
+cell of C is C(s)(z) for an epi s and a nondegenerate z, unique up to a
+cube automorphism (Eilenberg-Zilber), so the blocks over degenerate cells
+add nothing to the colimit over the category of elements: a node
+(C(s)(z), u) is the node (z, sd(s) u).  The gluing data gives carrier
+cells, subdivided subpresheaves, the collapse map, and induced maps of
+subdivided cubical functions.
 """
 
 from __future__ import annotations
@@ -70,34 +70,7 @@ class Subdivision:
     def __init__(self, base, k):
         self.base = base
         self.k = k
-        if base.lattice is not None:
-            self._init_fast()
-        else:
-            self._init_general()
-
-    # -- fast path: base is the cubical set of a lattice --------------------
-
-    def _init_fast(self):
-        L = self.base.lattice
-        self.sdL = lat.subdivide_lattice(L, self.k)
-        self.cset = cs.from_lattice(self.sdL, self.base.trunc)
-        self._fast = True
-        self._carrier = {}
-        for j in range(self.cset.trunc + 1):
-            for i, key in enumerate(self.cset.keys[j]):
-                lo, hi = self.sdL.labels[key[0]][0], self.sdL.labels[key[-1]][-1]
-                span = lat.interval_span(L, lo, hi)
-                if span is None:
-                    raise SdError("internal: carrier interval is not Boolean")
-                # the carrier is the inclusion cell of the interval [lo, hi]
-                rank = len(span).bit_length() - 1
-                self._carrier[(j, i)] = (rank, self.base.key_index(rank)[span])
-
-    # -- general path: colimit of blocks over nondegenerate cells ------------
-
-    def _init_general(self):
-        self._fast = False
-        base, k, trunc = self.base, self.k, self.base.trunc
+        trunc = base.trunc
         levels = range(trunc + 1)
         self._normal = cs._normal_forms(base)
         nondeg = [base.nondegenerate(n) for n in levels]
@@ -109,9 +82,13 @@ class Subdivision:
         nodes, start = [], {}
         for j in levels:
             for n in range(top + 1):
+                # nodes share their (n, i) and (j, u) tuples: sd9 of the 3-cube
+                # glues 413,284 of them
+                us = [(j, u) for u in blocks[n].cells(j)]
                 for i in nondeg[n]:
                     start[(j, n, i)] = len(nodes)
-                    nodes.extend(((n, i), (j, u)) for u in blocks[n].cells(j))
+                    c = (n, i)
+                    nodes.extend((c, u) for u in us)
 
         def relations():
             # (C(g)(c), u) ~ (c, sd(g) u) for each face or transposition g out of
@@ -142,6 +119,7 @@ class Subdivision:
         dims = [u[0] for _, u in nodes]
         self.cset, self._cell_index, members = cs.colimit(trunc, dims, relations(), act)
         self._start = start
+        # the nodes (c, u) of each cell, over nondegenerate cells c
         self._members = [[[nodes[x] for x in cls] for cls in level] for level in members]
         # carrier: the minimal-dimension member cell; all members must
         # contain it in their atoms, which makes sd_sub a carrier test
@@ -158,8 +136,6 @@ class Subdivision:
                         raise SdError("internal: carrier not minimal")
                 self._carrier[(j, idx)] = c0
 
-    # -- shared interface ----------------------------------------------------
-
     def carrier_cell(self, cell):
         """The cell of the base whose subdivided block minimally carries `cell`."""
         found = self._carrier.get(cell)
@@ -172,14 +148,8 @@ class Subdivision:
         (n, i), (j, ub) = c, u
         if not self.base.has_cell(c):
             raise SdError(f"no cell {c} in the base")
-        SLn, BL = _block(n, self.k, self.base.trunc)
-        if not BL.has_cell(u):
+        if not _block(n, self.k, self.base.trunc)[1].has_cell(u):
             raise SdError(f"no cell {u} in the block of {c}")
-        if self._fast:
-            ckey = self.base.keys[n][i]
-            ukey = BL.keys[j][ub]
-            table = tuple(self.sdL.index[tuple(ckey[b] for b in SLn.labels[v])] for v in ukey)
-            return (j, self.cset.key_index(j)[table])
         m, z, s = self._normal[n][i]
         if m < n:
             ub = _block_map(n, m, s, self.k, self.base.trunc)[j][ub]
@@ -187,6 +157,8 @@ class Subdivision:
 
     def sd_sub(self, S):
         """The subdivision of a subpresheaf, inside the subdivided base."""
+        if S.parent is not self.base:
+            raise SdError("subpresheaf is not of the subdivided base")
         sel = tuple(
             frozenset(i for i in self.cset.cells(j) if S.contains(self._carrier[(j, i)]))
             for j in range(self.cset.trunc + 1)
@@ -210,7 +182,7 @@ class Subdivision:
         for j in range(self.cset.trunc + 1):
             level = []
             for i in self.cset.cells(j):
-                targets = {target(c, u) for c, u in self._cell_nodes((j, i))}
+                targets = {target(c, u) for c, u in self._members[j][i]}
                 if len(targets) != 1:
                     raise SdError(error)
                 level.append(targets.pop())
@@ -218,21 +190,6 @@ class Subdivision:
         f = cs.CubicalFunction(self.cset, cod, tuple(maps))
         f.validate()
         return f
-
-    def _cell_nodes(self, cell):
-        """The nodes (c, u) of a cell: on the general path, its nodes over
-        nondegenerate cells c; on the lattice path, its one node over its
-        carrier, whose labels are coordinatized in the carrier's span."""
-        j, idx = cell
-        if not self._fast:
-            return self._members[j][idx]
-        n, i = c = self._carrier[cell]
-        coord = {e: b for b, e in enumerate(self.base.keys[n][i])}
-        SLn, BL = _block(n, self.k, self.base.trunc)
-        ukey = tuple(
-            SLn.index[tuple(coord[e] for e in self.sdL.labels[v])] for v in self.cset.keys[j][idx]
-        )
-        return [(c, (j, BL.key_index(j)[ukey]))]
 
     def _eps_node(self, c, u):
         """Node (c, u) collapses to c moved by u's component, which is
@@ -244,6 +201,8 @@ class Subdivision:
         """sd f : sd(dom) -> sd(cod) for a cubical function f from the base."""
         if f.dom is not self.base:
             raise SdError("function domain does not match the subdivided base")
+        if sd_cod.base is not f.cod:
+            raise SdError("function codomain does not match the subdivided codomain")
         return self._descend(
             lambda c, u: sd_cod.class_of(f(c), u)[1],
             sd_cod.cset,
@@ -295,7 +254,10 @@ class SubFunction:
     values: dict  # (n, i) -> (n, j)
 
     def __call__(self, cell):
-        return self.values[cell]
+        found = self.values.get(cell)
+        if found is None:
+            raise SdError(f"no cell {cell} in the partial map's domain")
+        return found
 
     def validate(self):
         S = self.dom_sub

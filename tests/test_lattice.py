@@ -416,26 +416,6 @@ def test_subdivision_restrictions_are_dis_on_small_maps():
             assert lat.is_dis_morphism(f)[0]
 
 
-def test_subdivision_functor_on_dis_morphisms():
-    # enumerate every interval-preserving homomorphism between small
-    # distributive lattices and
-    # push it through the subdivision functor
-    small = [lat.boolean(1), lat.chain(2), lat.boolean(2), lat.chain(3)]
-    checked = 0
-    for L in small:
-        for M in small:
-            if L.size > 9 or M.size > 9:
-                continue
-            for values in oracle.all_monotone(L.poset.leq, M.poset.leq, budget=10**6):
-                f = lat.LatticeMap(L, M, values)
-                if not lat.is_dis_morphism(f)[0]:
-                    continue
-                g = lat.subdivide_lattice_map(f, 1)
-                assert lat.is_dis_morphism(g)[0]
-                checked += 1
-    assert checked > 50
-
-
 def test_diamond_examples():
     b2 = lat.boolean(2)
     x = b2.labels.index((1, 0))
