@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 from . import cset, cube, t1
 from .config import Budget, check_ints, find_bijection, json_errors
@@ -444,24 +444,26 @@ def _cube_pairs(n):
 
 @lru_cache(maxsize=None)
 def _cube_t1(n):
-    """t1 of the n-cube with, per comparable vertex pair (a, b), the index of
-    a and the staircase word of edge generators from a to b (coordinates
-    raised in increasing order), plus the comparable triples as pair indices."""
+    """t1 of the n-cube, a step per comparable vertex pair (a, b) and the
+    comparable triples as pair indices.  The step is (None, a) when a == b,
+    else (i, g): pair i is (a, b') for the last stair b' before b on the
+    staircase from a (coordinates raised in increasing order), so it comes
+    earlier in lexicographic order, and g is the edge generator b' -> b."""
     P, _ = t1.fundamental_presentation(cset.representable(n, max(n, 2)))
     gen_of = {edge: g for g, edge in enumerate(P.gens)}
     pairs = _cube_pairs(n)
-    words = []
+    steps = []
     for a, b_ in pairs:
-        stairs = [a | (b_ >> (n - j) << (n - j)) for j in range(n + 1)]
-        word = tuple(gen_of[e] for e in zip(stairs, stairs[1:]) if e[0] != e[1])
-        words.append((stairs[0], word))
+        raised = a ^ b_
+        last = b_ ^ (raised & -raised)  # the lowest coordinate is raised last
+        steps.append((pairs[a, last], gen_of[last, b_]) if raised else (None, a))
     triples = tuple(
         (i, pairs[(b_, c)], pairs[(a, c)])
         for (a, b_), i in pairs.items()
         for c in range(1 << n)
         if (b_, c) in pairs
     )
-    return P, tuple(words), triples
+    return P, tuple(steps), triples
 
 
 def cube_functors(S, n, budget=None):
@@ -469,36 +471,43 @@ def cube_functors(S, n, budget=None):
     the comparable vertex pairs.
 
     The n-cube poset is t1 of the representable n-cube, so these are the
-    functors `enumerate_functors` finds out of its presentation, each
-    evaluated along staircase paths.  Functoriality on every comparable
-    triple is checked again, independently of t1's square convention.
+    functors `enumerate_functors` finds out of its presentation.  A table
+    is filled pair by pair along the steps of `_cube_t1`, one `S.comp`
+    lookup each.  Functoriality on every comparable triple is checked again
+    off `S.comp` rows, independently of t1's square convention.
     """
     S = as_cat(S)
-    P, words, triples = _cube_t1(n)
+    P, steps, triples = _cube_t1(n)
+    comp, ident = S.comp, S.ident
     tables = []
     for F in enumerate_functors(P, S, budget):
-        table = tuple(
-            reduce(S.then, (F.gen_map[g] for g in word), S.ident[F.obj_map[a]]) for a, word in words
-        )
+        obj, gen = F.obj_map, F.gen_map
+        table = []
+        for i, g in steps:
+            table.append(ident[obj[g]] if i is None else comp[table[i]][gen[g]])
         for ab, bc, ac in triples:
-            if S.then(table[ab], table[bc]) != table[ac]:
+            if comp[table[ab]][table[bc]] != table[ac]:
                 raise CatError(f"internal: {n}-cube functor fails on a comparable triple")
-        tables.append(table)
+        tables.append(tuple(table))
     return sorted(tables)
 
 
 def nerve(S, trunc, budget=None):
     """The cubical nerve of S: its n-cells are the functors out of t1 of the
-    n-cube (`cube_functors`), and cube maps act by precomposition."""
+    n-cube (`cube_functors`), and cube maps act by precomposition.  A
+    truncation above `cube.ENUMERATION_BOUND` is refused before enumerating."""
+    bound = cube.ENUMERATION_BOUND
+    if trunc > bound:
+        raise CatError(f"nerve truncation {trunc} exceeds the enumeration bound {bound}")
     S = as_cat(S)
     b = Budget.of(budget)
     keys_by_dim = [cube_functors(S, n, b) for n in range(trunc + 1)]
 
-    def act(phi, key):
+    def positions(phi):
         pidx, v = _cube_pairs(phi.cod), phi.vertices
-        return tuple(key[pidx[v[a], v[b_]]] for a, b_ in _cube_pairs(phi.dom))
+        return tuple(pidx[v[a], v[b_]] for a, b_ in _cube_pairs(phi.dom))
 
-    return cset.build_presheaf(trunc, keys_by_dim, act)
+    return cset.build_presheaf(trunc, keys_by_dim, positions)
 
 
 def nerve_map(F_obj, F_mor, S, T, nerve_S, nerve_T):

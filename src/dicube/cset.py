@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 
 from . import cube
 from . import lattice as lat
@@ -90,7 +91,7 @@ class CubicalSet:
             tbl = getattr(self, family).get(key)
             if tbl is None or len(tbl) != self.sizes[g.cod]:
                 raise CsetError(f"missing {family} table {key}")
-            if any(not 0 <= v < self.sizes[g.dom] for v in tbl):
+            if tbl and (min(tbl) < 0 or max(tbl) >= self.sizes[g.dom]):
                 raise CsetError(f"{family} table {key} out of range")
         expected = set(_generator_keys(self.trunc).values())
         for family in FAMILIES:
@@ -280,22 +281,27 @@ def _normal_forms(C):
 
 
 # ---------------------------------------------------------------------------
-# generic builder from canonical cell keys and a precomposition action
+# generic builders: keyed cells and colimits
 
 
-def build_presheaf(trunc, keys_by_dim, act):
-    """Assemble explicit tables from `act(phi, key) -> key`.
+def build_presheaf(trunc, keys_by_dim, positions):
+    """Assemble explicit tables for cells keyed by tuples.
 
-    keys_by_dim[n] lists the canonical keys of the n-cells in index order;
-    `act` implements precomposition with an arbitrary cube map.
+    keys_by_dim[n] lists the canonical keys of the n-cells in index order.
+    A cube map phi sends key to tuple(key[p] for p in positions(phi)); the
+    positions are computed once per generator table and applied to every
+    key with `operator.itemgetter`.
     """
-    index = [{k: i for i, k in enumerate(keys)} for keys in keys_by_dim]
-    return _tabulate(
-        trunc,
-        tuple(len(keys) for keys in keys_by_dim),
-        lambda family, key, g: tuple(index[g.dom][act(g, k)] for k in keys_by_dim[g.cod]),
-        keys=tuple(tuple(keys) for keys in keys_by_dim),
-    )
+    keys = tuple(map(tuple, keys_by_dim))
+    index = [{k: i for i, k in enumerate(level)} for level in keys]
+
+    def table(family, key, g):
+        pos = positions(g)
+        # one position (g.dom == 0): itemgetter returns the bare entry
+        image = itemgetter(*pos) if len(pos) > 1 else lambda k, p=pos[0]: (k[p],)
+        return tuple(map(index[g.dom].__getitem__, map(image, keys[g.cod])))
+
+    return _tabulate(trunc, tuple(map(len, keys)), table, keys=keys)
 
 
 def colimit(trunc, dims, pairs, act):
@@ -305,8 +311,9 @@ def colimit(trunc, dims, pairs, act):
     dims[x]; `pairs` yields the node pairs to identify.  `act(phi, xs)`
     gets the list of every node of dimension phi.cod in increasing order
     and returns an iterable of the nodes that the cube map phi sends them
-    to, in the same order; it is called once per generator table.  Every class must stay
-    in one dimension and act must send all members of a class into a
+    to, in the same order; it is called once per generator table, whose
+    entries are read off the (class, image class) pairs.  Every class must
+    stay in one dimension and act must send all members of a class into a
     single class.  The classes of each dimension are numbered in the order
     of their least node, which is also their key.  Returns the cubical set,
     the class index of every node and the member nodes of every class.
@@ -329,19 +336,16 @@ def colimit(trunc, dims, pairs, act):
         else:
             cls[x] = cls[root]
             members[n][cls[x]].append(x)
-    images = {}
 
-    def act_on_class(phi, key):
-        if phi not in images:
-            xs = nodes[phi.cod]
-            moved = {(cls[x], cls[y]) for x, y in zip(xs, act(phi, xs))}
-            if len(moved) != len(members[phi.cod]):
-                raise CsetError("internal: colimit action not well defined")
-            images[phi] = dict(moved)
-        return keys_by_dim[phi.dom][images[phi][cls[key]]]
+    def table(family, key, g):
+        xs = nodes[g.cod]
+        moved = {(cls[x], cls[y]) for x, y in zip(xs, act(g, xs))}
+        if len(moved) != len(members[g.cod]):
+            raise CsetError("internal: colimit action not well defined")
+        return tuple(map(dict(moved).__getitem__, range(len(moved))))
 
-    keys_by_dim = [[cl[0] for cl in level] for level in members]
-    return build_presheaf(trunc, keys_by_dim, act_on_class), cls, members
+    keys = tuple(tuple(cl[0] for cl in level) for level in members)
+    return _tabulate(trunc, tuple(map(len, keys)), table, keys=keys), cls, members
 
 
 def from_lattice(L, trunc):
@@ -363,10 +367,7 @@ def from_lattice(L, trunc):
         for n in range(trunc + 1)
     ]
 
-    def act(phi, key):
-        return tuple(key[v] for v in phi.vertices)
-
-    return build_presheaf(trunc, keys_by_dim, act)
+    return build_presheaf(trunc, keys_by_dim, lambda phi: phi.vertices)
 
 
 @lru_cache(maxsize=None)

@@ -75,6 +75,24 @@ def test_nerve_counts():
     assert cat.nerve(cat.arrow_cat(), 3).sizes == (2, 3, 6, 20)
 
 
+def test_nerve_zmod3_charge():
+    # the functor searches of dimensions 0 to 3 charge 1 + 3 + 66 + 8,706;
+    # building the tables charges nothing
+    b = Budget(10**6)
+    assert cat.nerve(cat.zmod(3), 3, b).sizes == (1, 3, 27, 2187)
+    assert b.used == 8_776
+
+
+def test_cube_functors_rejects_a_square_that_does_not_commute(monkeypatch):
+    # one edge of the square goes to the generator of Z/2 and the other
+    # three to the unit, so the two paths around the square disagree
+    P, _, _ = cat._cube_t1(2)
+    bad = cat.Functor((0,) * P.n_obj, (1,) + (0,) * (len(P.gens) - 1))
+    monkeypatch.setattr(cat, "enumerate_functors", lambda P, S, budget=None, fixed=None: [bad])
+    with pytest.raises(cat.CatError, match="comparable triple"):
+        cat.cube_functors(cat.zmod(2), 2)
+
+
 def test_nerve_validates():
     for S in (cat.arrow_cat(), cat.discrete_cat(2), cat.cat_from_monoid(cat.zmod(3))):
         assert cat.nerve(S, 2).validate()

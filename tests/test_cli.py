@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import types
 
 import pytest
@@ -38,6 +39,24 @@ def test_cube_enumerate_negative_dimension_is_usage_error(capsys, dom, cod):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("cat", "nerve", "--cat", "zmod2", "--trunc", "5"),
+        ("cat", "nerve", "--cat", "s3", "--trunc", "5"),
+        ("cset", "make", "--shape", "nerve:s3", "--trunc", "5"),
+    ],
+    ids=" ".join,
+)
+def test_nerve_beyond_the_enumeration_bound_is_refused_before_enumerating(capsys, command):
+    started = time.monotonic()
+    code, out, err = run_cli(capsys, *command)
+    assert time.monotonic() - started < 0.5
+    assert code == 2
+    assert out == ""
+    assert err == "error: nerve truncation 5 exceeds the enumeration bound 4\n"
 
 
 @pytest.mark.parametrize(

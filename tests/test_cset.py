@@ -1020,7 +1020,8 @@ def test_disjoint_union_doubles_components():
 # builders as they were before they shared `cset.colimit`, from the nerves
 # as they were before `cat.cube_functors` ran on `cat.enumerate_functors`,
 # and from `disjoint_union` and `sub_to_cset` as they were before they
-# walked `_elementary_maps_into`; "sd3 klein@3", "sd3 torus@3" and "sd9 klein"
+# walked `_elementary_maps_into`; "nerve zmod3@3" before `cube_functors`
+# filled its tables by a dynamic program over vertex pairs; "sd3 klein@3", "sd3 torus@3" and "sd9 klein"
 # from the general subdivision path before `cset.colimit` acted on whole
 # node lists; "tensor(sphere2@3, circle@3)" before `tensor` glued over
 # nondegenerate pairs only.  The digests pin cell order, which the census
@@ -1049,6 +1050,7 @@ GOLDEN_DIGESTS = {
     "nerve idem2@3": "6c0c9da0efbc02c5c4c8561f86abfae367eb6cc0b2ac6669ce0d3d54d6c4b8e4",
     "nerve s3@2": "fbaa37f072cb767726569c817e356d8c586cd491c197198e92c6c544cc4de643",
     "nerve zmod2@3": "3427563f6b59d4edfd3abe11940bd9006624338fac7f34732ffa701241e27f84",
+    "nerve zmod3@3": "eefb57f435790d3d657cf1d741a53065cd3d2a75e094c984bf62f43941b800f3",
     "point@2": "8410409c37e2b8391f4af2f12bb52936625a4a859e45b1a15c631a036fa53902",
     "point@3": "3e7d32564bd48355949bf4058c494e51cb5aa1b167da0fa7af376a5c43f0ab4f",
     "sd3 circle": "3e1dbc3ec5171f8ffd7f02856e7f2e96835b299fb15b636385c9253642caffe8",
