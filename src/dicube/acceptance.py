@@ -352,7 +352,7 @@ def criterion_9():
                 if len(elems) > 16:
                     continue
                 rank = lat.boolean_rank(L, lo, hi)
-                iso = oracle.is_boolean_by_isomorphism(L.poset.leq, elems)
+                iso = oracle.is_boolean_by_isomorphism(L.poset.leq, elems, budget=10**7)
                 if (rank is not None) != iso:
                     ok = False
         out.append((f"Boolean detection matches isomorphism search on {name}", ok, ""))

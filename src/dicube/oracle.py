@@ -10,8 +10,12 @@ One DFS (`_monotone_tables`) lists the tables of `all_monotone`,
 `cube_monotone_tables` and `monotone_bijection_tables`, charging each point
 once for all its values; `interval_hom_tables` keeps its own search on
 purpose, so that criterion 1's naive filter compares two separate searches.
-The generator closures charge their caller one unit per closure table,
-also when an earlier call built the closure.
+Both offer a point only the values its property leaves open: a bijection
+the unused values with large enough down- and up-sets, an interval
+homomorphism at an atom the value of 0 and its covers, at a join the one
+forced value.  The generator closures charge their caller one unit per
+closure table, also when an earlier call built the closure; the
+Boolean-interval isomorphism search one unit per value it tries.
 """
 
 from __future__ import annotations
@@ -43,12 +47,13 @@ def _monotone_tables(p_leq, q_leq, budget, injective=False):
     """All monotone functions P -> Q (one-to-one when `injective`) as value
     tuples, lexicographic order.
 
-    DFS over the points of P in index order.  A point is offered every value
-    of Q, or every unused one when `injective`, and is charged for all of
-    them at once; it keeps those above the values of the earlier points below
-    it and below the values of the earlier points above it, tried ascending.
-    Values are bitmasks over Q, so that filter is one AND per earlier
-    comparable point.
+    DFS over the points of P in index order.  A point i is offered every
+    value of Q, or when `injective` every unused v with |down v| >= |down i|
+    and |up v| >= |up i| (a one-to-one monotone map sends down i one-to-one
+    into down v, and up i into up v), and is charged for all of them at once.
+    It keeps those above the values of the earlier points below it and below
+    the values of the earlier points above it, tried ascending.  Values are
+    bitmasks over Q, so that filter is one AND per earlier comparable point.
     """
     b = Budget.of(budget)
     np, nq = len(p_leq), len(q_leq)
@@ -56,6 +61,14 @@ def _monotone_tables(p_leq, q_leq, budget, injective=False):
     down = [sum(1 << w for w in range(nq) if q_leq[w][v]) for v in range(nq)]
     below = [[j for j in range(i) if p_leq[j][i]] for i in range(np)]
     above = [[j for j in range(i) if p_leq[i][j]] for i in range(np)]
+    fits = [(1 << nq) - 1] * np
+    if injective:
+        p_sizes = [(sum(row[i] for row in p_leq), sum(p_leq[i])) for i in range(np)]
+        q_sizes = [(down[v].bit_count(), up[v].bit_count()) for v in range(nq)]
+        fits = [
+            sum(1 << v for v, (d, u) in enumerate(q_sizes) if d >= pd and u >= pu)
+            for pd, pu in p_sizes
+        ]
     out = []
     values = [0] * np
 
@@ -63,8 +76,8 @@ def _monotone_tables(p_leq, q_leq, budget, injective=False):
         if i == np:
             out.append(tuple(values))
             return
-        b.spend(free.bit_count())
-        allowed = free
+        allowed = free & fits[i]
+        b.spend(allowed.bit_count())
         for j in below[i]:
             allowed &= up[values[j]]
         for j in above[i]:
@@ -144,9 +157,11 @@ def interval_hom_tables(m, n, budget=None):
     DFS over assignments in mask order.  When mask i is assigned: meets
     j & i are already assigned for every j < i, and every pair with union
     exactly i has both members assigned, so the homomorphism equations can
-    be enforced incrementally.  Mask 0 and the atoms are offered every
-    value; any other mask is the join of an earlier pair and is offered
-    that one forced value.  Each level is charged once for all it offers.
+    be enforced incrementally.  Mask 0 is offered every value; an atom a
+    the value of 0 and its covers, at most n + 1 values, since [0, a] must
+    map onto an interval; any other mask, the join of an earlier pair, that
+    one forced value.  Each level is charged once for all it offers.  Every
+    j < i is checked by the meet equation, for j below i monotonicity.
     A final hom check and interval-image filter follow.
     This enumerator never consults the normal-form calculus it checks.
     """
@@ -157,6 +172,7 @@ def interval_hom_tables(m, n, budget=None):
         [(x, y) for x in range(i) for y in range(x, i) if x | y == i]
         for i in range(size)
     ]
+    meets = [[(j, j & i) for j in range(i)] for i in range(size)]
     out = []
     values = [0] * size
 
@@ -165,25 +181,26 @@ def interval_hom_tables(m, n, budget=None):
             if _table_is_hom(values, m, n) and _table_preserves_intervals(values, m, n):
                 out.append(tuple(values))
             return
-        offered = [values[x] | values[y] for x, y in join_pairs[i][:1]] or range(1 << n)
+        if join_pairs[i]:
+            x, y = join_pairs[i][0]
+            offered = [values[x] | values[y]]
+        elif i:
+            covers = (1 << k for k in range(n) if not values[0] >> k & 1)
+            offered = [values[0], *(values[0] | bit for bit in covers)]
+        else:
+            offered = range(1 << n)
         b.spend(len(offered))
         for v in offered:
-            ok = True
-            for j in range(i):
-                if _cube_leq(j, i) and not _cube_leq(values[j], v):
-                    ok = False
+            for j, k in meets[i]:
+                if values[k] != values[j] & v:
                     break
-                if values[j & i] != values[j] & v:
-                    ok = False
-                    break
-            if ok:
+            else:
                 for x, y in join_pairs[i]:
                     if values[x] | values[y] != v:
-                        ok = False
                         break
-            if ok:
-                values[i] = v
-                rec(i + 1)
+                else:
+                    values[i] = v
+                    rec(i + 1)
     rec(0)
     return set(out)
 
@@ -318,8 +335,10 @@ def transposition_closure(n, budget=None):
 # Boolean-interval detection by explicit isomorphism search
 
 
-def is_boolean_by_isomorphism(leq, elems):
-    """Whether the subposet on `elems` is order-isomorphic to some [1]^k."""
+def is_boolean_by_isomorphism(leq, elems, budget=None):
+    """Whether the subposet on `elems` is order-isomorphic to some [1]^k,
+    by a first-hit search charging one unit per value tried."""
+    b = Budget.of(budget)
     size = len(elems)
     k = size.bit_length() - 1
     if size != 1 << k:
@@ -335,6 +354,7 @@ def is_boolean_by_isomorphism(leq, elems):
         for v in range(size):
             if used[v]:
                 continue
+            b.spend()
             ok = True
             for y in elems[:pos]:
                 w = assign[y]

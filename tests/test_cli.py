@@ -461,6 +461,7 @@ CLI_DIGESTS = {
     "--budget 5 inv h1 --space torus --monoid zmod4": "ffd3d0a29bb3fe8d",
     "--budget 5 cat nerve --cat s3 --trunc 2": "ffd3d0a29bb3fe8d",
     "inv pi0 dodecahedron": "1bb6eefbe0c583f7",
+    "oracle check --suite cube": "530a2f73db7e8cbe",
     "oracle check --suite lattice": "ff48b0b34cca795c",
     "oracle check --suite homotopy": "f0cc087c31e235bc",
     "verify --suite 6": "1fa8f9a02ad98cd4",
@@ -492,6 +493,7 @@ CLI_INVOCATIONS = (
     ("--budget", "5", "inv", "h1", "--space", "torus", "--monoid", "zmod4"),
     ("--budget", "5", "cat", "nerve", "--cat", "s3", "--trunc", "2"),
     ("inv", "pi0", "dodecahedron"),
+    ("oracle", "check", "--suite", "cube"),
     ("oracle", "check", "--suite", "lattice"),
     ("oracle", "check", "--suite", "homotopy"),
     ("verify", "--suite", "6"),
