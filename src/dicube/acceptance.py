@@ -197,7 +197,7 @@ def criterion_4():
                 ok = False
                 break
         out.append((f"star collapse containment: {name}", ok, f"{s.cset.sizes[0]} vertices"))
-    for name in ("cube1", "cube2", "circle"):
+    for name in ("cube1", "cube2", "circle", "torus", "klein", "sphere2"):
         d9 = sd.sd9(catalog[name])
         dims = {}
         ok = True

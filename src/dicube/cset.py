@@ -152,6 +152,8 @@ class CubicalSet:
         cached = self._nondeg_cache.get(n)
         if cached is not None:
             return cached
+        if not 0 <= n <= self.trunc:
+            raise CsetError(f"no dimension {n} in a cubical set truncated at {self.trunc}")
         if n == 0:
             result = tuple(self.cells(0))
         else:
@@ -373,6 +375,8 @@ def from_lattice(L, trunc):
 @lru_cache(maxsize=None)
 def representable(n, trunc):
     """The cubical set of the n-cube; k-cells are cube maps [1]^k -> [1]^n."""
+    if n < 0:
+        raise CsetError(f"cube dimension {n} is negative")
     if trunc < n:
         raise CsetError("truncation below the cube dimension")
     return from_lattice(lat.boolean(n), trunc)
@@ -775,7 +779,7 @@ def dot_skeleton(C, name="cset"):
     lines = [f"digraph {name} {{"]
     for v in C.cells(0):
         lines.append(f"  v{v};")
-    for e in C.nondegenerate(1):
+    for e in C.nondegenerate(1) if C.trunc else ():
         src = C.faces[(1, 1, 0)][e]
         tgt = C.faces[(1, 1, 1)][e]
         lines.append(f"  v{src} -> v{tgt} [label=\"e{e}\"];")

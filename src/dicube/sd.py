@@ -11,6 +11,11 @@ add nothing to the colimit over the category of elements: a node
 (C(s)(z), u) is the node (z, sd(s) u).  The gluing data gives carrier
 cells, subdivided subpresheaves, the collapse map, and induced maps of
 subdivided cubical functions.
+
+A local lift factors the double collapse sd9 C -> C on a star-shaped piece
+S through a representable R: down is the first collapse on one piece of
+sd3 C coordinatized by its top cell, and up: S -> R is found by one
+first-hit search over the assignments of R's vertices to S's vertices.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from functools import lru_cache
 from . import cube
 from . import lattice as lat
 from . import cset as cs
+from .config import Budget
 
 
 class SdError(ValueError):
@@ -283,29 +289,54 @@ class LocalLift:
     up: SubFunction  # S -> representable(dim)
     down: cs.CubicalFunction  # representable(dim) -> C
     through: cs.CubicalSet  # representable(dim)
-    face: tuple  # carrier-block interval the retraction clamps to
+
+
+def _first_assignment(candidates, fits, budget):
+    """The first list with one of `candidates[k]` at each position k such
+    that `fits(k, assign)` holds once position k is set, or None.  Each
+    value tried is charged to the budget."""
+    assign = []
+
+    def extend(k):
+        if k == len(candidates):
+            return True
+        for p in candidates[k]:
+            budget.spend()
+            assign.append(p)
+            if fits(k, assign) and extend(k + 1):
+                return True
+            assign.pop()
+        return False
+
+    return assign if extend(0) else None
 
 
 def local_lift(d9, S):
-    """Factor the double collapse through a representable on S.
+    """Factor the double collapse g = eps1 o eps2 through a representable on S.
 
     S must be a nonempty subpresheaf of sd9(C) contained in the closed
     star of one of its vertices.  Returns the factorization (up, down)
-    with down o up equal to the double collapse restricted to S.  Steps:
+    with down o up equal to g restricted to S.  Steps:
     1. A is S's image under the second collapse, c_s the least atom of C
        whose subdivision meets A, and B the part of A over c_s.
-    2. One pass over the block of c_star, the carrier of A's atom in sd3 C,
-       gives each cell of A its block representatives, and each least face
-       [lo, hi] of a block cell over A the atom of that cell's carrier.
-    3. Clamping to the first minimal face whose atom is c_s is the
-       retraction pi: A -> B; it must fix B and commute with the collapse.
-    4. R's cell phi goes to phi acting on the class of the block cell whose
-       table is the span of B's top interval; this must be a bijection.
-    5. down is the first collapse on B and up is pi after the second
-       collapse; both are validated, and down o up is checked cell by cell.
+    2. B must be the atom of its least nondegenerate top cell, of dimension
+       d, and the cell phi of R = representable(d) goes to phi acting on
+       that cell (Yoneda), a bijection onto B; down is the first collapse
+       read through it.  Any top cell serves: a transposition of one is an
+       automorphism of [1]^d.
+    3. up is the first hit of one search over vertex assignments.  A
+       vertex v of S ranges over the vertices p of R with down(p) = g(v);
+       a cell of S, checked once its last vertex is set, goes to the cell
+       of R with its assigned vertex table, which must exist and go to g of
+       the cell under down.  Each value tried is charged to a default
+       `Budget`; the lift exists, so a search without a hit is an internal
+       error.
+    4. up and down are validated, and down o up is checked cell by cell.
     """
-    C, r1, r2 = d9.base, d9.r1, d9.r2
-    E = r2.cset
+    C, r1 = d9.base, d9.r1
+    E = d9.cset
+    if S.parent is not E:
+        raise SdError("subpresheaf is not of the double subdivision")
     if S.is_empty():
         raise SdError("local lift of an empty subpresheaf")
     S.check_closed()
@@ -324,75 +355,6 @@ def local_lift(d9, S):
         raise SdError("no least atom meets the collapsed subpresheaf")
     B = A.intersection(r1.sd_sub(c_s))
 
-    # ambient atom of A inside sd3 C and its carrier block
-    anchor = None
-    for j in range(r1.cset.trunc, -1, -1):
-        for i in sorted(A.sel[j]):
-            if A.issubset(cs.atom(r1.cset, (j, i))):
-                anchor = (j, i)
-                break
-        if anchor:
-            break
-    if anchor is None:
-        raise SdError("collapsed subpresheaf is not contained in an atom")
-    c_star = r1.carrier_cell(anchor)
-    SL, BL = _block(c_star[0], 2, C.trunc)
-
-    # Elements of [1]^n are vertex indices, ordered by bit inclusion.  The
-    # labels of a block cell's vertices lie between those of its first and
-    # last vertex, so its least face runs from the first vertex of the one
-    # to the last of the other.  The carrier of its class and the face cell
-    # of c_star at that face generate the same atom of C.
-    faces, reps = {}, {}
-    for j in range(BL.trunc + 1):
-        for u in BL.cells(j):
-            x = r1.class_of(c_star, (j, u))
-            if A.contains(x):
-                ukey = BL.keys[j][u]
-                face = (SL.labels[ukey[0]][0], SL.labels[ukey[-1]][-1])
-                faces[face] = cs.atom(C, r1.carrier_cell(x)).sel
-                reps.setdefault(x, []).append((j, u))
-    minimal = [
-        (lo, hi)
-        for lo, hi in faces
-        if not any(
-            (lo2, hi2) != (lo, hi) and lo & lo2 == lo and hi2 & hi == hi2
-            for lo2, hi2 in faces
-        )
-    ]
-    chosen = next((face for face in sorted(minimal) if faces[face] == c_s.sel), None)
-    if chosen is None:
-        raise SdError("no carrier-block face matches the minimal atom")
-    lo, hi = chosen
-
-    clamp_sl = tuple(SL.index[tuple((b | lo) & hi for b in label)] for label in SL.labels)
-
-    def clamp_block_cell(j, u):
-        ukey = BL.keys[j][u]
-        return BL.key_index(j)[tuple(clamp_sl[v] for v in ukey)]
-
-    pi = {}
-    for j in range(r1.cset.trunc + 1):
-        for i in sorted(A.sel[j]):
-            if (j, i) not in reps:
-                raise SdError("internal: no block representative over the carrier")
-            targets = {
-                r1.class_of(c_star, (jr, clamp_block_cell(jr, ur)))
-                for jr, ur in reps[(j, i)]
-            }
-            if len(targets) != 1:
-                raise SdError("internal: retraction not well defined")
-            target = targets.pop()
-            if not B.contains(target):
-                raise SdError("internal: retraction leaves the intersection")
-            pi[(j, i)] = target
-    SubFunction(A, r1.cset, pi).validate()
-    if any(pi[(j, i)] != (j, i) for j, level in enumerate(B.sel) for i in level):
-        raise SdError("internal: retraction does not fix the intersection")
-    eps1 = d9.eps1.maps
-    if any(eps1[j][pi[(j, i)][1]] != eps1[j][i] for j, level in enumerate(A.sel) for i in level):
-        raise SdError("internal: retraction does not commute with the collapse")
-
     # the intersection is a representable: find its top cell and coordinatize
     top_dim = max(
         (j for j in range(r1.cset.trunc + 1) if set(r1.cset.nondegenerate(j)) & B.sel[j]),
@@ -401,39 +363,57 @@ def local_lift(d9, S):
     tops = sorted(set(r1.cset.nondegenerate(top_dim)) & B.sel[top_dim])
     if not tops or cs.atom(r1.cset, (top_dim, tops[0])).sel != B.sel:
         raise SdError("intersection is not atomic")
-    _, ut = reps[(top_dim, tops[0])][0]
-    tkey = BL.keys[top_dim][ut]
-    k_span = lat.interval_span(SL, tkey[0], tkey[-1])
-    if k_span is None or len(k_span) != 1 << top_dim:
-        raise SdError("internal: top interval rank mismatch")
-    # the block cell whose table is the span, not tops[0]: a top cell may
-    # be a transposition of it
-    std = r1.class_of(c_star, (top_dim, BL.key_index(top_dim)[k_span]))[1]
 
     R = cs.representable(top_dim, C.trunc)
-    iso, down_maps = {}, []
+    eps1, eps2 = d9.eps1.maps, d9.eps2.maps
+
+    def g(j, x):
+        return eps1[j][eps2[j][x]]
+
+    down_maps = []
     for j in range(R.trunc + 1):
-        images = [r1.cset.act(cube.from_vertices(j, top_dim, key), std) for key in R.keys[j]]
+        images = [r1.cset.act(cube.from_vertices(j, top_dim, key), tops[0]) for key in R.keys[j]]
         if sorted(images) != sorted(B.sel[j]):
             raise SdError("internal: intersection is not a full representable")
-        iso.update(((j, bi), (j, ri)) for ri, bi in enumerate(images))
-        down_maps.append(tuple(d9.eps1.maps[j][bi] for bi in images))
+        down_maps.append(tuple(eps1[j][bi] for bi in images))
     down = cs.CubicalFunction(R, C, tuple(down_maps))
     down.validate()
 
-    up_values = {}
+    # vertex tables of S's cells, as positions in the search order; a cell
+    # of R is its vertex table, and R's vertex p has the table (p,)
+    order = sorted(S.sel[0])
+    position = {v: k for k, v in enumerate(order)}
+    tables, checks = {}, [[] for _ in order]
     for j in range(E.trunc + 1):
-        for i in S.sel[j]:
-            a_cell = (j, d9.eps2.maps[j][i])
-            up_values[(j, i)] = iso[pi[a_cell]]
+        corners = [
+            E.action(cube.CubeMap(0, j, tuple(("c", b) for b in p))) for p in cube.points(j)
+        ]
+        for x in S.sel[j]:
+            table = tuple(position[corner[x]] for corner in corners)
+            tables[(j, x)] = table
+            checks[max(table)].append((j, table, g(j, x)))
+
+    def fits(k, assign):
+        for j, table, target in checks[k]:
+            cell = R.key_index(j).get(tuple(assign[t] for t in table))
+            if cell is None or down.maps[j][cell] != target:
+                return False
+        return True
+
+    candidates = [[p for p in R.cells(0) if down.maps[0][p] == g(0, v)] for v in order]
+    assign = _first_assignment(candidates, fits, Budget())
+    if assign is None:
+        raise SdError("internal: no lift of the star through the representable")
+    up_values = {
+        (j, x): (j, R.key_index(j)[tuple(assign[t] for t in table)])
+        for (j, x), table in tables.items()
+    }
     up = SubFunction(S, R, up_values)
     up.validate()
 
     for j in range(E.trunc + 1):
         for i in S.sel[j]:
-            via = down.maps[j][up_values[(j, i)][1]]
-            direct = d9.eps1.maps[j][d9.eps2.maps[j][i]]
-            if via != direct:
+            if down.maps[j][up_values[(j, i)][1]] != g(j, i):
                 raise SdError("local lift does not commute with the double collapse")
 
-    return LocalLift(top_dim, up, down, R, (lo, hi))
+    return LocalLift(top_dim, up, down, R)

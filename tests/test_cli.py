@@ -85,6 +85,12 @@ def test_reports_do_not_depend_on_hash_seed(argv):
     assert len(outputs) == 1
 
 
+def test_dot_of_a_point_at_truncation_zero(capsys):
+    code, out, err = run_cli(capsys, "cset", "dot", "cube0", "--trunc", "0")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["dot"] == ["digraph cset {", "  v0;", "}"]
+
+
 def test_reports_are_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "inv", "h1", "--space", "torus", "--monoid", "zmod2")
     _, out2, _ = run_cli(capsys, "inv", "h1", "--space", "torus", "--monoid", "zmod2")

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,22 @@ def test_representable_counts():
 def test_representable_needs_room():
     with pytest.raises(cset.CsetError):
         cset.representable(2, 1)
+
+
+def test_negative_cube_dimension_is_a_cset_error():
+    with pytest.raises(cset.CsetError, match="negative"):
+        cset.representable(-1, 2)
+    with pytest.raises(cset.CsetError, match="negative"):
+        cset.boundary(-1, 2)
+
+
+def test_nondegenerate_outside_the_truncation_is_a_cset_error():
+    circ = spaces.circle()
+    for n in (-1, 3, 5):
+        with pytest.raises(cset.CsetError, match="truncated at 2"):
+            circ.nondegenerate(n)
+    with pytest.raises(cset.CsetError):
+        circ.orbits(5)
 
 
 def test_boundary_of_edge():
@@ -453,8 +473,8 @@ def test_subdivision_rejects_arguments_of_another_space():
 
 
 def _lift_outcomes(C):
-    """(dim, face, up, down) of the local lift of every vertex star of
-    sd9 C, or the `SdError` text where the lift fails."""
+    """(dim, up, down) of the local lift of every vertex star of sd9 C, or
+    the `SdError` text where the lift fails."""
     d9 = sd.sd9(C)
     outcomes = []
     for v in d9.cset.cells(0):
@@ -463,24 +483,22 @@ def _lift_outcomes(C):
         except sd.SdError as exc:
             outcomes.append(str(exc))
             continue
-        outcomes.append(
-            [lift.dim, list(lift.face), sorted(lift.up.values.items()), lift.down.maps]
-        )
+        outcomes.append([lift.dim, sorted(lift.up.values.items()), lift.down.maps])
     return outcomes
 
 
 # SHA-256 of the local lift of every vertex star of sd9 of torus, klein and
-# sphere2, in that order: (dim, face, up, down), or the `SdError` text where
-# the lift fails (32 klein stars).  Recorded before `local_lift` read the
-# faces of its carrier block off block-cell labels.
-LIFT_DIGEST = "6773eb37222c40516402c17aebaa638764703ad474157dc547d12cdbd4953415"
+# sphere2, in that order: (dim, up, down), or the `SdError` text where the
+# lift fails.  Recorded when `local_lift` came to search its up map over
+# vertex assignments, which lifts every star.
+LIFT_DIGEST = "05647315aa5bcc60f3229341eb7a51fe0af521bfa257d7c06f78f7495392d969"
 
 
 def test_local_lift_digest():
     outcomes = [
         x for name in ("torus", "klein", "sphere2") for x in _lift_outcomes(spaces.by_name(name))
     ]
-    assert sum(isinstance(x, str) for x in outcomes) == 32
+    assert sum(isinstance(x, str) for x in outcomes) == 0
     text = json.dumps(outcomes)
     assert hashlib.sha256(text.encode()).hexdigest() == LIFT_DIGEST
 
@@ -554,12 +572,12 @@ def _collapsed_square(edges):
 
 
 # SHA-256 of `_lift_outcomes` on three quotients of the square whose faces
-# are degenerate, recorded before `local_lift` read its least atom off the
-# carriers of the collapsed piece.
+# are degenerate, recorded when `local_lift` came to search its up map over
+# vertex assignments.
 COLLAPSED_SQUARE_LIFT_DIGESTS = {
-    ((1, 0),): "b5e3de24cb06316da654239dee2994cea3b4f59af76c48b04f9682d0a96fab1c",
-    ((1, 0), (2, 0)): "7d5db3ba008a5dd1a99045c847ed05d563884d3a2dbeeeab7b3eccd574c586ce",
-    ((1, 0), (1, 1)): "b6be32ea937496a05216dee709c3e03444748b17554690b37044b2bf5a10c39e",
+    ((1, 0),): "6975f95df0b7485370c3e90915f7bfeb20a55183d5f3819764d14d37a4758b53",
+    ((1, 0), (2, 0)): "f4d93c8515daefd73f41c1c139723eb20e30f94782a220ae0e1d22544a44ffc2",
+    ((1, 0), (1, 1)): "b5bbd37f05577739b1ff7326b289db2f7b7d7fa26ae801a072fd3d46db1a34fc",
 }
 
 
@@ -580,12 +598,9 @@ def _one_twist_square():
 
 
 # SHA-256 of `_lift_outcomes` on sd9 of cube2, circle, edge_boundary,
-# torus_by_quotient and the one-twist square, in that order.  Recorded
-# before `local_lift` walked its carrier block once and coordinatized the
-# intersection from one cell; re-recorded when cubes came to be glued like
-# every other cubical set, which orders the cells of sd9 cube2 differently
-# (the other four entries did not move).
-MORE_LIFTS_DIGEST = "fbf8620e6c44ea6854b633926592c55c8a1dbe8441f9fabe3c24786401c5c5a4"
+# torus_by_quotient and the one-twist square, in that order.  Recorded when
+# `local_lift` came to search its up map over vertex assignments.
+MORE_LIFTS_DIGEST = "53924e36ed0fd0081c96dfdf40b05353d057af2c3b75b14f49c463a7a1e2a257"
 
 
 def test_local_lift_digest_on_more_spaces():
@@ -595,12 +610,117 @@ def test_local_lift_digest_on_more_spaces():
         for C in named + [spaces.torus_by_quotient(2), _one_twist_square()]
     ]
     assert [len(x) for x in per_space] == [100, 9, 2, 81, 90]
-    failed = [v for v, x in enumerate(per_space[-1]) if isinstance(x, str)]
-    # the smallest known repro of ROADMAP item 1's twisted-gluing failure
-    assert failed == [32, 33, 44, 45, 48, 49, 52, 53, 62, 63, 64, 65, 82, 83, 84, 85]
+    # the one-twist square is the smallest twisted gluing
+    assert [v for v, x in enumerate(per_space[-1]) if isinstance(x, str)] == []
     assert all(not isinstance(x, str) for outcomes in per_space[:-1] for x in outcomes)
     text = json.dumps(per_space)
     assert hashlib.sha256(text.encode()).hexdigest() == MORE_LIFTS_DIGEST
+
+
+def _lift_spaces():
+    named = [(name, spaces.by_name(name)) for name in ("cube2", "circle", "torus", "klein", "sphere2")]
+    return named + [("one-twist", _one_twist_square())]
+
+
+# Per space, the stars of sd9 on which `local_lift` failed while it clamped
+# to a carrier-block face, and the SHA-256 of [v, dim, down] over the other
+# stars, each level of down's table sorted.  Recorded with the clamp; the
+# search that replaced it lifts through the same representable with the
+# same image of each cell, whichever top cell coordinatizes it.
+CLAMP_DOWN_DIGESTS = {
+    "cube2": ([], "d1f9d129cc3339706a86853ae6e48a7512448594e4eb38e2a53c182a37eeffd0"),
+    "circle": ([], "24c672b3b1d8528029339c3aa3b48ef0f79369abf81f49e66a63ee1e86ec85e9"),
+    "torus": ([], "c56671832f326081090107545d492742aede99f16145200825cdb35e41d9e098"),
+    "klein": (
+        [21, 22, 23, 24, 29, 30, 33, 34, 35, 36, 39, 40, 41, 42, 43, 44]
+        + [49, 50, 51, 52, 53, 54, 55, 56, 65, 66, 67, 68, 73, 74, 75, 76],
+        "e3eb152e220b650c84fa3ba8cb4ef23b7c4c8c67c1c23085f97df3b88136a93a",
+    ),
+    "sphere2": ([], "44f86227aa8ea59a3efc8907dbe494eb83797a3dbee1efc8b05f55224c533dfe"),
+    "one-twist": (
+        [32, 33, 44, 45, 48, 49, 52, 53, 62, 63, 64, 65, 82, 83, 84, 85],
+        "63754b1d64c6cbc1a4873c1bd64434e937ace637f75a8e0506ef6da3b9d50260",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLAMP_DOWN_DIGESTS))
+def test_local_lift_keeps_the_down_maps_of_the_clamp(name):
+    C = dict(_lift_spaces())[name]
+    failed, digest = CLAMP_DOWN_DIGESTS[name]
+    d9 = sd.sd9(C)
+    kept = []
+    for v in d9.cset.cells(0):
+        if v not in failed:
+            lift = sd.local_lift(d9, cset.closed_star(d9.cset, v))
+            kept.append([v, lift.dim, [sorted(level) for level in lift.down.maps]])
+    assert hashlib.sha256(json.dumps(kept).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["klein", "one-twist"])
+def test_local_lifts_commute_with_every_cube_map(name):
+    d9 = sd.sd9(dict(_lift_spaces())[name])
+    E, trunc = d9.cset, d9.cset.trunc
+    phis = [phi for m in range(trunc + 1) for n in range(trunc + 1) for phi in cube.enumerate_maps(m, n)]
+    for v in E.cells(0):
+        S = cset.closed_star(E, v)
+        lift = sd.local_lift(d9, S)
+        R, up = lift.through, lift.up
+        for phi in phis:
+            e_tbl, r_tbl = E.action(phi), R.action(phi)
+            for x in S.sel[phi.cod]:
+                assert up((phi.dom, e_tbl[x])) == (phi.dom, r_tbl[up((phi.cod, x))[1]]), (v, phi)
+        for j, level in enumerate(S.sel):
+            for x in level:
+                assert lift.down.maps[j][up((j, x))[1]] == d9.eps1.maps[j][d9.eps2.maps[j][x]]
+
+
+def test_local_lift_without_a_hit_is_an_internal_error(monkeypatch):
+    d9 = sd.sd9(spaces.circle())
+    monkeypatch.setattr(sd, "_first_assignment", lambda *args: None)
+    with pytest.raises(sd.SdError, match="^internal: "):
+        sd.local_lift(d9, cset.closed_star(d9.cset, 0))
+
+
+def test_local_lift_rejects_a_star_of_another_space():
+    torus9, klein9 = sd.sd9(spaces.torus()), sd.sd9(spaces.klein())
+    for v in torus9.cset.cells(0):
+        with pytest.raises(sd.SdError, match="not of the double subdivision"):
+            sd.local_lift(klein9, cset.closed_star(torus9.cset, v))
+
+
+def test_local_lift_lifts_every_star_of_klein_at_truncation_3():
+    d9 = sd.sd9(spaces.klein(3))
+    dims = [sd.local_lift(d9, cset.closed_star(d9.cset, v)).dim for v in d9.cset.cells(0)]
+    assert [dims.count(d) for d in range(4)] == [49, 28, 4, 0]
+
+
+_KLEIN_LIFT_DIGEST_SCRIPT = """
+import hashlib, json
+from dicube import cset, sd, spaces
+d9 = sd.sd9(spaces.klein())
+lifts = []
+for v in d9.cset.cells(0):
+    lift = sd.local_lift(d9, cset.closed_star(d9.cset, v))
+    lifts.append([lift.dim, sorted(lift.up.values.items()), lift.down.maps])
+print(hashlib.sha256(json.dumps(lifts).encode()).hexdigest())
+"""
+
+
+def test_klein_lift_digest_does_not_depend_on_hash_seed():
+    src = str(Path(sd.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = set()
+    for seed in ("0", "1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _KLEIN_LIFT_DIGEST_SCRIPT],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+            check=True,
+        )
+        digests.add(proc.stdout)
+    assert len(digests) == 1
 
 
 def test_normal_forms_resolve_every_cell():
@@ -1198,10 +1318,10 @@ def test_quotient_matches_worklist_closure(space):
 # - "eps sd3 X": the maps of the collapse of sd3 X, followed for cube2@3 by
 #   the carrier cell of every cell of sd3;
 # - "sd9 cube1": `to_json` of sd9, the maps of both collapses, and the
-#   (dim, face, up, down) of the local lift of every vertex star.
+#   (dim, up, down) of the local lift of every vertex star.
 # The cube2@3 collapse and sd9 cube1 pins were re-recorded when cubes came
 # to be glued like every other cubical set, which orders their cells
-# differently.
+# differently; sd9 cube1 again when the lift lost its clamp face.
 LATTICE_PATH_DIGESTS = {
     "sd1 cube1@2": "509a8b920a771761156f3322e2bfa019ce617daaf681c335fd8f0b17e391f8e2",
     "sd2 cube1@2": "415e3dabbe465ab4c6b72989d96bc1e4ca61394033ee860bbbeb0e7e0a5409d5",
@@ -1224,7 +1344,7 @@ LATTICE_PATH_DIGESTS = {
     "eps sd3 klein@2": "fa118738804d133761089d6a48a353b804f46b53ff18dcc99c915cac877868f5",
     "eps sd3 torus@2": "f511289f4affebd25f95edb1366734506f6b695767b33defd12458cb6101444f",
     "eps sd3 sphere2@2": "5fd2afbf583f5d83d1f1e5a33547efb44fcb37c20e2bae60ca1bb7da2fdf3620",
-    "sd9 cube1": "d744831a704b25e30d14c869766ac9e66a79e47288a1068513c7aca27650b97b",
+    "sd9 cube1": "d26810ff027b1d807bf0de91db00610077177066174f7545be748259755d665a",
 }
 
 
@@ -1234,7 +1354,7 @@ def _lattice_path_text(name):
         lifts = []
         for v in d9.cset.cells(0):
             lift = sd.local_lift(d9, cset.closed_star(d9.cset, v))
-            lifts.append([lift.dim, list(lift.face), sorted(lift.up.values.items()), lift.down.maps])
+            lifts.append([lift.dim, sorted(lift.up.values.items()), lift.down.maps])
         return cset.to_json(d9.cset) + json.dumps([d9.eps1.maps, d9.eps2.maps, lifts])
     if name.startswith("eps sd3 "):
         space, trunc = name[8:].split("@")
