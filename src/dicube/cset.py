@@ -76,7 +76,7 @@ class CubicalSet:
     _nondeg_cache: dict = field(default_factory=dict, repr=False)
     _key_index_cache: dict = field(default_factory=dict, repr=False)
     _atom_cache: dict = field(default_factory=dict, repr=False)
-    _star_index: list = field(default=None, repr=False)  # vertex -> atoms containing it
+    _star_index: list = field(default=None, repr=False)  # vertex -> its closed star
     _presentation: tuple = field(default=None, repr=False)  # t1.fundamental_presentation
 
     def __post_init__(self):
@@ -197,9 +197,10 @@ class CubicalSet:
     def validate(self):
         """Full presheaf functoriality over all dimensions <= trunc.
 
-        Checks C(g o phi) == C(phi) then C(g) for every enumerated map phi
-        and elementary g; by induction over canonical decompositions this
-        is equivalent to functoriality on the truncated cube category.
+        Checks C(phi o g) == C(g) o C(phi) for every cube map phi and
+        elementary g into its domain, listed once per truncation; by
+        induction over canonical decompositions this is equivalent to
+        functoriality on the truncated cube category.
         """
         self.structural_check()
         for n in range(0, self.trunc):
@@ -208,18 +209,11 @@ class CubicalSet:
                 tbl = self.transps.get((n + 1, i))
                 if tbl and any(tbl[x] not in degenerate for x in degenerate):
                     raise CsetError("degenerate cells not closed under transpositions")
-        for m in range(self.trunc + 1):
-            for n in range(self.trunc + 1):
-                for phi in cube.enumerate_maps(m, n):
-                    base = self.action(phi)
-                    for _, _, g in _elementary_maps_into(m, self.trunc):
-                        # g: [1]^k -> [1]^m; check C(phi o g) == C(g) o C(phi)
-                        whole = self.action(cube.compose(phi, g))
-                        step = self.action(g)
-                        if tuple(step[v] for v in base) != whole:
-                            raise CsetError(
-                                f"functoriality fails: phi={phi.text()} g={g.text()}"
-                            )
+        for phi, steps in _functoriality_checks(self.trunc):
+            base = self.action(phi)
+            for g, whole in steps:
+                if tuple(map(self.action(g).__getitem__, base)) != self.action(whole):
+                    raise CsetError(f"functoriality fails: phi={phi.text()} g={g.text()}")
         return True
 
 
@@ -238,6 +232,18 @@ def _elementary_maps_into(m, trunc):
         out += [("degens", (m, i), cube.codegeneracy(i, m + 1)) for i in range(1, m + 2)]
     out += [("transps", (m, i), cube.transposition(i, m)) for i in range(1, m)]
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _functoriality_checks(trunc):
+    """Per cube map phi between dimensions <= trunc, the pairs (g, phi o g)
+    over the elementary maps g: [1]^k -> [1]^m into its domain."""
+    return tuple(
+        (phi, tuple((g, cube.compose(phi, g)) for _, _, g in _elementary_maps_into(m, trunc)))
+        for m in range(trunc + 1)
+        for n in range(trunc + 1)
+        for phi in cube.enumerate_maps(m, n)
+    )
 
 
 def _generator_tables(trunc):
@@ -415,7 +421,7 @@ class CubicalFunction:
             if len(self.maps[n]) != self.dom.sizes[n]:
                 raise CsetError(f"level {n} has wrong length")
         cells = [self.dom.cells(n) for n in levels]
-        failure = equivariance_failure(self.dom, self.cod, cells, lambda n, x: self.maps[n][x])
+        failure = equivariance_failure(self.dom, self.cod, cells, self.maps)
         if failure is not None:
             raise CsetError("{} equivariance fails at table {} cell {}".format(*failure))
         return True
@@ -451,6 +457,9 @@ class Subpresheaf:
         if len(self.sel) != self.parent.trunc + 1:
             raise CsetError("subpresheaf has wrong number of levels")
         self.sel = tuple(frozenset(s) for s in self.sel)
+        for n, s in enumerate(self.sel):
+            if s and (min(s) < 0 or max(s) >= self.parent.sizes[n]):
+                raise CsetError(f"subpresheaf has a {n}-cell out of range")
 
     def is_empty(self):
         return all(not s for s in self.sel)
@@ -471,20 +480,21 @@ class Subpresheaf:
     def check_closed(self):
         for family, key, g in _generator_tables(self.parent.trunc):
             tbl = getattr(self.parent, family)[key]
-            if any(tbl[x] not in self.sel[g.dom] for x in self.sel[g.cod]):
+            if not self.sel[g.dom].issuperset(map(tbl.__getitem__, self.sel[g.cod])):
                 raise CsetError(f"subpresheaf not closed under {family} table {key}")
         return True
 
 
-def equivariance_failure(dom, cod, cells, image):
-    """The first (family, key, x) at which `image(n, x)`, the cod index of
+def equivariance_failure(dom, cod, cells, images):
+    """The first (family, key, x) at which `images[n][x]`, the cod index of
     the image of the n-cell x of dom, fails to commute with a generator
     table, over the n-cells x in cells[n]; None if there is none."""
     trunc = min(dom.trunc, cod.trunc, len(cells) - 1)
     for family, key, g in _generator_tables(trunc):
         tbl, cod_tbl = getattr(dom, family)[key], getattr(cod, family)[key]
+        src, dst = images[g.cod], images[g.dom]
         for x in cells[g.cod]:
-            if cod_tbl[image(g.cod, x)] != image(g.dom, tbl[x]):
+            if cod_tbl[src[x]] != dst[tbl[x]]:
                 return family, key, x
     return None
 
@@ -521,14 +531,19 @@ def vertex_sub(C, v):
 
 def closed_star(C, v):
     """Union of the atomic subpresheaves whose vertex set contains v: the
-    atoms of nondegenerate cells, indexed by vertex once per set."""
+    atoms of nondegenerate cells.  Every vertex's star is built once per
+    set, in one pass that takes each nondegenerate cell's atom once and
+    adds it to the vertices it contains; like `atom`, this returns the
+    shared cached object."""
     if not C.has_cell((0, v)):
         raise CsetError(f"no vertex {v} in this cubical set")
     if C._star_index is None:
-        atoms = [atom(C, (n, i)) for n in range(C.trunc + 1) for i in C.nondegenerate(n)]
-        C._star_index = [[a for a in atoms if w in a.sel[0]] for w in C.cells(0)]
-    star = [a.sel for a in C._star_index[v]]  # never empty: v's own atom is in it
-    return Subpresheaf(C, tuple(frozenset().union(*level) for level in zip(*star)))
+        stars = [[] for _ in C.cells(0)]  # never empty: each vertex's own atom
+        for a in (atom(C, (n, i)) for n in range(C.trunc + 1) for i in C.nondegenerate(n)):
+            for w in a.sel[0]:
+                stars[w].append(a.sel)
+        C._star_index = [Subpresheaf(C, tuple(map(frozenset().union, *star))) for star in stars]
+    return C._star_index[v]
 
 
 def boundary(n, trunc):

@@ -236,11 +236,13 @@ def epi_mono_factorize(phi):
     return epi, mono
 
 
+@lru_cache(maxsize=None)
 def decompose(phi):
-    """Elementary factors g1..gr with phi == g1 o g2 o ... o gr.
+    """Elementary factors g1..gr with phi == g1 o g2 o ... o gr, as a tuple.
 
     Factors are cofaces, codegeneracies and principal transpositions; all
-    intermediate dimensions stay within max(dom, cod).
+    intermediate dimensions stay within max(dom, cod).  Memoized per map:
+    the recomposition check runs on the first call for each map.
     """
     factors = []
     cur = phi
@@ -281,7 +283,7 @@ def decompose(phi):
         check = compose(g, check)
     if check != phi:
         raise CubeError(f"decomposition does not recompose for {phi.text()}")
-    return factors
+    return tuple(factors)
 
 
 @dataclass(frozen=True)

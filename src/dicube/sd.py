@@ -266,16 +266,22 @@ class SubFunction:
         return found
 
     def validate(self):
+        """Keys are the cells of a closed domain, a key (n, x)'s value an n-cell of cod; equivariant."""
         S = self.dom_sub
-        if any((n, i) not in self.values for n, level in enumerate(S.sel) for i in level):
-            raise SdError("partial map misses a cell of its domain")
+        if len(self.values) != sum(map(len, S.sel)):
+            raise SdError("partial map's keys are not the cells of its domain")
+        images = [{} for _ in S.sel]  # per level: cell -> index of its image
+        sizes = self.cod.sizes
+        levels = range(min(len(S.sel), len(sizes)))
+        for (n, x), (m, y) in self.values.items():
+            if not (m == n and n in levels and x in S.sel[n] and 0 <= y < sizes[n]):
+                raise SdError(f"partial map sends {(n, x)} to {(m, y)}")
+            images[n][x] = y
         try:
             S.check_closed()
         except cs.CsetError as exc:
             raise SdError(f"partial map domain is not a subpresheaf: {exc}") from None
-        failure = cs.equivariance_failure(
-            S.parent, self.cod, S.sel, lambda n, x: self.values[(n, x)][1]
-        )
+        failure = cs.equivariance_failure(S.parent, self.cod, S.sel, images)
         if failure is not None:
             raise SdError("partial map not {}-equivariant at table {} cell {}".format(*failure))
         return True
@@ -311,6 +317,12 @@ def _first_assignment(candidates, fits, budget):
     return assign if extend(0) else None
 
 
+@lru_cache(maxsize=None)
+def _yoneda(j, d, trunc):
+    """The cube maps [1]^j -> [1]^d of the j-cells of representable(d, trunc)."""
+    return tuple(cube.from_vertices(j, d, key) for key in cs.representable(d, trunc).keys[j])
+
+
 def local_lift(d9, S):
     """Factor the double collapse g = eps1 o eps2 through a representable on S.
 
@@ -344,27 +356,28 @@ def local_lift(d9, S):
         raise SdError("subpresheaf is not contained in a closed star")
 
     A = d9.eps2.image_of(S)
+    levels, carrier = range(r1.cset.trunc + 1), r1._carrier
 
     # least atom of C whose subdivision meets A: each such atom contains the
     # atom of the carrier of a cell of A, so it is the carrier atom that lies
     # inside all the others
-    carriers = {r1.carrier_cell((j, i)) for j in range(r1.cset.trunc + 1) for i in A.sel[j]}
+    carriers = {carrier[(j, i)] for j in levels for i in A.sel[j]}
     atoms = list({a.sel: a for a in (cs.atom(C, c) for c in carriers)}.values())
     c_s = next((a for a in atoms if all(a.issubset(b) for b in atoms)), None)
     if c_s is None:
         raise SdError("no least atom meets the collapsed subpresheaf")
-    B = A.intersection(r1.sd_sub(c_s))
+    # A ∩ r1.sd_sub(c_s), read off A's own cells by their carriers
+    B = cs.Subpresheaf(r1.cset, [{i for i in A.sel[j] if c_s.contains(carrier[(j, i)])} for j in levels])
 
     # the intersection is a representable: find its top cell and coordinatize
-    top_dim = max(
-        (j for j in range(r1.cset.trunc + 1) if set(r1.cset.nondegenerate(j)) & B.sel[j]),
-        default=0,
-    )
-    tops = sorted(set(r1.cset.nondegenerate(top_dim)) & B.sel[top_dim])
-    if not tops or cs.atom(r1.cset, (top_dim, tops[0])).sel != B.sel:
+    tops = [B.sel[j].intersection(r1.cset.nondegenerate(j)) for j in levels]
+    top_dim = max((j for j in levels if tops[j]), default=0)
+    top = min(tops[top_dim], default=None)
+    if top is None or cs.atom(r1.cset, (top_dim, top)).sel != B.sel:
         raise SdError("intersection is not atomic")
 
     R = cs.representable(top_dim, C.trunc)
+    index = [R.key_index(j) for j in range(R.trunc + 1)]
     eps1, eps2 = d9.eps1.maps, d9.eps2.maps
 
     def g(j, x):
@@ -372,7 +385,7 @@ def local_lift(d9, S):
 
     down_maps = []
     for j in range(R.trunc + 1):
-        images = [r1.cset.act(cube.from_vertices(j, top_dim, key), tops[0]) for key in R.keys[j]]
+        images = [r1.cset.act(phi, top) for phi in _yoneda(j, top_dim, C.trunc)]
         if sorted(images) != sorted(B.sel[j]):
             raise SdError("internal: intersection is not a full representable")
         down_maps.append(tuple(eps1[j][bi] for bi in images))
@@ -395,7 +408,7 @@ def local_lift(d9, S):
 
     def fits(k, assign):
         for j, table, target in checks[k]:
-            cell = R.key_index(j).get(tuple(assign[t] for t in table))
+            cell = index[j].get(tuple(assign[t] for t in table))
             if cell is None or down.maps[j][cell] != target:
                 return False
         return True
@@ -405,7 +418,7 @@ def local_lift(d9, S):
     if assign is None:
         raise SdError("internal: no lift of the star through the representable")
     up_values = {
-        (j, x): (j, R.key_index(j)[tuple(assign[t] for t in table)])
+        (j, x): (j, index[j][tuple(assign[t] for t in table)])
         for (j, x), table in tables.items()
     }
     up = SubFunction(S, R, up_values)

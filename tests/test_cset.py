@@ -77,6 +77,7 @@ def test_from_lattice_rejects_non_distributive():
 
 def test_validation_catches_broken_degeneracy_identity():
     C = cset.representable(1, 1)
+    assert C.validate()  # a well-formed set of the same truncation warms the memos
     faces = dict(C.faces)
     # a degenerate edge whose lower face disagrees with its source vertex
     degen_edge = C.degens[(0, 1)][0]
@@ -90,6 +91,7 @@ def test_validation_catches_broken_degeneracy_identity():
 
 def test_validation_catches_broken_transposition():
     C = cset.representable(2, 2)
+    assert C.validate()  # a well-formed set of the same truncation warms the memos
     transps = dict(C.transps)
     # make the transposition fix a cell it must move
     (a, b) = sorted(C.nondegenerate(2))
@@ -130,17 +132,53 @@ def test_walkers_reject_a_broken_table_entry(family, key, target):
     tbl[x] = y
     broken = _with_table(C, family, key, tbl)
     identity = tuple(tuple(C.cells(m)) for m in range(C.trunc + 1))
+    values = {(m, i): (m, i) for m in range(C.trunc + 1) for i in S.sel[m]}
+    # the unbroken tables pass all four, which also warms the memos
+    assert C.validate()
+    assert cset.CubicalFunction(C, C, identity).validate()
+    assert cset.Subpresheaf(C, S.sel).check_closed()
+    assert sd.SubFunction(S, C, values).validate()
+    with pytest.raises(cset.CsetError):
+        broken.validate()
     with pytest.raises(cset.CsetError):
         cset.CubicalFunction(C, broken, identity).validate()
     with pytest.raises(cset.CsetError):
         cset.Subpresheaf(broken, S.sel).check_closed()
-    values = {(m, i): (m, i) for m in range(C.trunc + 1) for i in S.sel[m]}
     with pytest.raises(sd.SdError):
         sd.SubFunction(S, broken, values).validate()
-    # the unbroken tables pass all three
-    assert cset.CubicalFunction(C, C, identity).validate()
-    assert cset.Subpresheaf(C, S.sel).check_closed()
-    assert sd.SubFunction(S, C, values).validate()
+
+
+def _circle_star_lift():
+    d9 = sd.sd9(spaces.circle())
+    return d9, sd.local_lift(d9, cset.closed_star(d9.cset, 3))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "wrong dimension", "image out of range", "negative image",
+        "missing key", "extra key", "key outside the domain",
+    ],
+)
+def test_subfunction_rejects_bad_keys_and_values(case):
+    d9, lift = _circle_star_lift()
+    S, values = lift.up.dom_sub, dict(lift.up.values)
+    first = min(k for k in values if k[0] == 0)
+    outside = (0, min(set(d9.cset.cells(0)) - S.sel[0]))
+    if case == "wrong dimension":
+        values[first] = (1, values[first][1])
+    elif case == "image out of range":
+        values[first] = (0, 999)
+    elif case == "negative image":
+        values[first] = (0, -1)
+    elif case == "missing key":
+        del values[first]
+    elif case == "extra key":
+        values[outside] = (0, 0)
+    else:
+        values[outside] = values.pop(first)
+    with pytest.raises(sd.SdError):
+        sd.SubFunction(S, lift.through, values).validate()
 
 
 def test_subfunction_rejects_a_domain_that_is_not_closed():
@@ -978,24 +1016,34 @@ def test_pair_class_rejects_bad_cells(a, b):
         ts.pair_class(a, b)
 
 
-def _closed_star_by_scan(C, v):
-    """Reference closed star: the union of the atoms of every nondegenerate
-    cell of C whose vertices include v, found by scanning all of them."""
-    sel = [set() for _ in range(C.trunc + 1)]
-    for n in range(C.trunc + 1):
-        for i in C.nondegenerate(n):
-            a = cset.atom(C, (n, i))
+def _closed_stars_by_scan(C):
+    """Reference closed stars: per vertex v, the union of the closures of
+    every nondegenerate cell of C whose vertices include v, found by
+    scanning all of them."""
+    closures = [cset.closure(C, [(n, i)]) for n in range(C.trunc + 1) for i in C.nondegenerate(n)]
+    stars = []
+    for v in C.cells(0):
+        sel = [set() for _ in range(C.trunc + 1)]
+        for a in closures:
             if v in a.sel[0]:
                 for m in range(C.trunc + 1):
                     sel[m] |= a.sel[m]
-    return tuple(frozenset(s) for s in sel)
+        stars.append(tuple(frozenset(s) for s in sel))
+    return stars
 
 
-@pytest.mark.parametrize("name", ["sd9 klein", "sd3 torus", "sd3 sphere2", "nerve idem2@3"])
+@pytest.mark.parametrize(
+    "name", ["sd9 klein", "sd3 torus", "sd3 sphere2", "nerve idem2@3", "random square 5"]
+)
 def test_closed_star_matches_scan_reference(name):
-    C = _golden_space(name)
-    for v in C.cells(0):
-        assert cset.closed_star(C, v).sel == _closed_star_by_scan(C, v)
+    if name.startswith("random square"):
+        C = _random_quotient(random.Random(int(name.split()[-1])), 2)
+    else:
+        C = _golden_space(name)
+    for v, reference in enumerate(_closed_stars_by_scan(C)):
+        star = cset.closed_star(C, v)
+        assert star.sel == reference
+        assert cset.closed_star(C, v) is star  # the star is built once and shared
 
 
 PIN_SPACES = (
@@ -1073,6 +1121,13 @@ def test_subdivide_identity_at_zero():
     assert s.cset.census() == circ.census()
 
 
+def _sd9_circle_atom_with(cell):
+    """An atom of sd9 circle with `cell` put into its top level."""
+    E = sd.sd9(spaces.circle()).cset
+    sel = cset.atom(E, (1, max(E.nondegenerate(1)))).sel
+    return cset.Subpresheaf(E, sel[:-1] + (sel[-1] | {cell},))
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -1088,6 +1143,8 @@ def test_subdivide_identity_at_zero():
         lambda: cset.quotient(spaces.edge(), [((0, 5), (0, 0))]),
         lambda: cset.quotient(spaces.edge(), [((7, 0), (7, 0))]),
         lambda: cset.quotient(spaces.edge(), [((0, 0), (0, -1))]),
+        lambda: _sd9_circle_atom_with(10**6),
+        lambda: _sd9_circle_atom_with(-1),
     ],
 )
 def test_cells_outside_the_set_raise_cset_error(call):

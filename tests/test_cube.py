@@ -255,10 +255,11 @@ def test_parallel_epis_differ_by_permutations():
 
 
 def test_decompose_round_trips():
-    for m in range(4):
-        for n in range(4):
+    for m in range(5):
+        for n in range(5):
             for phi in cube.enumerate_maps(m, n):
                 factors = cube.decompose(phi)
+                assert isinstance(factors, tuple)
                 rebuilt = cube.identity(m)
                 for g in reversed(factors):
                     rebuilt = cube.compose(g, rebuilt)
