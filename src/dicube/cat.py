@@ -4,9 +4,10 @@ classes of functors under zig-zags of natural transformations.
 One depth-first search (`_search`) finds every functor out of a finite
 presentation: it reads objects off generator values, takes the open
 generator with the fewest candidates next, solves a relation's last open
-letter by division and charges every value it tries.  `enumerate_functors`
-lists what it finds by object map, then generator map; the n-cells of the
-nerve N(S) are its functors t1(cube n) -> S, and `invariants.h1` and
+letter by division and charges every value it tries; its set-up
+(`_prepare`) is apart from its runs.  `enumerate_functors` lists what it
+finds by object map, then generator map; the n-cells of the nerve N(S) are
+its functors t1(cube n) -> S, and `invariants.h1` and
 `invariants.hom_classes` use it too.  A natural transformation F -> G is a
 functor out of `cylinder_presentation`, P x [1], its ends fixed to F and
 G; a functor S -> T is a functor out of `presentation_of(S)`.
@@ -600,28 +601,141 @@ def cylinder_presentation(P):
 
 @lru_cache(maxsize=None)
 def _layout(P):
-    """Per relation with a letter: source, words, letters and, per letter
-    occurring once, the words left and right of it and the other side; per
-    generator the relations it occurs in; per object its generators."""
+    """Per relation with a letter: source, words, letters; per generator the
+    relations it occurs in and, per one it occurs in once, the relation, its
+    source, the words left and right of it and the other side; per object
+    its generators."""
     P.validate()
     rels, rels_of, at = [], [[] for _ in P.gens], [[] for _ in range(P.n_obj)]
+    solvers = [[] for _ in P.gens]
     for g, (s, t) in enumerate(P.gens):
         at[s].append(g)
         at[t].append(g)
     for w1, w2 in P.relations:
-        word = w1 + w2
+        word, r = w1 + w2, len(rels)
         for g in set(word):
-            rels_of[g].append(len(rels))
-        once = {g: (w[:k], w[k + 1 :], o) for w, o in ((w1, w2), (w2, w1)) for k, g in enumerate(w)}
+            rels_of[g].append(r)
+            if word.count(g) == 1:
+                k, w, o = (w1.index(g), w1, w2) if g in w1 else (w2.index(g), w2, w1)
+                solvers[g].append((r, P.gens[word[0]][0], w[:k], w[k + 1 :], o))
         if word:
-            once = {g: once[g] for g in word if word.count(g) == 1}
-            rels.append((P.gens[word[0]][0], w1, w2, set(word), once))
-    return rels, rels_of, at
+            rels.append((P.gens[word[0]][0], w1, w2, set(word)))
+    return rels, rels_of, solvers, at
+
+
+def _prepare(P, S, pattern):
+    """The set-up of `_search` for the entries `pattern` fixes (not None):
+    what depends only on P, S and which entries are fixed.  It returns
+    run(fixed, budget, found), the search for one `fixed` of that pattern."""
+    rels, rels_of, solvers, at = _layout(P)
+    if len(pattern.obj_map) != P.n_obj or len(pattern.gen_map) != len(P.gens):
+        raise CatError("partial functor does not match the presentation")
+    src, tgt, ident, comp, homs, divs = S.src, S.tgt, S.ident, S.comp, S.homs, S.divisions
+    objects, none, m = {None, *range(S.n_obj)}, S.n_mor + 1, len(P.gens)
+    set_gens, open_gens, start_open = [], [], [len(r[3]) for r in rels]
+    for g, f in enumerate(pattern.gen_map):
+        if f is None:
+            open_gens.append(g)
+            continue
+        set_gens.append((g, *P.gens[g]))
+        for r in rels_of[g]:
+            start_open[r] -= 1
+    closed_at_start = [r for r, k in enumerate(start_open) if not k]
+    loops = [(v, v) for v, x in enumerate(pattern.obj_map) if x is None and not at[v]]
+    gens, in_no_relation = P.gens + tuple(loops), [()] * len(loops)
+    rels_of, solvers = rels_of + in_no_relation, solvers + in_no_relation
+    # the loops rank last: no generator has more candidates than all morphisms
+    start_cand, start_size = [None] * m + [ident] * len(loops), [none] * m + [none - 1] * len(loops)
+
+    def run(fixed, budget, found):
+        obj, gen = list(fixed.obj_map), list(fixed.gen_map) + [None] * len(loops)
+        if not objects.issuperset(obj):
+            return False
+        for g, s, t in set_gens:
+            f = gen[g]
+            if not 0 <= f < none - 1 or obj[s] not in (None, src[f]):
+                return False
+            obj[s] = src[f]
+            if obj[t] not in (None, tgt[f]):
+                return False
+            obj[t] = tgt[f]
+        n_open, cand, size, trail = start_open.copy(), start_cand.copy(), start_size.copy(), []
+
+        def value(word, f):
+            for x in word:
+                f = comp[f][gen[x]]
+            return f
+
+        def holds(r):
+            e = ident[obj[rels[r][0]]]
+            return value(rels[r][1], e) == value(rels[r][2], e)
+
+        def refresh(h):  # the open generator h's candidates; the old ones go on the trail
+            s, t = gens[h]
+            os, ot = obj[s], obj[t]
+            c = hom = homs.get((os, ot) if s != t or os is not None else None, ())
+            for r, v, left, right, other in solvers[h] if os is not None and ot is not None else ():
+                if n_open[r] == 1:
+                    e = ident[obj[v]]
+                    key = (value(left, e), value(right, ident[ot]), value(other, e))
+                    if key not in divs:
+                        L, R, Y = key
+                        divs[key] = [f for f in homs.get((tgt[L], src[R]), ()) if comp[comp[L][f]][R] == Y]
+                    c = divs[key] if c is hom else [f for f in divs[key] if f in c]
+            trail.append((h, cand[h], size[h]))
+            cand[h], size[h] = c, len(c)
+
+        def step():
+            least = min(size, default=none)
+            if least == none:
+                return found(Functor(tuple(obj), tuple(gen[:m])))
+            g = size.index(least)
+            (s, t), options, mark = gens[g], cand[g], len(trail)
+            fresh = [v for v in (s, t) if obj[v] is None] if None in (obj[s], obj[t]) else ()
+            size[g], near, closed = none, set(), []
+            for v in fresh:
+                near.update(at[v])
+            for r in rels_of[g]:
+                n_open[r] -= 1
+                if n_open[r] == 1:
+                    near.update(rels[r][3])
+                elif not n_open[r]:
+                    closed.append(r)
+            for f in options:
+                budget.spend()
+                gen[g] = f
+                if fresh:
+                    obj[s], obj[t] = src[f], tgt[f]
+                if all(map(holds, closed)):
+                    for h in near:  # the open generators whose candidates change with g
+                        if gen[h] is None:
+                            refresh(h)
+                    if step():
+                        return True
+                    while len(trail) > mark:
+                        h, cand[h], size[h] = trail.pop()
+            for r in rels_of[g]:
+                n_open[r] += 1
+            for v in fresh:
+                obj[v] = None
+            gen[g], size[g] = None, least
+            return False
+
+        if not all(map(holds, closed_at_start)):
+            return False
+        for h in open_gens:
+            refresh(h)
+        accepted = step()
+        del step  # it refers to itself: free it without the cycle collector
+        return accepted
+
+    return run
 
 
 def _search(P, S, budget, fixed, found):
     """Depth-first search over the functors P -> S that agree with the
-    partial functor `fixed` (None where free), applied first and uncharged.
+    partial functor `fixed` (None where free), applied first and uncharged
+    (a caller with many searches of one pattern calls `_prepare` once).
 
     Objects are read off the generator values at them; an object that no
     generator touches is tried as an identity loop at it, after every
@@ -635,99 +749,7 @@ def _search(P, S, budget, fixed, found):
     generator map, they are in the order of a search by index); the search
     stops, returning True, at the first one accepted.
     """
-    rels, rels_of, at = _layout(P)
-    if len(fixed.obj_map) != P.n_obj or len(fixed.gen_map) != len(P.gens):
-        raise CatError("partial functor does not match the presentation")
-    src, tgt, ident, comp, homs, divs = S.src, S.tgt, S.ident, S.comp, S.homs, S.divisions
-    obj, gen, none = list(fixed.obj_map), list(fixed.gen_map), S.n_mor + 1
-    n_open = [len(r[3]) for r in rels]
-    if not set(obj) <= {None, *range(S.n_obj)}:
-        return False
-    for g, f in enumerate(gen):
-        if f is not None:
-            s, t = P.gens[g]
-            if not 0 <= f < none - 1 or obj[s] not in (None, src[f]):
-                return False
-            obj[s] = src[f]
-            if obj[t] not in (None, tgt[f]):
-                return False
-            obj[t] = tgt[f]
-            for r in rels_of[g]:
-                n_open[r] -= 1
-    loops, m = [(v, v) for v in range(P.n_obj) if obj[v] is None and not at[v]], len(gen)
-    gens, rels_of, gen = P.gens + tuple(loops), rels_of + [()] * len(loops), gen + [None] * len(loops)
-    # the loops rank last: no generator has more candidates than all morphisms
-    cand, size, trail = [None] * m + [ident] * len(loops), [none] * m + [none - 1] * len(loops), []
-
-    def value(word, f):
-        for x in word:
-            f = comp[f][gen[x]]
-        return f
-
-    def holds(r):
-        e = ident[obj[rels[r][0]]]
-        return value(rels[r][1], e) == value(rels[r][2], e)
-
-    def refresh(h):  # the open generator h's candidates; the old ones go on the trail
-        s, t = gens[h]
-        os, ot = obj[s], obj[t]
-        c = hom = homs.get((os, ot) if s != t or os is not None else None, ())
-        for r in rels_of[h] if os is not None and ot is not None else ():
-            if n_open[r] == 1 and h in rels[r][4]:
-                left, right, other = rels[r][4][h]
-                e = ident[obj[rels[r][0]]]
-                key = (value(left, e), value(right, ident[ot]), value(other, e))
-                if key not in divs:
-                    L, R, Y = key
-                    divs[key] = [f for f in homs.get((tgt[L], src[R]), ()) if comp[comp[L][f]][R] == Y]
-                c = divs[key] if c is hom else [f for f in divs[key] if f in c]
-        trail.append((h, cand[h], size[h]))
-        cand[h], size[h] = c, len(c)
-
-    def step():
-        least = min(size, default=none)
-        if least == none:
-            return found(Functor(tuple(obj), tuple(gen[:m])))
-        g = size.index(least)
-        (s, t), options, mark = gens[g], cand[g], len(trail)
-        fresh = [v for v in (s, t) if obj[v] is None] if None in (obj[s], obj[t]) else ()
-        size[g], near, closed = none, set(), []
-        for v in fresh:
-            near.update(at[v])
-        for r in rels_of[g]:
-            n_open[r] -= 1
-            if n_open[r] == 1:
-                near.update(rels[r][3])
-            elif not n_open[r]:
-                closed.append(r)
-        for f in options:
-            budget.spend()
-            gen[g] = f
-            if fresh:
-                obj[s], obj[t] = src[f], tgt[f]
-            if all(map(holds, closed)):
-                for h in near:  # the open generators whose candidates change with g
-                    if gen[h] is None:
-                        refresh(h)
-                if step():
-                    return True
-                while len(trail) > mark:
-                    h, cand[h], size[h] = trail.pop()
-        for r in rels_of[g]:
-            n_open[r] += 1
-        for v in fresh:
-            obj[v] = None
-        gen[g], size[g] = None, least
-        return False
-
-    if not all(holds(r) for r, k in enumerate(n_open) if not k):
-        return False
-    for h in range(m):
-        if gen[h] is None:
-            refresh(h)
-    accepted = step()
-    del step  # it refers to itself: free it without the cycle collector
-    return accepted
+    return _prepare(P, S, fixed)(fixed, budget, found)
 
 
 def enumerate_functors(P, S, budget=None, fixed=None):
@@ -752,17 +774,44 @@ def nat_trans_exists(P, S, F, G, budget=None):
 def functor_homotopy_classes(P, S, functors, budget=None):
     """Partition of functors under zig-zags of natural transformations.
 
-    Edges come from transformation search in both directions, for any
-    target; `gauge_classes` is the fast route into a group.
+    Each entry is checked, uncharged, to be a functor by a fully fixed
+    search (else CatError); then the search of `nat_trans_exists`, less
+    the relations of the cylinder's ends, is prepared once.  Pairs i < j
+    go in lexicographic order, each charged one and searched both ways
+    while i and j lie in different classes: row i walks the members of the
+    other classes, and the walk stops at one class.  `gauge_classes` is the
+    fast route into a group.
     """
-    S, b = as_cat(S), Budget.of(budget)
-    uf = cset.UnionFind(range(len(functors)))
-    for (i, F), (j, G) in itertools.combinations(enumerate(functors), 2):
-        if uf.find(i) != uf.find(j):  # a joined pair cannot change the partition
-            b.spend()
-            if nat_trans_exists(P, S, F, G, b) or nat_trans_exists(P, S, G, F, b):
-                uf.union(i, j)
-    return uf.classes()
+    S, b, n = as_cat(S), Budget.of(budget), len(functors)
+    whole = Functor((0,) * P.n_obj, (0,) * len(P.gens))  # every entry fixed
+    is_functor = _prepare(P, S, whole)
+    for F in functors:  # a fully fixed search charges nothing
+        shape = (len(F.obj_map), len(F.gen_map)) == (P.n_obj, len(P.gens))
+        if not shape or None in F.obj_map + F.gen_map or not is_functor(F, b, bool):
+            raise CatError(f"{F} is not a functor from the presentation to the target")
+    if n < 2:
+        return [[i] for i in range(n)]
+    Q, rungs = cylinder_presentation(P), (None,) * P.n_obj
+    # the cylinder's relations are those of its two ends, then the squares
+    squares = CatPresentation(Q.n_obj, Q.gens, Q.relations[2 * len(P.relations) :])
+    search = _prepare(squares, S, Functor(whole.obj_map * 2, whole.gen_map * 2 + rungs))
+
+    def transformation(F, G):
+        return search(Functor(F.obj_map + G.obj_map, F.gen_map + G.gen_map + rungs), b, bool)
+
+    label, members = list(range(n)), {i: [i] for i in range(n)}
+    for i, F in enumerate(functors):
+        if len(members) == 1:
+            break
+        for j in sorted(j for c, js in members.items() if c != label[i] for j in js if j > i):
+            if label[j] != label[i]:  # a joined pair cannot change the partition
+                b.spend()
+                if transformation(F, functors[j]) or transformation(functors[j], F):
+                    keep, drop = sorted((label[i], label[j]), key=lambda c: -len(members[c]))
+                    for k in members[drop]:
+                        label[k] = keep
+                    members[keep] += members.pop(drop)
+    return sorted(sorted(js) for js in members.values())
 
 
 def gauge_classes(P, G, budget=None):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from operator import itemgetter
 
@@ -78,6 +78,12 @@ class CubicalSet:
     _atom_cache: dict = field(default_factory=dict, repr=False)
     _star_index: list = field(default=None, repr=False)  # vertex -> its closed star
     _presentation: tuple = field(default=None, repr=False)  # t1.fundamental_presentation
+
+    @cached_property
+    def _tables(self):
+        """Per dimension n, (k, the table of C(g)) per elementary g: [1]^k -> [1]^n."""
+        maps = (_elementary_maps_into(n, self.trunc) for n in range(self.trunc + 1))
+        return [[(g.dom, getattr(self, f)[key]) for f, key, g in level] for level in maps]
 
     def __post_init__(self):
         self.structural_check()
@@ -501,20 +507,26 @@ def equivariance_failure(dom, cod, cells, images):
 
 def closure(C, cells):
     """Smallest subpresheaf of C containing the given (dim, index) cells."""
+    return Subpresheaf(C, tuple(map(frozenset, _closed_sets(C, cells))))
+
+
+def _closed_sets(C, cells):
+    """The cells of `closure(C, cells)`, one set per dimension."""
     sel = [set() for _ in range(C.trunc + 1)]
     stack = list(cells)
     for n, i in stack:
         if not C.has_cell((n, i)):
             raise CsetError(f"no cell {(n, i)} in this cubical set")
         sel[n].add(i)
+    tables = C._tables  # looked up once per set, not per cell
     while stack:
         n, i = stack.pop()
-        for family, key, g in _elementary_maps_into(n, C.trunc):
-            m, x = g.dom, getattr(C, family)[key][i]
+        for m, table in tables[n]:
+            x = table[i]
             if x not in sel[m]:
                 sel[m].add(x)
                 stack.append((m, x))
-    return Subpresheaf(C, tuple(frozenset(s) for s in sel))
+    return sel
 
 
 def atom(C, cell):
@@ -532,17 +544,18 @@ def vertex_sub(C, v):
 def closed_star(C, v):
     """Union of the atomic subpresheaves whose vertex set contains v: the
     atoms of nondegenerate cells.  Every vertex's star is built once per
-    set, in one pass that takes each nondegenerate cell's atom once and
-    adds it to the vertices it contains; like `atom`, this returns the
-    shared cached object."""
+    set, in one pass that closes each nondegenerate cell once and adds its
+    cells to the vertices it contains; like `atom`, this returns the shared
+    cached object."""
     if not C.has_cell((0, v)):
         raise CsetError(f"no vertex {v} in this cubical set")
     if C._star_index is None:
-        stars = [[] for _ in C.cells(0)]  # never empty: each vertex's own atom
-        for a in (atom(C, (n, i)) for n in range(C.trunc + 1) for i in C.nondegenerate(n)):
-            for w in a.sel[0]:
-                stars[w].append(a.sel)
-        C._star_index = [Subpresheaf(C, tuple(map(frozenset().union, *star))) for star in stars]
+        stars = [[set() for _ in range(C.trunc + 1)] for _ in C.cells(0)]
+        for a in (_closed_sets(C, [(n, i)]) for n in range(C.trunc + 1) for i in C.nondegenerate(n)):
+            for w in a[0]:
+                for star, cells in zip(stars[w], a):
+                    star |= cells
+        C._star_index = [Subpresheaf(C, tuple(map(frozenset, star))) for star in stars]
     return C._star_index[v]
 
 

@@ -60,8 +60,13 @@ def h1(C, tau, budget=None, with_table=True):
     of the pointwise product.  Zig-zags are a congruence then, so a
     group's table is read off the products of representatives; other
     monoids check every member pair (switch the table off when only the
-    count is wanted).
+    count is wanted).  A one-object FinCat is read as the monoid of its
+    morphisms; a category with more objects is refused.
     """
+    if isinstance(tau, cat.FinCat):
+        if tau.n_obj != 1:
+            raise InvariantError("h1 coefficients must be a monoid or a category with one object")
+        tau = cat.FinMonoid(tau.comp, tau.ident[0])
     b = Budget.of(budget)
     classes, class_of, _ = _functor_classes(C, tau, b)
     obj, n_gen = classes[0][0].obj_map, len(classes[0][0].gen_map)

@@ -1,10 +1,16 @@
+import importlib.util
 import itertools
 import random
+import sys
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
-from dicube import cat, lattice as lat
+from dicube import cat, cset, lattice as lat, spaces, t1
 from dicube.config import Budget
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def small_monoids():
@@ -510,6 +516,113 @@ def test_joined_pairs_are_not_searched_again():
     b = Budget(100)
     assert cat.functor_homotopy_classes(P, chain, functors, b) == [[0, 1, 2, 3]]
     assert b.used == 3 + 3
+
+
+def pairwise_classes(P, S, functors, budget):
+    """The classifier as it was before its cylinder search was prepared
+    once: every pair i < j in lexicographic order, skipped when two `find`
+    calls show it joined, else charged one and decided by
+    `nat_trans_exists` in both directions."""
+    uf = cset.UnionFind(range(len(functors)))
+    for (i, F), (j, G) in itertools.combinations(enumerate(functors), 2):
+        if uf.find(i) != uf.find(j):
+            budget.spend()
+            if cat.nat_trans_exists(P, S, F, G, budget) or cat.nat_trans_exists(P, S, G, F, budget):
+                uf.union(i, j)
+    return uf.classes()
+
+
+def assert_classes_match_the_pairwise_reference(P, S, functors):
+    b, b_ref = Budget(10**8), Budget(10**8)
+    classes = cat.functor_homotopy_classes(P, S, functors, b)
+    assert classes == pairwise_classes(P, S, functors, b_ref)
+    assert b.used == b_ref.used
+    return classes
+
+
+@lru_cache(maxsize=None)
+def benchmark_workloads():
+    """perfbench/workloads.py as a module."""
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+@lru_cache(maxsize=None)
+def zigzag_classifications(seed):
+    """(P, S, functors) of every classification the benchmark's zigzag
+    workload makes, its targets relabelled from `seed`."""
+    workloads = benchmark_workloads()
+    calls, classify = [], cat.functor_homotopy_classes
+
+    def record(P, S, functors, budget=None):
+        calls.append((P, S, functors))
+        return classify(P, S, functors, budget)
+
+    cat.functor_homotopy_classes = record
+    try:
+        for job in workloads.zigzag(random.Random(seed)):
+            job.run(Budget(workloads.JOB_BUDGET))
+    finally:
+        cat.functor_homotopy_classes = classify
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_classes_match_the_pairwise_reference_on_the_zigzag_workload(seed):
+    calls = zigzag_classifications(seed)
+    assert calls
+    for P, S, functors in calls:
+        assert_classes_match_the_pairwise_reference(P, S, functors)
+
+
+@pytest.mark.parametrize("target", ["arrow", "discrete-2", "zmod2", "zmod4"])
+@pytest.mark.parametrize("base", ["point", "edge", "edge_boundary", "cube2", "circle"])
+def test_classes_match_the_pairwise_reference_on_the_criterion_7_grid(base, target):
+    P, _ = t1.fundamental_presentation(spaces.by_name(base))
+    named = {"arrow": cat.arrow_cat, "discrete-2": lambda: cat.discrete_cat(2)}
+    S = cat.as_cat(named[target]() if target in named else cat.monoid_by_name(target))
+    assert_classes_match_the_pairwise_reference(P, S, cat.enumerate_functors(P, S))
+
+
+def test_classes_match_the_pairwise_reference_on_random_presentations():
+    # shuffled lists into targets with several classes, so that rows meet
+    # classes of several members, some of them joined along the row
+    rng = random.Random(29)
+    fence = [[x == y or (x, y) in {(0, 1), (2, 1), (2, 3), (4, 3)} for y in range(5)] for x in range(5)]
+    bowtie = [[x == y or (x < 2 <= y) for y in range(4)] for x in range(4)]
+    targets = [cat.poset_cat(fence), cat.poset_cat(bowtie), cat.discrete_cat(2), cat.arrow_cat()]
+    targets += [cat.as_cat(M) for M in (cat.idempotent2(), cat.capped_add(), cat.zmod(3))]
+    sizes = []
+    for _ in range(25):
+        P = random_presentation(rng)
+        for S in targets:
+            functors = cat.enumerate_functors(P, S, 10**6)
+            rng.shuffle(functors)
+            sizes.append(len(assert_classes_match_the_pairwise_reference(P, S, functors[:30])))
+    assert max(sizes) > 2
+
+
+def test_classes_reject_an_entry_that_is_not_a_functor():
+    circle, _ = t1.fundamental_presentation(spaces.circle())
+    torus, _ = t1.fundamental_presentation(spaces.torus())
+    idem2, s3 = cat.idempotent2(), cat.sym3()
+    x, y = next((x, y) for x in range(s3.size) for y in range(s3.size) if s3.op(x, y) != s3.op(y, x))
+    cases = [
+        (circle, idem2, cat.Functor((0,), (7,))),  # no such morphism
+        (circle, idem2, cat.Functor((1,), (0,))),  # no such object
+        (circle, idem2, cat.Functor((0,), (None,))),  # not every entry fixed
+        (circle, idem2, cat.Functor((0,), (0, 0))),  # a table of the wrong size
+        (torus, s3, cat.Functor((0,), (x, y))),  # breaks the square x y = y x
+    ]
+    for P, S, bad in cases:
+        F = cat.enumerate_functors(P, S)[0]
+        with pytest.raises(cat.CatError):
+            cat.functor_homotopy_classes(P, S, [F, bad])
+        with pytest.raises(cat.CatError):
+            cat.functor_homotopy_classes(P, S, [bad])
 
 
 def test_monoid_isomorphic():

@@ -67,6 +67,8 @@ def test_nerve_beyond_the_enumeration_bound_is_refused_before_enumerating(capsys
         ("inv", "h1", "--space", "torus", "--monoid", "zmod4"),
         ("inv", "h1", "--space", "torus", "--monoid", "s3"),
         ("inv", "homclasses", "--b", "circle", "--s", "s3"),
+        ("inv", "homclasses", "--b", "torus", "--s", "capped"),
+        ("inv", "h1", "--space", "torus", "--monoid", "idem2"),
         ("cset", "sd", "circle"),
     ],
     ids=" ".join,

@@ -1046,6 +1046,36 @@ def test_closed_star_matches_scan_reference(name):
         assert cset.closed_star(C, v) is star  # the star is built once and shared
 
 
+def _closed_stars_by_atoms(C):
+    """Reference closed stars: per vertex v, the union of the atoms of the
+    nondegenerate cells whose atom contains v, each atom closed by looking
+    a generator table up at every cell it pops."""
+
+    def atom(n, i):
+        sel, stack = [set() for _ in range(C.trunc + 1)], [(n, i)]
+        sel[n].add(i)
+        while stack:
+            n, i = stack.pop()
+            for family, key, g in cset._elementary_maps_into(n, C.trunc):
+                x = getattr(C, family)[key][i]
+                if x not in sel[g.dom]:
+                    sel[g.dom].add(x)
+                    stack.append((g.dom, x))
+        return sel
+
+    stars = [[] for _ in C.cells(0)]
+    for a in (atom(n, i) for n in range(C.trunc + 1) for i in C.nondegenerate(n)):
+        for w in a[0]:
+            stars[w].append(a)
+    return [tuple(map(frozenset().union, *star)) for star in stars]
+
+
+@pytest.mark.parametrize("name", ["sd9 klein", "sd9 torus"])
+def test_closed_star_matches_the_union_of_atoms(name):
+    C = _golden_space(name)
+    assert [cset.closed_star(C, v).sel for v in C.cells(0)] == _closed_stars_by_atoms(C)
+
+
 PIN_SPACES = (
     "circle", "torus", "klein", "sphere2", "klein@3", "torus_by_quotient@3", "edge_boundary",
 )

@@ -1,7 +1,7 @@
 import pytest
 
 from dicube import cat, cset, invariants as inv, sd, spaces
-from dicube.config import Budget, BudgetExceeded
+from dicube.config import DEFAULT_BUDGET, Budget, BudgetExceeded
 
 
 def test_pi0_examples():
@@ -63,6 +63,35 @@ def test_h1_names_its_unit_class(name, expected):
     M = inv.h1_monoid(r)
     assert M.unit == r.unit
     assert cat.monoid_isomorphic(M, expected) is not None
+
+
+@pytest.mark.parametrize(
+    "M",
+    [cat.zmod(2), Z4_UNIT_3, cat.idempotent2(), cat.capped_add()],
+    ids=["zmod2", "zmod4 unit 3", "idem2", "capped"],
+)
+@pytest.mark.parametrize("with_table", [True, False])
+def test_h1_reads_a_one_object_category_as_its_monoid(M, with_table):
+    for name in ("circle", "torus"):
+        C = spaces.by_name(name)
+        expected = inv.h1(C, M, with_table=with_table)
+        assert inv.h1(C, cat.cat_from_monoid(M), with_table=with_table) == expected
+
+
+@pytest.mark.parametrize("S", [cat.arrow_cat(), cat.discrete_cat(2)], ids=["arrow", "discrete-2"])
+def test_h1_refuses_a_category_with_more_objects(S):
+    with pytest.raises(inv.InvariantError):
+        inv.h1(spaces.circle(), S)
+
+
+@pytest.mark.parametrize("name, charge", [("torus", 112_128), ("klein", 106_718)])
+def test_sd3_maps_into_the_idempotent_nerve_form_one_class(name, charge):
+    # one class on the base too: the absorbing element is a transformation
+    # between any two functors, so subdivision keeps the count (criterion 10)
+    b = Budget(DEFAULT_BUDGET)
+    assert inv.hom_classes(sd.sd3(spaces.by_name(name)).cset, cat.idempotent2(), b).count == 1
+    assert inv.hom_classes(spaces.by_name(name), cat.idempotent2()).count == 1
+    assert b.used == charge
 
 
 def test_h1_trivial_coefficients():
