@@ -631,7 +631,8 @@ def _prepare(P, S, pattern):
     if len(pattern.obj_map) != P.n_obj or len(pattern.gen_map) != len(P.gens):
         raise CatError("partial functor does not match the presentation")
     src, tgt, ident, comp, homs, divs = S.src, S.tgt, S.ident, S.comp, S.homs, S.divisions
-    objects, none, m = {None, *range(S.n_obj)}, S.n_mor + 1, len(P.gens)
+    objects, n_mor, m = {None, *range(S.n_obj)}, S.n_mor, len(P.gens)
+    none = n_mor + 1  # more than any generator's candidates
     set_gens, open_gens, start_open = [], [], [len(r[3]) for r in rels]
     for g, f in enumerate(pattern.gen_map):
         if f is None:
@@ -642,23 +643,27 @@ def _prepare(P, S, pattern):
             start_open[r] -= 1
     closed_at_start = [r for r, k in enumerate(start_open) if not k]
     loops = [(v, v) for v, x in enumerate(pattern.obj_map) if x is None and not at[v]]
-    gens, in_no_relation = P.gens + tuple(loops), [()] * len(loops)
+    gens, in_no_relation, free_loops = P.gens + tuple(loops), [()] * len(loops), [None] * len(loops)
     rels_of, solvers = rels_of + in_no_relation, solvers + in_no_relation
     # the loops rank last: no generator has more candidates than all morphisms
     start_cand, start_size = [None] * m + [ident] * len(loops), [none] * m + [none - 1] * len(loops)
 
     def run(fixed, budget, found):
-        obj, gen = list(fixed.obj_map), list(fixed.gen_map) + [None] * len(loops)
+        obj, gen = list(fixed.obj_map), [*fixed.gen_map, *free_loops]
         if not objects.issuperset(obj):
             return False
         for g, s, t in set_gens:
             f = gen[g]
-            if not 0 <= f < none - 1 or obj[s] not in (None, src[f]):
+            if not 0 <= f < n_mor:
                 return False
-            obj[s] = src[f]
-            if obj[t] not in (None, tgt[f]):
+            if obj[s] is None:
+                obj[s] = src[f]
+            elif obj[s] != src[f]:
                 return False
-            obj[t] = tgt[f]
+            if obj[t] is None:
+                obj[t] = tgt[f]
+            elif obj[t] != tgt[f]:
+                return False
         n_open, cand, size, trail = start_open.copy(), start_cand.copy(), start_size.copy(), []
 
         def value(word, f):
@@ -667,8 +672,13 @@ def _prepare(P, S, pattern):
             return f
 
         def holds(r):
-            e = ident[obj[rels[r][0]]]
-            return value(rels[r][1], e) == value(rels[r][2], e)
+            v, w1, w2, _ = rels[r]
+            f1 = f2 = ident[obj[v]]
+            for x in w1:
+                f1 = comp[f1][gen[x]]
+            for x in w2:
+                f2 = comp[f2][gen[x]]
+            return f1 == f2
 
         def refresh(h):  # the open generator h's candidates; the old ones go on the trail
             s, t = gens[h]
