@@ -4,10 +4,10 @@ classes of functors under zig-zags of natural transformations.
 One depth-first search (`_search`) finds every functor out of a finite
 presentation: it reads objects off generator values, takes the open
 generator with the fewest candidates next, solves a relation's last open
-letter by division and charges every value it tries; its set-up
-(`_prepare`) is apart from its runs.  `enumerate_functors` lists what it
-finds by object map, then generator map; the n-cells of the nerve N(S) are
-its functors t1(cube n) -> S, and `invariants.h1` and
+letter by division and charges every value it tries; one set-up
+(`_prepare`) serves many runs.  `enumerate_functors` lists what it finds
+by object map, then generator map; the n-cells of the nerve N(S) are its
+functors t1(cube n) -> S, and `invariants.h1` and
 `invariants.hom_classes` use it too.  A natural transformation F -> G is a
 functor out of `cylinder_presentation`, P x [1], its ends fixed to F and
 G; a functor S -> T is a functor out of `presentation_of(S)`.
