@@ -41,7 +41,10 @@ def _cat_by_name(name):
     if name == "arrow":
         return cat.arrow_cat()
     if name.startswith("discrete"):
-        return cat.discrete_cat(int(name.removeprefix("discrete")))
+        size = name.removeprefix("discrete")
+        if not size.isdecimal():
+            raise UsageError(f"discrete needs a size n >= 0, got {name!r}")
+        return cat.discrete_cat(int(size))
     return cat.cat_from_monoid(cat.monoid_by_name(name))
 
 

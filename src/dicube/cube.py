@@ -219,23 +219,6 @@ def enumerate_maps(m, n, cls=None):
     return out
 
 
-def epi_mono_factorize(phi):
-    """Split phi as mono o epi.
-
-    The epi projects onto the used input coordinates in increasing order
-    (a pure codegeneracy composite); any permutation and all constants are
-    absorbed into the mono.
-    """
-    used = sorted(phi.used_inputs())
-    rank = {i: r + 1 for r, i in enumerate(used)}
-    epi = CubeMap(phi.dom, len(used), tuple(proj(i) for i in used))
-    mono_outputs = tuple(
-        spec if is_const(spec) else proj(rank[spec[1]]) for spec in phi.outputs
-    )
-    mono = CubeMap(len(used), phi.cod, mono_outputs)
-    return epi, mono
-
-
 @lru_cache(maxsize=None)
 def decompose(phi):
     """Elementary factors g1..gr with phi == g1 o g2 o ... o gr, as a tuple.

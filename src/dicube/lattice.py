@@ -130,6 +130,8 @@ def product(L, M):
 @lru_cache(maxsize=None)
 def boolean(n):
     """[1]^n with elements the bit tuples in lex order."""
+    if n < 0:
+        raise LatticeError(f"dimension must be >= 0, got {n}")
     labels = list(itertools.product((0, 1), repeat=n))
     return lattice_from_labels(labels, lambda a, b: all(x <= y for x, y in zip(a, b)))
 
@@ -233,84 +235,6 @@ def boolean_intervals(L):
     return [iv for iv in intervals if iv.rank is not None]
 
 
-@dataclass(frozen=True)
-class LatticeMap:
-    dom: FiniteLattice
-    cod: FiniteLattice
-    values: tuple
-
-    def __post_init__(self):
-        if len(self.values) != self.dom.size:
-            raise LatticeError("map table length does not match domain size")
-        if any(not 0 <= v < self.cod.size for v in self.values):
-            raise LatticeError("map value out of codomain range")
-
-    def __call__(self, x):
-        return self.values[x]
-
-    def is_monotone(self):
-        for x in range(self.dom.size):
-            for y in range(self.dom.size):
-                if self.dom.leq(x, y) and not self.cod.leq(self.values[x], self.values[y]):
-                    return False
-        return True
-
-
-def is_lattice_hom(f):
-    """(verdict, witness): witness names a violated join or meet pair."""
-    L, M = f.dom, f.cod
-    for x in range(L.size):
-        for y in range(L.size):
-            if f(L.join[x][y]) != M.join[f(x)][f(y)]:
-                return False, ("join", x, y)
-            if f(L.meet[x][y]) != M.meet[f(x)][f(y)]:
-                return False, ("meet", x, y)
-    return True, None
-
-
-def is_dis_morphism(f):
-    """Decide whether f is a distributive-lattice morphism: a lattice
-    homomorphism mapping Boolean intervals onto Boolean intervals.
-
-    Also evaluates the interval-local criterion (restriction to each
-    Boolean interval corestricts to a surjective lattice homomorphism onto
-    a Boolean interval) and insists the two verdicts agree.
-    Returns (verdict, witness); the witness is a violated pair or interval.
-    """
-    if not f.is_monotone():
-        raise LatticeError("is_dis_morphism expects a monotone map")
-    L, M = f.dom, f.cod
-    verdict1, witness = is_lattice_hom(f)
-    if verdict1:
-        for iv in boolean_intervals(L):
-            span = interval_span(M, f(iv.lo), f(iv.hi))
-            if span is None or {f(z) for z in iv.elements} != set(span):
-                verdict1, witness = False, ("interval", iv.lo, iv.hi)
-                break
-
-    # Interval-local criterion, evaluated independently.
-    verdict2 = True
-    for iv in boolean_intervals(L):
-        span = interval_span(M, f(iv.lo), f(iv.hi))
-        if span is None or {f(z) for z in iv.elements} != set(span):
-            verdict2 = False
-            break
-        ok = all(
-            f(L.join[x][y]) == M.join[f(x)][f(y)] and f(L.meet[x][y]) == M.meet[f(x)][f(y)]
-            for x in iv.elements
-            for y in iv.elements
-        )
-        if not ok:
-            verdict2 = False
-            break
-    if verdict1 != verdict2:
-        raise LatticeError(
-            "internal: global and interval-local criteria disagree "
-            f"(global={verdict1}, local={verdict2})"
-        )
-    return verdict1, (None if verdict1 else witness)
-
-
 def subdivide_lattice(L, k):
     """The (k+1)-fold edgewise subdivision of a distributive lattice.
 
@@ -334,28 +258,6 @@ def subdivide_lattice(L, k):
     return lattice_from_labels(
         labels, lambda a, b: all(L.leq(x, y) for x, y in zip(a, b))
     )
-
-
-def subdivision_restriction(L, phi, m):
-    """Precomposition map sd_{m+1}L -> sd_{n+1}L for an injection phi: [n] -> [m].
-
-    phi is given as the tuple (phi(0), ..., phi(n)) and must be strictly
-    increasing with values in 0..m.  The result is checked by
-    is_dis_morphism.
-    """
-    n = len(phi) - 1
-    if n < 0 or any(not 0 <= v <= m for v in phi):
-        raise LatticeError("phi out of range")
-    if any(phi[i] >= phi[i + 1] for i in range(n)):
-        raise LatticeError("phi must be strictly monotone and injective")
-    dom = subdivide_lattice(L, m)
-    cod = subdivide_lattice(L, n)
-    values = tuple(cod.index[tuple(lab[t] for t in phi)] for lab in dom.labels)
-    f = LatticeMap(dom, cod, values)
-    ok, witness = is_dis_morphism(f)
-    if not ok:
-        raise LatticeError(f"internal: restriction fails is_dis_morphism ({witness})")
-    return f
 
 
 def diamond_check(L, x, y):

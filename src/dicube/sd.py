@@ -128,7 +128,7 @@ class Subdivision:
         # the nodes (c, u) of each cell, over nondegenerate cells c
         self._members = [[[nodes[x] for x in cls] for cls in level] for level in members]
         # carrier: the minimal-dimension member cell; all members must
-        # contain it in their atoms, which makes sd_sub a carrier test
+        # contain it in their atoms, so a cell lies in sd(B) iff B holds its carrier
         self._carrier = {}
         for j, level in enumerate(self._members):
             for idx, cls in enumerate(level):
@@ -160,16 +160,6 @@ class Subdivision:
         if m < n:
             ub = _block_map(n, m, s, self.k, self.base.trunc)[j][ub]
         return (j, self._cell_index[self._start[(j, m, z)] + ub])
-
-    def sd_sub(self, S):
-        """The subdivision of a subpresheaf, inside the subdivided base."""
-        if S.parent is not self.base:
-            raise SdError("subpresheaf is not of the subdivided base")
-        sel = tuple(
-            frozenset(i for i in self.cset.cells(j) if S.contains(self._carrier[(j, i)]))
-            for j in range(self.cset.trunc + 1)
-        )
-        return cs.Subpresheaf(self.cset, sel)
 
     def supp_vertex(self, v):
         """Minimal subpresheaf B of the base with v a vertex of sd B."""
@@ -366,7 +356,7 @@ def local_lift(d9, S):
     c_s = next((a for a in atoms if all(a.issubset(b) for b in atoms)), None)
     if c_s is None:
         raise SdError("no least atom meets the collapsed subpresheaf")
-    # A ∩ r1.sd_sub(c_s), read off A's own cells by their carriers
+    # A ∩ sd(c_s): the cells of A whose carrier lies in c_s
     B = cs.Subpresheaf(r1.cset, [{i for i in A.sel[j] if c_s.contains(carrier[(j, i)])} for j in levels])
 
     # the intersection is a representable: find its top cell and coordinatize

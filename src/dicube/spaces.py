@@ -105,5 +105,5 @@ def by_name(name, trunc=None, budget=None):
         "sphere2": lambda: sphere2(t),
     }
     if name not in builders:
-        raise ValueError(f"unknown space {name!r} (have {', '.join(builders)})")
+        raise cset.CsetError(f"unknown space {name!r} (have {', '.join(builders)})")
     return builders[name]()

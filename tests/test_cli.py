@@ -343,6 +343,10 @@ BAD_SUITES = ("0", "11", "-1", "x")
         pytest.param(None, ("inv", "tau", "--vertex", "-1", "--space", "circle"), None, id="tau-vertex-neg"),
         pytest.param(None, ("inv", "h1", "--monoid", "zmod0", "--space", "circle"), None, id="h1-zmod0"),
         pytest.param(None, ("inv", "homclasses", "--s", "zmod-2", "--b", "circle"), None, id="homclasses-zmod-2"),
+        *(
+            pytest.param(None, ("cat", "nerve", "--cat", spec), None, id=f"nerve-{spec}")
+            for spec in ("discrete", "discretex", "discrete-1")
+        ),
         pytest.param(None, ("cset", "make", "--shape", "cube3", "--trunc", "2"), None, id="cube3-trunc-2"),
         *(
             pytest.param(None, ("verify", "--suite", suite), None, id=f"verify-suite-{suite}")
@@ -361,6 +365,12 @@ def test_bad_input_is_usage_error(tmp_path, capsys, monkeypatch, budget_env, com
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_discrete0_is_the_empty_category(capsys):
+    code, out, _ = run_cli(capsys, "cat", "nerve", "--cat", "discrete0")
+    assert code == 0
+    assert json.loads(out)["result"]["cells"] == [0, 0, 0]
 
 
 def test_out_flag_writes_report(tmp_path, capsys):

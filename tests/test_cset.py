@@ -316,6 +316,11 @@ def test_by_name_keeps_the_cube_truncation():
             spaces.by_name(name, trunc)
 
 
+def test_by_name_rejects_an_unknown_space_with_a_cset_error():
+    with pytest.raises(cset.CsetError, match="unknown space 'dodecahedron'"):
+        spaces.by_name("dodecahedron")
+
+
 def test_quotient_composition_equals_union():
     r2 = cset.representable(2, 2)
     top = cset.rep_cell(r2, cube.identity(2))
@@ -392,22 +397,22 @@ def test_eps_on_circle():
 
 def test_eps_vertex_map_matches_lattice_restriction():
     # the collapse on the square agrees with the middle-evaluation
-    # restriction map of the underlying lattice; a vertex's label is the
-    # label of a block vertex over a cell of the square, read through that
-    # cell's table
+    # restriction of the underlying lattice, which sends a triple
+    # t0 <= t1 <= t2 of the threefold subdivision to t1; a vertex's label is
+    # the label of a block vertex over a cell of the square, read through
+    # that cell's table
     R = cset.representable(2, 2)
     s = sd.sd3(R)
     eps = s.eps()
-    restriction = lat.subdivision_restriction(lat.boolean(2), (1,), 2)
+    triples = set(lat.subdivide_lattice(lat.boolean(2), 2).labels)
     seen = set()
     for n, i in R.all_cells():
         SLn, BL = sd._block(n, 2, R.trunc)
         for u in BL.cells(0):
             (_, v) = s.class_of((n, i), (0, u))
             label = tuple(R.keys[n][i][b] for b in SLn.labels[BL.keys[0][u][0]])
-            idx = restriction.dom.labels.index(label)
-            expected_elem = restriction.cod.labels[restriction.values[idx]][0]
-            assert R.keys[0][eps.maps[0][v]][0] == expected_elem
+            assert label in triples
+            assert R.keys[0][eps.maps[0][v]][0] == label[1]
             seen.add(v)
     assert seen == set(s.cset.cells(0))
 
@@ -506,8 +511,6 @@ def test_subdivision_rejects_arguments_of_another_space():
     )
     with pytest.raises(sd.SdError):
         s.induced(identity, sd.sd3(torus))
-    with pytest.raises(sd.SdError):
-        s.sd_sub(cset.atom(torus, (0, 0)))
 
 
 def _lift_outcomes(C):

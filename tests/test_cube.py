@@ -201,36 +201,6 @@ def test_from_vertices_rejects_malformed_tables():
     assert cube.from_vertices(0, 0, ()) is None
 
 
-def test_epi_mono_factorize_examples():
-    phi = CubeMap(1, 2, (CONST0, proj(1)))
-    epi, mono = cube.epi_mono_factorize(phi)
-    assert epi == cube.identity(1)
-    assert mono == phi
-
-    phi = CubeMap(2, 1, (proj(2),))
-    epi, mono = cube.epi_mono_factorize(phi)
-    assert epi == phi
-    assert mono == cube.identity(1)
-
-    phi = CubeMap(2, 2, (CONST1, proj(2)))
-    epi, mono = cube.epi_mono_factorize(phi)
-    assert epi == CubeMap(2, 1, (proj(2),))
-    assert mono == CubeMap(1, 2, (CONST1, proj(1)))
-    assert cube.compose(mono, epi) == phi
-
-
-def test_epi_mono_factorize_all():
-    for m in range(4):
-        for n in range(4):
-            for phi in cube.enumerate_maps(m, n):
-                epi, mono = cube.epi_mono_factorize(phi)
-                assert cube.compose(mono, epi) == phi
-                assert cube.classify(epi) in ("epi", "iso")
-                assert cube.classify(mono) in ("mono", "iso")
-                image = {phi(x) for x in cube.points(m)}
-                assert {mono(y) for y in cube.points(epi.cod)} == image
-
-
 def test_parallel_epis_differ_by_permutations():
     for m in range(5):
         for n in range(m + 1):

@@ -268,38 +268,12 @@ def test_boolean_rank_matches_isomorphism_search():
         lambda L: lat.boolean_rank(L, -1, 1),
         lambda L: lat.Interval.of(L, 0, 2),
         lambda L: lat.Interval.of(L, -2, -1),
+        lambda L: lat.boolean(-1),
     ],
 )
 def test_out_of_range_elements_raise_lattice_error(call):
     with pytest.raises(lat.LatticeError):
         call(lat.boolean(1))
-
-
-def test_is_dis_morphism_identity():
-    b2 = lat.boolean(2)
-    ident = lat.LatticeMap(b2, b2, tuple(range(4)))
-    assert lat.is_dis_morphism(ident) == (True, None)
-
-
-def test_is_dis_morphism_meet_map_fails():
-    b2, b1 = lat.boolean(2), lat.boolean(1)
-    meet = lat.LatticeMap(b2, b1, tuple(min(a, b) for a, b in b2.labels))
-    ok, witness = lat.is_dis_morphism(meet)
-    assert not ok
-    assert witness[0] == "join"
-    assert {b2.labels[witness[1]], b2.labels[witness[2]]} == {(0, 1), (1, 0)}
-
-
-def test_is_dis_morphism_threshold_map():
-    c3, b1 = lat.chain(3), lat.boolean(1)
-    f = lat.LatticeMap(c3, b1, (0, 0, 1, 1))
-    assert lat.is_dis_morphism(f) == (True, None)
-
-
-def test_is_dis_morphism_requires_monotone():
-    b1 = lat.boolean(1)
-    with pytest.raises(lat.LatticeError):
-        lat.is_dis_morphism(lat.LatticeMap(b1, b1, (1, 0)))
 
 
 def test_subdivide_examples():
@@ -376,44 +350,6 @@ def test_subdivision_composition():
                 comp = lat.subdivide_lattice(lat.subdivide_lattice(L, k), m)
                 direct = lat.subdivide_lattice(L, (k + 1) * (m + 1) - 1)
                 assert lat.lattice_isomorphic(comp, direct)
-
-
-def test_subdivision_restriction_elementwise():
-    b1 = lat.boolean(1)
-    f = lat.subdivision_restriction(b1, (1,), 1)
-    # elements of the twofold subdivision in label order: (0,0),(0,1),(1,1)
-    assert f.dom.labels == ((0, 0), (0, 1), (1, 1))
-    assert f.values == (0, 1, 1)
-
-
-def test_subdivision_restriction_identity():
-    b2 = lat.boolean(2)
-    f = lat.subdivision_restriction(b2, (0, 1), 1)
-    assert f.values == tuple(range(f.dom.size))
-
-
-def test_subdivision_restriction_validation():
-    with pytest.raises(lat.LatticeError):
-        lat.subdivision_restriction(lat.boolean(1), (1, 0), 1)
-    with pytest.raises(lat.LatticeError):
-        lat.subdivision_restriction(lat.boolean(1), (0, 0), 1)
-
-
-def test_subdivision_restriction_middle_evaluation():
-    # the [0] -> [2], 0 |-> 1 restriction of the square evaluates triples
-    # at their middle entry
-    b2 = lat.boolean(2)
-    f = lat.subdivision_restriction(b2, (1,), 2)
-    for idx, label in enumerate(f.dom.labels):
-        assert f.cod.labels[f.values[idx]] == (label[1],)
-
-
-def test_subdivision_restrictions_are_dis_on_small_maps():
-    # precomposition images of enumerated restrictions stay interval-preserving
-    for L in (lat.boolean(1), lat.chain(2)):
-        for phi in [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]:
-            f = lat.subdivision_restriction(L, phi, 2)
-            assert lat.is_dis_morphism(f)[0]
 
 
 def test_diamond_examples():

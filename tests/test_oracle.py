@@ -231,6 +231,9 @@ def test_interval_hom_tables_match_the_per_value_search():
     digest = hashlib.sha256(repr(sorted(homs)).encode()).hexdigest()
     assert len(homs) == 648
     assert digest == "538c44c73bd980735fdf29bbf4ce4db195963e0829f75fdce8c24316c915c6b4"
+    # the DFS keeps its leaves unfiltered; each is a hom that keeps intervals
+    for t in homs:
+        assert oracle._table_is_hom(t, 4, 4) and oracle._table_preserves_intervals(t, 4, 4), t
 
 
 def test_interval_hom_tables_charge_each_level_once():
