@@ -98,6 +98,8 @@ def monoid_from_op(elements, op, unit):
 
 @lru_cache(maxsize=None)
 def zmod(k):
+    if k < 1:
+        raise CatError(f"zmod needs an order k >= 1, got {k!r}")
     return monoid_from_op(range(k), lambda a, b: (a + b) % k, 0)
 
 
@@ -357,6 +359,8 @@ def cat_from_monoid(M):
 
 
 def discrete_cat(n):
+    if n < 0:
+        raise CatError(f"discrete_cat needs a size n >= 0, got {n!r}")
     comp = tuple(
         tuple(f if f == g else None for g in range(n)) for f in range(n)
     )

@@ -78,6 +78,7 @@ class CubicalSet:
     _atom_cache: dict = field(default_factory=dict, repr=False)
     _star_index: list = field(default=None, repr=False)  # vertex -> its closed star
     _presentation: tuple = field(default=None, repr=False)  # t1.fundamental_presentation
+    _cylinder: tuple = field(default=None, repr=False)  # cylinder
 
     @cached_property
     def _tables(self):
@@ -756,7 +757,9 @@ def tensor(A, B):
 
 
 def cylinder(B):
-    """B (x) [1] with the two end inclusions."""
+    """B (x) [1] with the two end inclusions, built once per B."""
+    if B._cylinder is not None:
+        return B._cylinder
     interval = representable(1, max(B.trunc, 1))
     ts = tensor(B, interval)
     levels = range(ts.cset.trunc + 1)
@@ -766,7 +769,8 @@ def cylinder(B):
         maps = [[ts.pair_class((n, i), (0, end))[1] for i in B.cells(n)] for n in levels]
         return CubicalFunction(B, ts.cset, maps)
 
-    return ts.cset, incl(cube.CONST0), incl(cube.CONST1)
+    B._cylinder = (ts.cset, incl(cube.CONST0), incl(cube.CONST1))
+    return B._cylinder
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,8 @@ class CubeError(ValueError):
 @lru_cache(maxsize=None)
 def points(m):
     """All vertices of [1]^m in lexicographic order."""
+    if m < 0:
+        raise CubeError(f"dimension must be nonnegative, got {m}")
     return tuple(itertools.product((0, 1), repeat=m))
 
 

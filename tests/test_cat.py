@@ -625,6 +625,18 @@ def test_classes_reject_an_entry_that_is_not_a_functor():
             cat.functor_homotopy_classes(P, S, [bad])
 
 
+@pytest.mark.parametrize("k", [0, -2])
+def test_zmod_of_an_order_below_one_raises_cat_error(k):
+    with pytest.raises(cat.CatError, match=f"^zmod needs an order k >= 1, got {k}$"):
+        cat.zmod(k)
+
+
+def test_discrete_cat_of_a_negative_size_names_it():
+    with pytest.raises(cat.CatError, match="^discrete_cat needs a size n >= 0, got -1$"):
+        cat.discrete_cat(-1)
+    assert cat.discrete_cat(0).n_obj == 0
+
+
 def test_monoid_isomorphic():
     z4 = cat.zmod(4)
     klein4 = cat.product_monoid(cat.zmod(2), cat.zmod(2))

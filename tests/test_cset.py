@@ -978,6 +978,26 @@ def test_tensor_over_nondegenerate_pairs_matches_all_cells_reference(left, right
             assert list(incl.maps) == expected
 
 
+@pytest.mark.parametrize("name", ["point", "edge", "circle", "cube2"])
+def test_cylinder_is_built_once_per_set(name):
+    B = spaces.by_name(name, 2)
+    cyl, incl0, incl1 = cset.cylinder(B)
+    assert cset.cylinder(B) is cset.cylinder(B)
+    # the cached cylinder is the one a fresh tensor with the interval builds
+    interval = cset.representable(1, 2)
+    fresh = cset.tensor(B, interval)
+    assert cyl.sizes == fresh.cset.sizes
+    assert (cyl.faces, cyl.degens, cyl.transps) == (
+        fresh.cset.faces, fresh.cset.degens, fresh.cset.transps
+    )
+    for incl, const in zip((incl0, incl1), (cube.CONST0, cube.CONST1)):
+        end = (0, cset.rep_cell(interval, cube.CubeMap(0, 1, (const,))))
+        assert incl.dom is B and incl.cod is cyl
+        assert incl.maps == tuple(
+            tuple(fresh.pair_class((n, i), end)[1] for i in B.cells(n)) for n in range(3)
+        )
+
+
 # (nodes, relation pairs) of the colimit: over every cell pair, then over
 # nondegenerate pairs only
 TENSOR_COLIMIT_SIZES = {

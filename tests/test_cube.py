@@ -23,6 +23,11 @@ def test_eval_arity_mismatch():
         cube.identity(2)((0,))
 
 
+def test_points_of_a_negative_dimension_raise_cube_error():
+    with pytest.raises(cube.CubeError, match="nonnegative, got -1"):
+        cube.points(-1)
+
+
 def test_no_diagonals():
     with pytest.raises(cube.CubeError):
         CubeMap(1, 2, (proj(1), proj(1)))

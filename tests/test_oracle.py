@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import itertools
 import random
 import time
 from functools import lru_cache, partial
@@ -439,17 +440,9 @@ def test_homotopy_graph_edge_into_arrow_nerve():
     C = cat.nerve(cat.arrow_cat(), 2)
     maps, edges = oracle.homotopy_graph(B, C)
     assert len(maps) == 3
-    # all three maps land in one component
-    roots = {}
-
-    def find(x):
-        while roots.get(x, x) != x:
-            x = roots[x]
-        return x
-
-    for i, j in edges:
-        roots[find(i)] = find(j)
-    assert len({find(i) for i in range(3)}) == 1
+    # all three maps land in one component, joined by a spanning tree
+    assert _components(3, edges) == [(0, 1, 2)]
+    assert len(edges) == 2
 
 
 def test_enumerated_functions_validate():
@@ -464,6 +457,41 @@ def test_budget_exceeded_is_reported():
     C = cat.nerve(cat.zmod(4), 2)
     with pytest.raises(BudgetExceeded):
         oracle.homotopy_graph(B, C, budget=50)
+
+
+def _components(n, edges):
+    """The partition of range(n) that the edges join, as sorted tuples."""
+    comp = {i: {i} for i in range(n)}
+    for i, j in edges:
+        merged = comp[i] | comp[j]
+        for k in merged:
+            comp[k] = merged
+    return sorted({tuple(sorted(c)) for c in comp.values()})
+
+
+def _homotopy_graph_all_pairs(B, C, b):
+    """`homotopy_graph` as it was before it skipped joined pairs: the pinned
+    cylinder search on every unordered pair, so the edges are every
+    elementary homotopy, each read back through both end inclusions."""
+    maps = oracle.enumerate_cubical_functions(B, C, b)
+    cyl, incl0, incl1 = cset.cylinder(B)
+    levels = range(min(B.trunc, C.trunc) + 1)
+    nondeg = [B.nondegenerate(n) for n in levels]
+    end_cells = [[e.maps[n][x] for e in (incl0, incl1) for x in nondeg[n]] for n in levels]
+    search = oracle._function_search(cyl, C, b, end_cells)
+    pins = [[tuple(f.maps[n][x] for x in nondeg[n]) for n in levels] for f in maps]
+    edges = set()
+    for i, j in itertools.combinations(range(len(maps)), 2):
+        for s, t in ((i, j), (j, i)):
+            found = next(search([ps + pt for ps, pt in zip(pins[s], pins[t])]), None)
+            if found is not None:
+                h = cset.CubicalFunction(cyl, C, found)
+                assert [h.compose_after(e).maps for e in (incl0, incl1)] == [
+                    maps[s].maps, maps[t].maps
+                ]
+                edges.add((i, j))
+                break
+    return maps, edges
 
 
 def _homotopy_graph_by_cylinder_maps(B, C, b):
@@ -522,12 +550,13 @@ HOMOTOPY_CASES = (
     + [("circle@3", "Z/2@2"), ("point@2", "arrow@3"), ("edge@2", "idem2@3")]
     + [(f"quotient {seed}@2", f"{tn}@2") for seed in range(6) for tn in ("Z/2", "arrow")]
 )
-# (reference, pair search) charges; on the torus into Z/4, where the 16 maps
-# are joined by no homotopy, the pair search charges more
+# (cylinder maps, all pairs, spanning forest) charges; on the torus into
+# Z/4, where the 16 maps are joined by no homotopy, the pair searches charge
+# more than the cylinder maps, and the forest skips no pair
 HOMOTOPY_CHARGES = {
-    ("cube2@2", "Z/3@2"): (39_159, 5_767),
-    ("cube2@2", "Z/4@2"): (337_652, 40_728),
-    ("torus@2", "Z/4@2"): (699, 997),
+    ("cube2@2", "Z/3@2"): (39_159, 5_767, 567),
+    ("cube2@2", "Z/4@2"): (337_652, 40_728, 1_668),
+    ("torus@2", "Z/4@2"): (699, 997, 997),
 }
 
 
@@ -545,13 +574,18 @@ def _homotopy_input(space, target):
 @pytest.mark.parametrize("space, target", HOMOTOPY_CASES)
 def test_homotopy_graph_matches_the_cylinder_maps(space, target):
     B, C = _homotopy_input(space, target)
-    b, b_ref = Budget(10**7), Budget(10**7)
+    b, b_ref, b_all = Budget(10**7), Budget(10**7), Budget(10**7)
     maps, edges = oracle.homotopy_graph(B, C, b)
     ref_maps, ref_edges = _homotopy_graph_by_cylinder_maps(B, C, b_ref)
-    assert [f.maps for f in maps] == [f.maps for f in ref_maps]
-    assert edges == ref_edges
+    all_maps, all_edges = _homotopy_graph_all_pairs(B, C, b_all)
+    assert [f.maps for f in maps] == [f.maps for f in ref_maps] == [f.maps for f in all_maps]
+    assert all_edges == ref_edges
+    # a spanning forest of the homotopies: no class merges or splits
+    assert edges <= ref_edges
+    assert _components(len(maps), edges) == _components(len(maps), ref_edges)
+    assert len(edges) == len(maps) - len(_components(len(maps), edges))
     if (space, target) in HOMOTOPY_CHARGES:
-        assert (b_ref.used, b.used) == HOMOTOPY_CHARGES[(space, target)]
+        assert (b_ref.used, b_all.used, b.used) == HOMOTOPY_CHARGES[(space, target)]
 
 
 def test_homotopy_graph_charges_the_pair_searches():
