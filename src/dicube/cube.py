@@ -197,6 +197,8 @@ def enumerate_maps(m, n, cls=None):
         raise CubeError(f"dimensions must be nonnegative, got {m} and {n}")
     if m > ENUMERATION_BOUND or n > ENUMERATION_BOUND:
         raise CubeError(f"enumeration bound {ENUMERATION_BOUND} exceeded")
+    if cls not in (None, "iso", "epi", "mono", "neither"):
+        raise CubeError(f"unknown map class {cls!r}")
     specs = [CONST0, CONST1] + [proj(i) for i in range(1, m + 1)]
     out = []
 
@@ -216,9 +218,7 @@ def enumerate_maps(m, n, cls=None):
             prefix.pop()
 
     rec([], set())
-    if cls is not None:
-        out = [phi for phi in out if classify(phi) == cls]
-    return out
+    return [phi for phi in out if cls is None or classify(phi) == cls]
 
 
 @lru_cache(maxsize=None)

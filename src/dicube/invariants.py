@@ -120,7 +120,9 @@ def loop_classes(C, v, n, budget=None):
     degenerate side, giving the loop monoid when every pair composes.
     Each n-cell and (n+1)-cell examined is charged to the budget.
     """
-    if n < 1 or C.trunc < n + 1:
+    if n < 1:
+        raise InvariantError(f"loop degree must be >= 1, got {n}")
+    if C.trunc < n + 1:
         raise InvariantError("truncation too small for this loop degree")
     if not 0 <= v < C.sizes[0]:
         raise InvariantError(f"vertex {v} out of range 0..{C.sizes[0] - 1}")

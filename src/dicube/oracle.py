@@ -13,9 +13,9 @@ purpose, so that criterion 1's naive filter compares two separate searches.
 Both offer a point only the values its property leaves open: a bijection
 the unused values with large enough down- and up-sets, an interval
 homomorphism at an atom the value of 0 and its covers, at a join the one
-forced value.  The generator closures charge their caller one unit per
-closure table, also when an earlier call built the closure; the
-Boolean-interval isomorphism search one unit per value it tries.
+forced value.  The generator closures close one domain [1]^m at a time
+and charge their caller one unit per table of it, also when an earlier
+call built it; the Boolean-interval isomorphism search one unit per value.
 """
 
 from __future__ import annotations
@@ -254,23 +254,24 @@ def _generator_tables(max_dim):
     return gens
 
 
-def _closure(generators, max_dim, budget):
-    # Compose-only closure.  Tensoring with identities is already baked
-    # into the generator set, and a tensor of composites is a composite of
-    # identity-padded tensors (interchange), so composition reaches the
-    # full monoidal closure.  Every composite is a generator applied after
-    # a shorter composite, so it is enough to compose each table on the
-    # left with the generators out of its codomain.
+def _closure(generators, m, budget):
+    # Compose-only closure of the composites out of [1]^m.  The generator
+    # set lists every identity padding of the elementary generators, and a
+    # tensor of composites is a composite of identity-padded tensors
+    # (interchange), so composition reaches the full monoidal closure.
+    # Every composite is a generator applied after a shorter one, and left
+    # composition keeps the domain: start from the generators out of [1]^m
+    # and compose each table on the left with those out of its codomain.
     b = Budget.of(budget)
-    tables = set(generators)
-    by_dom = {d: [] for d in range(max_dim + 1)}
-    for g in tables:
-        by_dom[g[0]].append(g)
+    by_dom = {}
+    for g in generators:
+        by_dom.setdefault(g[0], []).append(g)
+    tables = set(by_dom.get(m, ()))
     worklist = list(tables)
     while worklist:
         t = worklist.pop()
         b.spend()
-        for g in by_dom[t[1]]:
+        for g in by_dom.get(t[1], ()):
             c = _compose_tables(g, t)
             if c not in tables:
                 tables.add(c)
@@ -281,46 +282,43 @@ def _closure(generators, max_dim, budget):
 _UNIVERSES = {}
 
 
-def _closure_universe(max_dim, cofaces, budget):
-    """The closure of the generator tables of dimensions <= max_dim, the
-    cofaces left out unless `cofaces`, charged to `budget`.
+def _closure_universe(m, max_dim, cofaces, budget):
+    """The composites out of [1]^m of the generator tables of dimensions
+    <= max_dim, the cofaces left out unless `cofaces`, charged to `budget`.
 
     The first call builds it under `budget` (one unit per table) and keeps
     it only once the build finishes; a later call charges what the build
     did, so the charge does not depend on what is already built.
     """
-    key = (max_dim, cofaces)
+    key = (m, max_dim, cofaces)
     if key in _UNIVERSES:
         Budget.of(budget).spend(len(_UNIVERSES[key]))
         return _UNIVERSES[key]
-    # _generator_tables already lists every identity padding of the
-    # elementary generators (all insert/drop/swap positions in each
-    # dimension), which is exactly the monoidal generator set.
     gens = _generator_tables(max_dim)
     if not cofaces:
         gens = [t for t in gens if t[0] >= t[1]]
-    _UNIVERSES[key] = frozenset(_closure(gens, max_dim, budget))
+    _UNIVERSES[key] = frozenset(_closure(gens, m, budget))
     return _UNIVERSES[key]
 
 
 def generator_closure(m, n, budget=None):
     """Tables of all composites of tensors of the generators, dom m cod n.
 
-    Closes the generator tables of dimensions <= max(m, n) + 1 under
-    composition on the left with a generator, from a worklist, to a
+    Closes the generators out of [1]^m under composition on the left with
+    the generators of dimensions <= max(m, n) + 1, from a worklist, to a
     fixpoint, charging one unit per table of that closure.
     """
     _check_dims(m, n)
-    universe = _closure_universe(max(m, n) + 1, True, budget)
-    return {t[2] for t in universe if t[0] == m and t[1] == n}
+    universe = _closure_universe(m, max(m, n) + 1, True, budget)
+    return {t[2] for t in universe if t[1] == n}
 
 
 def epi_closure(m, n, budget=None):
     """Composites of codegeneracies and transpositions only, dom m cod n,
-    charged like `generator_closure`."""
+    closed like `generator_closure` but through dimensions <= max(m, n)."""
     _check_dims(m, n)
-    universe = _closure_universe(max(m, n), False, budget)
-    return {t[2] for t in universe if t[0] == m and t[1] == n}
+    universe = _closure_universe(m, max(m, n), False, budget)
+    return {t[2] for t in universe if t[1] == n}
 
 
 def transposition_closure(n, budget=None):
@@ -339,8 +337,7 @@ def is_boolean_by_isomorphism(leq, elems, budget=None):
     by a first-hit search charging one unit per value tried."""
     b = Budget.of(budget)
     size = len(elems)
-    k = size.bit_length() - 1
-    if size != 1 << k:
+    if size == 0 or size & (size - 1):  # [1]^k has 2^k >= 1 points
         return False
     elems = list(elems)
     assign = {}

@@ -157,6 +157,12 @@ def test_tau_report(capsys):
     assert result["monoid_table"] == [[0, 1], [1, 0]]
 
 
+def test_tau_of_degree_zero_names_the_degree(capsys):
+    code, out, err = run_cli(capsys, "inv", "tau", "--space", "torus", "--n", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: loop degree must be >= 1, got 0\n"
+
+
 def test_homclasses_report(capsys):
     code, out, _ = run_cli(capsys, "inv", "homclasses", "--b", "circle", "--s", "s3")
     assert json.loads(out)["result"]["class_count"] == 3

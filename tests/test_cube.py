@@ -129,6 +129,14 @@ def test_enumerate_bound():
         cube.enumerate_maps(5, 1)
 
 
+def test_enumerate_rejects_an_unknown_class():
+    with pytest.raises(cube.CubeError, match="'bad'"):
+        cube.enumerate_maps(1, 1, cls="bad")
+    counts = {cls: len(cube.enumerate_maps(2, 2, cls)) for cls in ("iso", "epi", "mono", "neither")}
+    assert counts == {"iso": 2, "epi": 0, "mono": 0, "neither": 12}
+    assert sum(counts.values()) == len(cube.enumerate_maps(2, 2, None))
+
+
 def test_from_function_rejects_diagonal():
     diag = FunctionTable(1, 2, ((0, 0), (1, 1)))
     phi, witness = cube.from_function(diag)

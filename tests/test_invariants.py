@@ -134,6 +134,11 @@ def test_loop_classes_truncation_guard():
         inv.loop_classes(spaces.cube_space(1, 1), 0, 1)
 
 
+def test_loop_classes_of_degree_zero_name_the_degree():
+    with pytest.raises(inv.InvariantError, match=r"^loop degree must be >= 1, got 0$"):
+        inv.loop_classes(spaces.torus(), 0, 0)
+
+
 def test_loop_classes_vertex_guard():
     for v in (-1, 1):
         with pytest.raises(inv.InvariantError):

@@ -293,6 +293,14 @@ def test_is_boolean_by_isomorphism_charges_each_value_tried():
                     assert found == (lat.boolean_rank(L, lo, hi) is not None), (name, lo, hi)
 
 
+def test_the_empty_poset_is_no_cube():
+    leq = lat.boolean(2).poset.leq
+    b = Budget(10)
+    assert oracle.is_boolean_by_isomorphism(leq, [], b) is False
+    assert b.used == 0
+    assert oracle.is_boolean_by_isomorphism(leq, [1], b) is True  # [1]^0
+
+
 def _two_sided_closure(generators, max_dim, budget):
     """Reference closure: compose each new table with every known table on
     either side."""
@@ -321,6 +329,27 @@ def _two_sided_closure(generators, max_dim, budget):
     return tables
 
 
+def _all_domain_closure(generators, max_dim, budget):
+    """Reference closure out of every domain at once: start from all the
+    generators and compose each table on the left with the generators out
+    of its codomain."""
+    b = Budget.of(budget)
+    tables = set(generators)
+    by_dom = {d: [] for d in range(max_dim + 1)}
+    for g in tables:
+        by_dom[g[0]].append(g)
+    worklist = list(tables)
+    while worklist:
+        t = worklist.pop()
+        b.spend()
+        for g in by_dom[t[1]]:
+            c = oracle._compose_tables(g, t)
+            if c not in tables:
+                tables.add(c)
+                worklist.append(c)
+    return tables
+
+
 def _closure_instances():
     for d in range(5):
         gens = oracle._generator_tables(d)
@@ -333,18 +362,41 @@ def _closure_instances():
 def test_left_closure_matches_the_two_sided_closure():
     for name, gens, max_dim in _closure_instances():
         b_left, b_both = Budget(10**8), Budget(10**8)
-        left = oracle._closure(gens, max_dim, b_left)
+        left = set().union(*(oracle._closure(gens, m, b_left) for m in range(max_dim + 1)))
         assert left == _two_sided_closure(gens, max_dim, b_both), name
         assert b_left.used == b_both.used == len(left), name
-    assert len(oracle._closure(oracle._generator_tables(4), 4, None)) == 1559
+    gens = oracle._generator_tables(4)
+    assert sum(len(oracle._closure(gens, m, None)) for m in range(5)) == 1559
+
+
+def test_per_domain_closure_is_the_domain_slice_of_the_all_domain_closure():
+    for max_dim in range(5):
+        for cofaces in (True, False):
+            gens = oracle._generator_tables(max_dim)
+            if not cofaces:
+                gens = [t for t in gens if t[0] >= t[1]]
+            reference = _all_domain_closure(gens, max_dim, None)
+            for m in range(max_dim + 1):
+                b = Budget(10**6)
+                part = oracle._closure_universe(m, max_dim, cofaces, b)
+                assert part == {t for t in reference if t[0] == m}, (m, max_dim, cofaces)
+                assert b.used == len(part), (m, max_dim, cofaces)
 
 
 def test_left_closure_composes_each_table_once_per_generator(monkeypatch):
+    gens = oracle._generator_tables(4)
+    out_of = {d: sum(g[0] == d for g in gens) for d in range(5)}
     calls = []
     compose = oracle._compose_tables
     monkeypatch.setattr(oracle, "_compose_tables", lambda g, f: calls.append(1) or compose(g, f))
-    oracle._closure(oracle._generator_tables(4), 4, None)
-    assert len(calls) == 14427
+    counts = []
+    for m in range(5):
+        calls.clear()
+        tables = oracle._closure(gens, m, None)
+        assert len(calls) == sum(out_of[t[1]] for t in tables), m
+        counts.append(len(calls))
+    # the domains' parts of the all-domain closure's 14,427 compositions
+    assert counts == [295, 765, 1807, 3889, 7671]
 
 
 def test_closures_charge_their_caller():
@@ -353,12 +405,12 @@ def test_closures_charge_their_caller():
     with pytest.raises(BudgetExceeded):
         oracle.epi_closure(3, 3, Budget(5))
     # the same charge whether the closure is built by this call or was
-    # built before: one unit per table of the closure through dimension 4
+    # built before: one unit per table out of [1]^m through dimension 4
     b = Budget(10**6)
     assert len(oracle.generator_closure(3, 3, b)) == 86
-    assert b.used == 1559
+    assert b.used == 418
     assert len(oracle.generator_closure(2, 3, b)) == 44
-    assert b.used == 2 * 1559
+    assert b.used == 418 + 191
 
 
 # What oracle.py may take from the library it checks: the budget and error
