@@ -7,12 +7,15 @@ generator with the fewest candidates next, solves a relation's last open
 letter by division and charges every value it tries; one set-up
 (`_prepare`) serves many runs.  `enumerate_functors` lists what it finds
 by object map, then generator map; the n-cells of the nerve N(S) are its
-functors t1(cube n) -> S, and `invariants.h1` and
-`invariants.hom_classes` use it too.  A natural transformation F -> G is a
-functor out of `cylinder_presentation`, P x [1], its ends fixed to F and
-G; a functor S -> T is a functor out of `presentation_of(S)`.
+functors t1(cube n) -> S.  A natural transformation F -> G is a functor
+out of `cylinder_presentation`, P x [1], its ends fixed to F and G; a
+functor S -> T is a functor out of `presentation_of(S)`.
+`functor_homotopy_classes` is the one entry to the classes of functors
+under zig-zags of transformations, which `invariants.h1` and
+`invariants.hom_classes` report: it gauge fixes a group target
+(`gauge_classes`) and enumerates any other, then walks the unjoined pairs.
 
-Composition is read diagrammatically throughout: `then(f, g)` is "f, then
+Composition is read diagrammatically throughout: `comp[f][g]` is "f, then
 g", and a monoid table `op[x][y]` means "x, then y".  Path words in
 presentations are read left to right in the same way.
 """
@@ -161,9 +164,6 @@ def equal_doubles_pairs(M):
     return submonoid(P, elems)
 
 
-MONOID_NAMES = ("trivial", "zmod2", "zmod3", "zmod4", "zmod6", "s3", "idem2", "capped")
-
-
 def monoid_by_name(name):
     if name.startswith("zmod"):
         if not name[4:].isdecimal() or int(name[4:]) < 1:
@@ -287,12 +287,6 @@ class FinCat:
     def n_mor(self):
         return len(self.src)
 
-    def then(self, f, g):
-        h = self.comp[f][g]
-        if h is None:
-            raise CatError(f"morphisms {f}, {g} not composable")
-        return h
-
     @cached_property
     def homs(self):
         """The morphisms x -> y, in index order, by (x, y); None for x or y
@@ -402,6 +396,14 @@ def arrow_cat():
 
 def as_cat(S):
     return cat_from_monoid(S) if isinstance(S, FinMonoid) else S
+
+
+def as_monoid(S):
+    """S read as a monoid: S itself, the monoid of the morphisms of a
+    one-object category, else None."""
+    if isinstance(S, FinMonoid):
+        return S
+    return FinMonoid(S.comp, S.ident[0]) if S.n_obj == 1 else None
 
 
 def cat_to_json(S):
@@ -785,35 +787,35 @@ def nat_trans_exists(P, S, F, G, budget=None):
     return _search(cylinder_presentation(P), as_cat(S), Budget.of(budget), fixed, lambda _: True)
 
 
-def functor_homotopy_classes(P, S, functors, budget=None):
-    """Partition of functors under zig-zags of natural transformations.
+def functor_homotopy_classes(P, S, budget=None):
+    """Homotopy classes of the functors P -> S under zig-zags of natural
+    transformations, as (classes, class_of, functor_count): the members of
+    each class from the one enumeration lists first, in that order; the
+    class index of a functor (None for a non-functor); the functor count.
 
-    Each entry is checked, uncharged, to be a functor by a fully fixed
-    search (else CatError); then the search of `nat_trans_exists`, less
-    the relations of the cylinder's ends, is prepared once.  Pairs i < j
-    go in lexicographic order, each charged one and searched both ways
-    while i and j lie in different classes: row i walks the members of the
-    other classes, and the walk stops at one class.  `gauge_classes` is the
-    fast route into a group.
+    A group (`as_monoid(S)` with every element invertible) goes to
+    `gauge_classes`, which lists only each class's first member.  Any
+    other target is enumerated, and the search of `nat_trans_exists`, less
+    the relations of the cylinder's ends, is prepared once.  Pairs i < j go
+    in lexicographic order, each charged one and searched both ways while
+    i and j lie in different classes: row i walks the members of the other
+    classes, and the walk stops at one class.
     """
-    S, b, n = as_cat(S), Budget.of(budget), len(functors)
-    whole = Functor((0,) * P.n_obj, (0,) * len(P.gens))  # every entry fixed
-    is_functor = _prepare(P, S, whole)
-    for F in functors:  # a fully fixed search charges nothing
-        shape = (len(F.obj_map), len(F.gen_map)) == (P.n_obj, len(P.gens))
-        if not shape or None in F.obj_map + F.gen_map or not is_functor(F, b, bool):
-            raise CatError(f"{F} is not a functor from the presentation to the target")
-    if n < 2:
-        return [[i] for i in range(n)]
+    b, M = Budget.of(budget), as_monoid(S)
+    if M is not None and M.is_group():
+        reps, class_of, count = gauge_classes(P, M, b)
+        return [[F] for F in reps], class_of, count
+    S = as_cat(S)
+    functors = enumerate_functors(P, S, b)
     Q, rungs = cylinder_presentation(P), (None,) * P.n_obj
     # the cylinder's relations are those of its two ends, then the squares
     squares = CatPresentation(Q.n_obj, Q.gens, Q.relations[2 * len(P.relations) :])
-    search = _prepare(squares, S, Functor(whole.obj_map * 2, whole.gen_map * 2 + rungs))
+    search = _prepare(squares, S, Functor((0,) * Q.n_obj, (0,) * 2 * len(P.gens) + rungs))
 
     def transformation(F, G):
         return search(Functor(F.obj_map + G.obj_map, F.gen_map + G.gen_map + rungs), b, bool)
 
-    label, members = list(range(n)), {i: [i] for i in range(n)}
+    label, members = list(range(len(functors))), {i: [i] for i in range(len(functors))}
     for i, F in enumerate(functors):
         if len(members) == 1:
             break
@@ -825,7 +827,9 @@ def functor_homotopy_classes(P, S, functors, budget=None):
                     for k in members[drop]:
                         label[k] = keep
                     members[keep] += members.pop(drop)
-    return sorted(sorted(js) for js in members.values())
+    classes = [[functors[i] for i in js] for js in sorted(sorted(js) for js in members.values())]
+    index = {F: k for k, js in enumerate(classes) for F in js}
+    return classes, index.get, len(functors)
 
 
 def gauge_classes(P, G, budget=None):

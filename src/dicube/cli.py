@@ -158,7 +158,7 @@ def cmd_inv_h1(args):
 
 
 def cmd_inv_tau(args):
-    trunc = args.trunc if args.trunc else args.n + 1
+    trunc = args.n + 1 if args.trunc is None else args.trunc
     C = _load(args.space, cset.from_json, spaces.by_name, trunc, args.budget)
     r = inv.loop_classes(C, args.vertex, args.n, budget=args.budget)
     result = {"degree": r.degree, "class_count": r.count}
@@ -203,7 +203,7 @@ def build_parser():
     pe = psub.add_parser("enumerate")
     pe.add_argument("--dom", type=int, required=True)
     pe.add_argument("--cod", type=int, required=True)
-    pe.add_argument("--class", dest="cls", choices=["epi", "mono", "iso"], default=None)
+    pe.add_argument("--class", dest="cls", choices=["epi", "mono", "iso", "neither"], default=None)
     pe.set_defaults(fn=cmd_cube, name="cube enumerate")
 
     p = sub.add_parser("lattice", help="lattice checks and exports")

@@ -478,12 +478,6 @@ class Subpresheaf:
     def issubset(self, other):
         return all(a <= b for a, b in zip(self.sel, other.sel))
 
-    def union(self, other):
-        return Subpresheaf(self.parent, tuple(a | b for a, b in zip(self.sel, other.sel)))
-
-    def intersection(self, other):
-        return Subpresheaf(self.parent, tuple(a & b for a, b in zip(self.sel, other.sel)))
-
     def check_closed(self):
         for family, key, g in _generator_tables(self.parent.trunc):
             tbl = getattr(self.parent, family)[key]

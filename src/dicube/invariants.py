@@ -63,12 +63,11 @@ def h1(C, tau, budget=None, with_table=True):
     count is wanted).  A one-object FinCat is read as the monoid of its
     morphisms; a category with more objects is refused.
     """
-    if isinstance(tau, cat.FinCat):
-        if tau.n_obj != 1:
-            raise InvariantError("h1 coefficients must be a monoid or a category with one object")
-        tau = cat.FinMonoid(tau.comp, tau.ident[0])
+    tau = cat.as_monoid(tau)
+    if tau is None:
+        raise InvariantError("h1 coefficients must be a monoid or a category with one object")
     b = Budget.of(budget)
-    classes, class_of, _ = _functor_classes(C, tau, b)
+    classes, class_of, _ = cat.functor_homotopy_classes(t1.fundamental_presentation(C)[0], tau, b)
     obj, n_gen = classes[0][0].obj_map, len(classes[0][0].gen_map)
 
     def product_class(g1, g2):
@@ -194,32 +193,13 @@ def hom_classes(B, S, budget=None):
     """Directed homotopy classes of maps from B into the nerve of S.
 
     Computed as functors out of the fundamental category presentation of
-    B, modulo zig-zags of natural transformations.  A group, that is a
-    one-object target whose morphisms are all invertible, whether given
-    as a FinMonoid or a FinCat, is gauge fixed (`cat.gauge_classes`);
-    any other target is enumerated in full and classified by pairwise
-    transformation search.
+    B, modulo zig-zags of natural transformations.  The route is chosen in
+    `cat.functor_homotopy_classes`: a group target, given as a FinMonoid
+    or a one-object FinCat, is gauge fixed, and any other target is
+    enumerated in full and classified by transformation search.
     """
-    classes, _, functor_count = _functor_classes(B, S, Budget.of(budget))
+    classes, _, functor_count = cat.functor_homotopy_classes(t1.fundamental_presentation(B)[0], S, budget)
     return HomClassesResult(len(classes), functor_count)
-
-
-def _functor_classes(B, S, budget):
-    """(classes, class_of, functor_count) for the functors t1(B) -> S: the
-    members of each class, first the one enumeration lists first (the
-    gauge route lists only that one), and the class index of a functor
-    (None for a non-functor)."""
-    P, _ = t1.fundamental_presentation(B)
-    if isinstance(S, cat.FinCat) and S.n_obj == 1:
-        S = cat.FinMonoid(S.comp, S.ident[0])  # the monoid of its morphisms
-    if isinstance(S, cat.FinMonoid) and S.is_group():
-        reps, class_of, functor_count = cat.gauge_classes(P, S, budget)
-        return [[F] for F in reps], class_of, functor_count
-    functors = cat.enumerate_functors(P, S, budget)
-    groups = cat.functor_homotopy_classes(P, S, functors, budget)
-    classes = [[functors[i] for i in grp] for grp in groups]
-    index = {F: k for k, members in enumerate(classes) for F in members}
-    return classes, index.get, len(functors)
 
 
 def hom_classes_presheaf_oracle(B, C, budget=None):

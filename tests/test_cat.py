@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dicube import cat, cset, lattice as lat, spaces, t1
+from dicube import cat, cset, invariants as inv, lattice as lat, spaces, t1
 from dicube.config import Budget
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -161,25 +161,20 @@ def test_enumerate_functors_deterministic():
 def test_homotopy_classes_arrow_target():
     # all three endomaps of the arrow poset are connected by transformations
     P = cat.CatPresentation(2, ((0, 1),), ())
-    fs = cat.enumerate_functors(P, cat.arrow_cat())
-    assert len(fs) == 3
-    classes = cat.functor_homotopy_classes(P, cat.arrow_cat(), fs)
-    assert len(classes) == 1
+    classes, _, count = cat.functor_homotopy_classes(P, cat.arrow_cat())
+    assert (len(classes), count) == (1, 3)
 
 
 def test_homotopy_classes_abelian_rigidity():
     P = cat.CatPresentation(1, ((0, 0), (0, 0)), (((0, 1), (1, 0)),))
-    fs = cat.enumerate_functors(P, cat.zmod(4))
-    classes = cat.functor_homotopy_classes(P, cat.zmod(4), fs)
-    assert len(classes) == 16
+    classes, _, count = cat.functor_homotopy_classes(P, cat.zmod(4))
+    assert (len(classes), count) == (16, 16)
 
 
 def test_homotopy_classes_discrete():
     P = cat.CatPresentation(2, (), ())
-    fs = cat.enumerate_functors(P, cat.discrete_cat(2))
-    assert len(fs) == 4
-    classes = cat.functor_homotopy_classes(P, cat.discrete_cat(2), fs)
-    assert len(classes) == 4
+    classes, _, count = cat.functor_homotopy_classes(P, cat.discrete_cat(2))
+    assert (len(classes), count) == (4, 4)
 
 
 def test_group_fast_path_matches_generic():
@@ -189,30 +184,54 @@ def test_group_fast_path_matches_generic():
         # a triangle with a chord and an isolated object: c = 2 components
         cat.CatPresentation(4, ((0, 1), (1, 2), (0, 2), (2, 0)), (((0, 1), (2,)),)),
     ):
-        fs = cat.enumerate_functors(P, z4)
-        generic = cat.functor_homotopy_classes(P, cat.cat_from_monoid(z4), fs)
-        reps, class_of, count = cat.gauge_classes(P, z4)
-        assert [F.gen_map for F in reps] == [fs[grp[0]].gen_map for grp in generic]
-        assert count == len(fs)
-        assert all(class_of(fs[i]) == k for k, grp in enumerate(generic) for i in grp)
-        # (0, 1, 0, ...) breaks the relation of either presentation
-        assert class_of(cat.Functor((0,) * P.n_obj, (0, 1) + (0,) * (len(P.gens) - 2))) is None
+        for S in (z4, cat.cat_from_monoid(z4)):
+            _, class_of = assert_classes_match_the_pairwise_reference(P, S)
+            # (0, 1, 0, ...) breaks the relation of either presentation
+            assert class_of(cat.Functor((0,) * P.n_obj, (0, 1) + (0,) * (len(P.gens) - 2))) is None
+
+
+def relabelled_cat(S, rng):
+    """An isomorphic copy of S, objects and morphisms shuffled, with the
+    two permutations."""
+    S = cat.as_cat(S)
+    obj, mor, n = list(range(S.n_obj)), list(range(S.n_mor)), S.n_mor
+    rng.shuffle(obj)
+    rng.shuffle(mor)
+    src, tgt, ident, comp = [None] * n, [None] * n, [None] * S.n_obj, [[None] * n for _ in range(n)]
+    for f in range(n):
+        src[mor[f]], tgt[mor[f]] = obj[S.src[f]], obj[S.tgt[f]]
+        for g, h in enumerate(S.comp[f]):
+            if h is not None:
+                comp[mor[f]][mor[g]] = mor[h]
+    for x in range(S.n_obj):
+        ident[obj[x]] = mor[S.ident[x]]
+    R = cat.FinCat(S.n_obj, tuple(src), tuple(tgt), tuple(ident), tuple(map(tuple, comp)))
+    R.validate()
+    return R, obj, mor
+
+
+def functor_partition(P, S):
+    """The functor count and the classes of every enumerated functor P -> S,
+    read through the classifier's class_of, as a set of frozensets."""
+    _, class_of, count = cat.functor_homotopy_classes(P, S)
+    blocks = {}
+    for F in cat.enumerate_functors(P, S):
+        blocks.setdefault(class_of(F), set()).add(F)
+    assert None not in blocks
+    return count, {frozenset(block) for block in blocks.values()}
 
 
 def test_homotopy_classes_relabeling_invariant():
-    P = cat.CatPresentation(1, ((0, 0),), ())
-    s3 = cat.sym3()
-    fs = cat.enumerate_functors(P, s3)
-    classes = cat.functor_homotopy_classes(P, s3, fs)
-    shuffled = list(reversed(fs))
-    reclasses = cat.functor_homotopy_classes(P, s3, shuffled)
-    def as_functors(functors, groups):
-        return sorted(
-            tuple(sorted((functors[i].obj_map, functors[i].gen_map) for i in g))
-            for g in groups
-        )
-
-    assert as_functors(fs, classes) == as_functors(shuffled, reclasses)
+    # relabelling the target relabels the classes, on both routes
+    rng = random.Random(7)
+    bowtie = [[x == y or (x < 2 <= y) for y in range(4)] for x in range(4)]
+    for base in ("circle", "torus", "cube2"):
+        P, _ = t1.fundamental_presentation(spaces.by_name(base))
+        for S in (cat.sym3(), cat.zmod(4), cat.idempotent2(), cat.capped_add(), cat.poset_cat(bowtie)):
+            R, obj, mor = relabelled_cat(S, rng)
+            count, blocks = functor_partition(P, S)
+            image = lambda F: cat.Functor(tuple(obj[x] for x in F.obj_map), tuple(mor[f] for f in F.gen_map))
+            assert functor_partition(P, R) == (count, {frozenset(map(image, block)) for block in blocks})
 
 
 def test_based_rigidity():
@@ -305,7 +324,7 @@ def componentwise_nat_trans_exists(P, S, F, G, budget):
             budget.spend()
             comps[x] = u
             if all(
-                S.then(F.gen_map[gi], comps[t]) == S.then(comps[s], G.gen_map[gi])
+                S.comp[F.gen_map[gi]][comps[t]] == S.comp[comps[s]][G.gen_map[gi]]
                 for gi, s, t in gens_at[x]
                 if s in comps and t in comps
             ) and rec(x + 1, comps):
@@ -507,15 +526,27 @@ def test_a_monoid_category_is_built_once():
 
 
 def test_joined_pairs_are_not_searched_again():
-    # the four constant functors into the chain 0 < 1 < 2 < 3: the pairs
-    # (0, j) join everything, one pair charge and one rung each, and the
-    # other three pairs are skipped
+    # the four constant functors into the chain 0 < 1 < 2 < 3, one value
+    # charged each: the pairs (0, j) join everything, one pair charge and
+    # one rung each, and the other three pairs are skipped
     P = cat.CatPresentation(1, (), ())
     chain = cat.poset_cat(lat.chain(3).poset.leq)
-    functors = cat.enumerate_functors(P, chain)
     b = Budget(100)
-    assert cat.functor_homotopy_classes(P, chain, functors, b) == [[0, 1, 2, 3]]
-    assert b.used == 3 + 3
+    classes, _, _ = cat.functor_homotopy_classes(P, chain, b)
+    assert classes == [cat.enumerate_functors(P, chain)]
+    assert b.used == 4 + 3 + 3
+
+
+def test_a_target_that_is_not_a_group_prepares_one_enumeration_and_one_walk(monkeypatch):
+    prepared, prepare = [], cat._prepare
+
+    def counted(P, S, pattern):
+        prepared.append(P)
+        return prepare(P, S, pattern)
+
+    monkeypatch.setattr(cat, "_prepare", counted)
+    assert inv.hom_classes(spaces.torus(), cat.idempotent2()).functor_count > 1
+    assert len(prepared) == 2
 
 
 def pairwise_classes(P, S, functors, budget):
@@ -532,12 +563,26 @@ def pairwise_classes(P, S, functors, budget):
     return uf.classes()
 
 
-def assert_classes_match_the_pairwise_reference(P, S, functors):
+def assert_classes_match_the_pairwise_reference(P, S):
+    """The classifier against `pairwise_classes` over the full enumeration.
+    Each functor's class_of is the index of its reference class, and each
+    class is listed from its reference class's first member on.  Into a
+    group the gauge route lists only that member; into any other target
+    the classes and the charges are the reference's.  Returns the classes
+    and class_of."""
     b, b_ref = Budget(10**8), Budget(10**8)
-    classes = cat.functor_homotopy_classes(P, S, functors, b)
-    assert classes == pairwise_classes(P, S, functors, b_ref)
-    assert b.used == b_ref.used
-    return classes
+    classes, class_of, count = cat.functor_homotopy_classes(P, S, b)
+    functors = cat.enumerate_functors(P, S, b_ref)
+    reference = [[functors[i] for i in js] for js in pairwise_classes(P, S, functors, b_ref)]
+    assert count == len(functors)
+    assert [class_of(F) for F in functors] == [k for F in functors for k, js in enumerate(reference) if F in js]
+    M = cat.as_monoid(S)
+    if M is not None and M.is_group():
+        assert classes == [js[:1] for js in reference]
+    else:
+        assert classes == reference
+        assert b.used == b_ref.used
+    return classes, class_of
 
 
 @lru_cache(maxsize=None)
@@ -552,14 +597,14 @@ def benchmark_workloads():
 
 @lru_cache(maxsize=None)
 def zigzag_classifications(seed):
-    """(P, S, functors) of every classification the benchmark's zigzag
-    workload makes, its targets relabelled from `seed`."""
+    """(P, S) of every classification the benchmark's zigzag workload
+    makes, its targets relabelled from `seed`."""
     workloads = benchmark_workloads()
     calls, classify = [], cat.functor_homotopy_classes
 
-    def record(P, S, functors, budget=None):
-        calls.append((P, S, functors))
-        return classify(P, S, functors, budget)
+    def record(P, S, budget=None):
+        calls.append((P, S))
+        return classify(P, S, budget)
 
     cat.functor_homotopy_classes = record
     try:
@@ -574,8 +619,8 @@ def zigzag_classifications(seed):
 def test_classes_match_the_pairwise_reference_on_the_zigzag_workload(seed):
     calls = zigzag_classifications(seed)
     assert calls
-    for P, S, functors in calls:
-        assert_classes_match_the_pairwise_reference(P, S, functors)
+    for P, S in calls:
+        assert_classes_match_the_pairwise_reference(P, S)
 
 
 @pytest.mark.parametrize("target", ["arrow", "discrete-2", "zmod2", "zmod4"])
@@ -584,45 +629,30 @@ def test_classes_match_the_pairwise_reference_on_the_criterion_7_grid(base, targ
     P, _ = t1.fundamental_presentation(spaces.by_name(base))
     named = {"arrow": cat.arrow_cat, "discrete-2": lambda: cat.discrete_cat(2)}
     S = cat.as_cat(named[target]() if target in named else cat.monoid_by_name(target))
-    assert_classes_match_the_pairwise_reference(P, S, cat.enumerate_functors(P, S))
+    assert_classes_match_the_pairwise_reference(P, S)
 
 
 def test_classes_match_the_pairwise_reference_on_random_presentations():
-    # shuffled lists into targets with several classes, so that rows meet
-    # classes of several members, some of them joined along the row
+    # relabelled targets; Z/3 x idem2 is no group and has several classes
+    # of several members, so rows meet such classes, some of them joined
+    # along the row.  The reference is quadratic in the functors, so only
+    # enumerations of at most 30 functors are compared.
     rng = random.Random(29)
     fence = [[x == y or (x, y) in {(0, 1), (2, 1), (2, 3), (4, 3)} for y in range(5)] for x in range(5)]
     bowtie = [[x == y or (x < 2 <= y) for y in range(4)] for x in range(4)]
     targets = [cat.poset_cat(fence), cat.poset_cat(bowtie), cat.discrete_cat(2), cat.arrow_cat()]
-    targets += [cat.as_cat(M) for M in (cat.idempotent2(), cat.capped_add(), cat.zmod(3))]
-    sizes = []
+    targets += [cat.idempotent2(), cat.capped_add(), cat.zmod(3)]
+    targets += [cat.product_monoid(cat.zmod(3), cat.idempotent2())]
+    shapes = []
     for _ in range(25):
         P = random_presentation(rng)
         for S in targets:
-            functors = cat.enumerate_functors(P, S, 10**6)
-            rng.shuffle(functors)
-            sizes.append(len(assert_classes_match_the_pairwise_reference(P, S, functors[:30])))
-    assert max(sizes) > 2
-
-
-def test_classes_reject_an_entry_that_is_not_a_functor():
-    circle, _ = t1.fundamental_presentation(spaces.circle())
-    torus, _ = t1.fundamental_presentation(spaces.torus())
-    idem2, s3 = cat.idempotent2(), cat.sym3()
-    x, y = next((x, y) for x in range(s3.size) for y in range(s3.size) if s3.op(x, y) != s3.op(y, x))
-    cases = [
-        (circle, idem2, cat.Functor((0,), (7,))),  # no such morphism
-        (circle, idem2, cat.Functor((1,), (0,))),  # no such object
-        (circle, idem2, cat.Functor((0,), (None,))),  # not every entry fixed
-        (circle, idem2, cat.Functor((0,), (0, 0))),  # a table of the wrong size
-        (torus, s3, cat.Functor((0,), (x, y))),  # breaks the square x y = y x
-    ]
-    for P, S, bad in cases:
-        F = cat.enumerate_functors(P, S)[0]
-        with pytest.raises(cat.CatError):
-            cat.functor_homotopy_classes(P, S, [F, bad])
-        with pytest.raises(cat.CatError):
-            cat.functor_homotopy_classes(P, S, [bad])
+            R, _, _ = relabelled_cat(S, rng)
+            if len(cat.enumerate_functors(P, R)) <= 30:
+                classes, _ = assert_classes_match_the_pairwise_reference(P, R)
+                shapes.append((len(classes), max(map(len, classes), default=0)))
+    assert len(shapes) > 100
+    assert any(count > 2 and largest > 1 for count, largest in shapes)
 
 
 @pytest.mark.parametrize("k", [0, -2])

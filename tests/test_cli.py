@@ -9,7 +9,7 @@ import types
 
 import pytest
 
-from dicube import acceptance, cat, cli, cset, spaces
+from dicube import acceptance, cat, cli, cset, cube, spaces
 
 
 def run_cli(capsys, *argv):
@@ -31,6 +31,15 @@ def test_cube_enumerate_class_filter(capsys):
         capsys, "cube", "enumerate", "--dom", "2", "--cod", "2", "--class", "iso"
     )
     assert json.loads(out)["result"]["count"] == 2
+
+
+def test_cube_enumerate_lists_the_maps_that_are_neither_epi_nor_mono(capsys):
+    code, out, _ = run_cli(
+        capsys, "cube", "enumerate", "--dom", "2", "--cod", "2", "--class", "neither"
+    )
+    expected = [phi.text() for phi in cube.enumerate_maps(2, 2, "neither")]
+    assert code == 0 and expected
+    assert json.loads(out)["result"]["morphisms"] == expected
 
 
 @pytest.mark.parametrize("dom, cod", [("1", "-2"), ("-1", "1")])
@@ -161,6 +170,13 @@ def test_tau_of_degree_zero_names_the_degree(capsys):
     code, out, err = run_cli(capsys, "inv", "tau", "--space", "torus", "--n", "0")
     assert (code, out) == (2, "")
     assert err == "error: loop degree must be >= 1, got 0\n"
+
+
+def test_tau_reads_a_truncation_of_zero(capsys):
+    # truncation 0 is a value, not an unset flag: it is too small for loops
+    code, out, err = run_cli(capsys, "inv", "tau", "--space", "torus", "--n", "1", "--trunc", "0")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_homclasses_report(capsys):
