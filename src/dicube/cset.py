@@ -7,8 +7,8 @@ d_{eps,i}, degeneracies s_i and adjacent transpositions t_i.
 each elementary cube map with the family (`faces`, `degens`, `transps`)
 and key of its table, and every builder and checker here walks it.  The
 action of an arbitrary cube-category morphism is assembled from a
-canonical decomposition into generators, and validation checks that this
-assembly is functorial, which pins down all generator relations at once.
+canonical decomposition into generators; validation (by `_relations`)
+and quotients walk only the generator tables, and list no hom-set.
 Every cell is an epi acting on a nondegenerate cell (Eilenberg-Zilber), as
 `_normal_forms` records; the tensor product glues over nondegenerate pairs
 only and resolves every triple through the normal forms of its cells.
@@ -202,13 +202,11 @@ class CubicalSet:
     # -- validation ----------------------------------------------------------
 
     def validate(self):
-        """Full presheaf functoriality over all dimensions <= trunc.
-
-        Checks C(phi o g) == C(g) o C(phi) for every cube map phi and
-        elementary g into its domain, listed once per truncation; by
-        induction over canonical decompositions this is equivalent to
-        functoriality on the truncated cube category.
-        """
+        """Check the defining relations of the symmetric cube category, which
+        generator tables satisfy exactly when they form a presheaf (Grandis
+        and Mauri, "Cubical sets and their site", TAC 2003): the cubical face
+        and degeneracy relations, the Coxeter relations of the transpositions,
+        and transpositions passing faces and degeneracies (`_relations`)."""
         self.structural_check()
         for n in range(0, self.trunc):
             degenerate = set(self.degens[(n, i)][x] for i in range(1, n + 2) for x in self.cells(n))
@@ -216,11 +214,19 @@ class CubicalSet:
                 tbl = self.transps.get((n + 1, i))
                 if tbl and any(tbl[x] not in degenerate for x in degenerate):
                     raise CsetError("degenerate cells not closed under transpositions")
-        for phi, steps in _functoriality_checks(self.trunc):
-            base = self.action(phi)
-            for g, whole in steps:
-                if tuple(map(self.action(g).__getitem__, base)) != self.action(whole):
-                    raise CsetError(f"functoriality fails: phi={phi.text()} g={g.text()}")
+
+        def table(n, word):
+            values = self.cells(n)
+            for family, key, _ in word:
+                values = map(getattr(self, family)[key].__getitem__, values)
+            return tuple(values)
+
+        for n, (first, *rest) in _relations(self.trunc):
+            want = table(n, first)
+            for word in rest:
+                if table(n, word) != want:
+                    a, b = (" then ".join(f"{f}{k}" for f, k, _ in w) or "identity" for w in (first, word))
+                    raise CsetError(f"relation fails on {n}-cells: {a} != {b}")
         return True
 
 
@@ -242,15 +248,27 @@ def _elementary_maps_into(m, trunc):
 
 
 @lru_cache(maxsize=None)
-def _functoriality_checks(trunc):
-    """Per cube map phi between dimensions <= trunc, the pairs (g, phi o g)
-    over the elementary maps g: [1]^k -> [1]^m into its domain."""
-    return tuple(
-        (phi, tuple((g, cube.compose(phi, g)) for _, _, g in _elementary_maps_into(m, trunc)))
-        for m in range(trunc + 1)
-        for n in range(trunc + 1)
-        for phi in cube.enumerate_maps(m, n)
-    )
+def _relations(trunc):
+    """(n, words) groups whose words must give one table on n-cells: words
+    of at most two generators, the empty word too, grouped by the map they
+    denote, then the braids t_i t_{i+1} t_i = t_{i+1} t_i t_{i+1}.  A word
+    lists (family, key, g) triples, g1 into [1]^n and each next g into the
+    last one's domain; their tables apply in turn.  Sound, as a group holds
+    words of one map; complete, as each relation of the presentation but
+    the braids equates two such words and rewriting to the `cube.decompose`
+    normal form never rises above a word's dimensions (tests check it)."""
+    groups = {}
+    for n in range(trunc + 1):
+        groups[cube.identity(n)] = [()]
+        for first in _elementary_maps_into(n, trunc):
+            groups.setdefault(first[2], []).append((first,))
+            for second in _elementary_maps_into(first[2].dom, trunc):
+                groups.setdefault(cube.compose(first[2], second[2]), []).append((first, second))
+    out = [(phi.cod, tuple(words)) for phi, words in groups.items() if len(words) > 1]
+    for n in range(3, trunc + 1):
+        t = [("transps", (n, i), cube.transposition(i, n)) for i in range(1, n)]
+        out += [(n, ((t[i], t[i + 1], t[i]), (t[i + 1], t[i], t[i + 1]))) for i in range(n - 2)]
+    return tuple(out)
 
 
 def _generator_tables(trunc):
@@ -270,12 +288,6 @@ def _tabulate(trunc, sizes, table, **kwargs):
     for family, key, g in _generator_tables(trunc):
         tables[family][key] = table(family, key, g)
     return CubicalSet(trunc, sizes, **tables, **kwargs)
-
-
-@lru_cache(maxsize=None)
-def _maps_into(n, trunc):
-    """All cube maps with codomain [1]^n and domain within trunc."""
-    return tuple(phi for m in range(trunc + 1) for phi in cube.enumerate_maps(m, n))
 
 
 def _normal_forms(C):
@@ -603,8 +615,9 @@ def quotient(C, pairs):
 
     Presheaf colimits are computed level by level, so the congruence is
     generated by the pulled-back pairs (C(phi) a, C(phi) b) over every cube
-    map phi into the dimension of a pair.  The returned projection maps
-    each cell to its class; classes are ordered by their smallest cell.
+    map phi into the dimension of a pair, found by a worklist through the
+    generator tables.  The returned projection maps each cell to its class;
+    classes are ordered by their smallest cell.
     """
     pairs = list(pairs)
     for a, b in pairs:
@@ -615,17 +628,17 @@ def quotient(C, pairs):
     levels = range(C.trunc + 1)
     offset = [sum(C.sizes[:n]) for n in levels]
     dims = [n for n in levels for _ in C.cells(n)]
+    queue = [(n, a, b) for (n, a), (_, b) in pairs]
+    seen = set(queue)
+    for n, a, b in queue:  # reaches the pairs appended below too
+        pulled = {(m, tbl[a], tbl[b]) for m, tbl in C._tables[n]} - seen
+        seen |= pulled
+        queue += pulled
 
-    def relations():
-        for (n, a), (_, b) in pairs:
-            for phi in _maps_into(n, C.trunc):
-                tbl = C.action(phi)
-                yield offset[phi.dom] + tbl[a], offset[phi.dom] + tbl[b]
+    def act(g, xs):
+        return [offset[g.dom] + v for v in C.elementary_action(g)]
 
-    def act(phi, xs):
-        return [offset[phi.dom] + v for v in C.action(phi)]
-
-    Q, cls, _ = colimit(C.trunc, dims, relations(), act)
+    Q, cls, _ = colimit(C.trunc, dims, ((offset[n] + a, offset[n] + b) for n, a, b in queue), act)
     proj = tuple(tuple(cls[offset[n] : offset[n] + C.sizes[n]]) for n in levels)
     return Q, CubicalFunction(C, Q, proj)
 

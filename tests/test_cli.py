@@ -297,6 +297,12 @@ def _edited_json(text, **changes):
     return json.dumps(data)
 
 
+def test_cset_validate_at_truncation_4(capsys):
+    code, out, _ = run_cli(capsys, "cset", "validate", "torus", "--trunc", "4")
+    assert code == 0
+    assert json.loads(out)["result"] == {"valid": True, "cells": [1, 3, 7, 13, 21]}
+
+
 def _with_table(text, family, key):
     """Cubical-set JSON text with one more table, shaped like a real one."""
     data = json.loads(text)

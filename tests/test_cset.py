@@ -4,6 +4,8 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
@@ -215,6 +217,197 @@ def test_catalog_validates():
     for name in ("cube0", "cube1", "cube2", "circle", "torus", "klein", "sphere2"):
         C = spaces.by_name(name)
         assert C.validate()
+    for C in (spaces.torus(4), spaces.klein(4)):
+        assert C.validate()
+
+
+# -- the relations of the cube category against every cube map -------------
+
+
+@lru_cache(maxsize=None)
+def _functoriality_pairs(trunc):
+    """Per cube map phi between dimensions <= trunc, the pairs (g, phi o g)
+    over the elementary maps g into its domain."""
+    return tuple(
+        (phi, tuple((g, cube.compose(phi, g)) for _, _, g in cset._elementary_maps_into(m, trunc)))
+        for m in range(trunc + 1)
+        for n in range(trunc + 1)
+        for phi in cube.enumerate_maps(m, n)
+    )
+
+
+def _functorial_on_every_map(C):
+    """Reference check: C(phi o g) == C(g) o C(phi) for every cube map phi
+    and generator g into its domain, with C(phi) assembled from
+    `cube.decompose`; by induction over the decompositions this is
+    functoriality on the truncated cube category."""
+    for phi, steps in _functoriality_pairs(C.trunc):
+        base = C.action(phi)
+        for g, whole in steps:
+            if tuple(map(C.action(g).__getitem__, base)) != C.action(whole):
+                return False
+    return True
+
+
+def _validates(C):
+    try:
+        return C.validate()
+    except cset.CsetError:
+        return False
+
+
+def _copy(C, **changes):
+    """A fresh set with C's tables, some of them replaced: family -> {key: table}."""
+    tables = {family: {**getattr(C, family), **changes.get(family, {})} for family in cset.FAMILIES}
+    return cset.CubicalSet(C.trunc, C.sizes, **tables)
+
+
+CATALOG = ("cube0", "cube1", "cube2", "circle", "torus", "klein", "sphere2")
+REFERENCE_SETS = {
+    **{name: lambda name=name: spaces.by_name(name) for name in CATALOG},
+    "torus(3)": lambda: spaces.torus(3),
+    "klein(3)": lambda: spaces.klein(3),
+    "sd3 klein(3)": lambda: sd.sd3(spaces.klein(3)).cset,
+    "nerve(Z/2, 3)": lambda: cat.nerve(cat.zmod(2), 3),
+    "nerve(idem2, 3)": lambda: cat.nerve(cat.idempotent2(), 3),
+    "nerve(arrow, 3)": lambda: cat.nerve(cat.arrow_cat(), 3),
+    "torus(4)": lambda: spaces.torus(4),
+    "klein(4)": lambda: spaces.klein(4),
+    "representable(2, 4)": lambda: cset.representable(2, 4),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_SETS)
+def test_relations_agree_with_every_cube_map_on_valid_sets(name):
+    C = _copy(REFERENCE_SETS[name]())
+    assert _validates(C) and _functorial_on_every_map(_copy(C))
+
+
+@pytest.mark.parametrize("family", cset.FAMILIES)
+@pytest.mark.parametrize("name, count", [
+    ("torus(3)", 8), ("klein(3)", 8), ("sd3 klein(3)", 8), ("nerve(idem2, 3)", 8),
+    ("torus(4)", 4), ("klein(4)", 4), ("representable(2, 4)", 4),
+])
+def test_relations_agree_with_every_cube_map_on_single_entry_mutants(family, name, count):
+    C = REFERENCE_SETS[name]()
+    rng = random.Random(f"{name} {family}")
+    targets = {key: g.dom for fam, key, g in cset._generator_tables(C.trunc) if fam == family}
+    keys = sorted(key for key, m in targets.items() if C.sizes[m] > 1)
+    verdicts = []
+    for _ in range(count):
+        key = rng.choice(keys)
+        tbl = list(getattr(C, family)[key])
+        x = rng.randrange(len(tbl))
+        tbl[x] = rng.choice([v for v in range(C.sizes[targets[key]]) if v != tbl[x]])
+        mutant = {family: {key: tuple(tbl)}}
+        verdicts.append(_validates(_copy(C, **mutant)))
+        assert verdicts[-1] == _functorial_on_every_map(_copy(C, **mutant)), (key, x)
+    assert not all(verdicts)
+
+
+@pytest.mark.parametrize("name", ["torus(4)", "klein(4)", "representable(2, 4)", "sd3 klein(3)"])
+def test_relations_agree_with_every_cube_map_on_swapped_tables(name):
+    C = REFERENCE_SETS[name]()
+    swaps = 0
+    for family in cset.FAMILIES:
+        tables = getattr(C, family)
+        for a, b in product(sorted(tables), repeat=2):
+            if a < b and a[0] == b[0] and tables[a] != tables[b]:
+                swapped = {family: {a: tables[b], b: tables[a]}}
+                assert _validates(_copy(C, **swapped)) == _functorial_on_every_map(_copy(C, **swapped))
+                swaps += 1
+    assert swaps > 10
+    # swapping every lower face with its upper face reverses the set, which
+    # stays a cubical set
+    reverse = {"faces": {(n, i, eps): C.faces[(n, i, 1 - eps)] for n, i, eps in C.faces}}
+    assert _validates(_copy(C, **reverse)) and _functorial_on_every_map(_copy(C, **reverse))
+
+
+@pytest.mark.parametrize("trunc", range(5))
+def test_relations_are_sound_and_read_every_generator_table(trunc):
+    """Every word of a group composes to one cube map, each word's
+    triples name their maps' own tables, every generator table occurs,
+    and each n >= 3 has its n - 2 braid relations."""
+    keys = cset._generator_keys(trunc)
+    used, braids = set(), Counter()
+    for n, words in cset._relations(trunc):
+        assert len(words) > 1 and len(set(words)) == len(words)
+        maps = set()
+        for word in words:
+            phi = cube.identity(n)
+            for family, key, g in word:
+                assert keys[g] == (family, key)
+                phi = cube.compose(phi, g)
+                used.add((family, key))
+            maps.add(phi)
+        assert len(maps) == 1
+        braids[n] += max(map(len, words)) == 3
+    assert used == set(keys.values())
+    assert all(braids[n] == max(n - 2, 0) for n in range(trunc + 1))
+    groups = cset._relations(trunc)
+    sizes = {3: (56, 132), 4: (138, 318)}
+    if trunc in sizes:
+        assert (len(groups), sum(len(words) for _, words in groups)) == sizes[trunc]
+
+
+def test_validate_and_quotient_list_no_cube_maps(monkeypatch):
+    sets = [spaces.torus(4), spaces.klein(4), sd.sd3(spaces.klein(3)).cset, cset.representable(2, 4)]
+    R = sets[-1]
+    top = cset.rep_cell(R, cube.identity(2))
+    pairs = [((1, R.faces[(2, 1, 0)][top]), (1, R.faces[(2, 1, 1)][top]))]
+    expected = cset.to_json(cset.quotient(R, pairs)[0])
+    cset._relations.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("a cube map was enumerated, decomposed or acted by")
+
+    monkeypatch.setattr(cube, "enumerate_maps", refuse)
+    monkeypatch.setattr(cube, "decompose", refuse)
+    monkeypatch.setattr(cset.CubicalSet, "action", refuse)
+    for C in sets:
+        assert _copy(C).validate()
+    assert cset.to_json(cset.quotient(R, pairs)[0]) == expected
+
+
+def _point_with_top_cells(trunc, transps):
+    """The point truncated at trunc with more top cells, all faces constant,
+    whose transposition tables (transps[i] for t_i) are given."""
+    P = cset.representable(0, trunc)
+    size = len(transps[0])
+    faces = {key: (0,) * size if key[0] == trunc else tbl for key, tbl in P.faces.items()}
+    t = {(trunc, i): tbl for i, tbl in enumerate(transps, 1)}
+    return cset.CubicalSet(trunc, P.sizes[:-1] + (size,), faces, dict(P.degens), {**P.transps, **t})
+
+
+def _reversed_degeneracy():
+    C = cset.representable(1, 1)
+    return _copy(C, degens={(0, 1): C.degens[(0, 1)][::-1]})
+
+
+# sets that break exactly one relation: t_1 and t_2 generate a group of
+# order 8 (the braid), t_1 has order 3 (t_1 t_1 = identity), and s_1 swaps
+# the degenerate edges of the two vertices (d s = identity); the regex names
+# the words that differ
+ONE_RELATION_BROKEN = {
+    "braid": (
+        lambda: _point_with_top_cells(3, [(0, 2, 1, 4, 3), (0, 1, 3, 2, 4)]),
+        r"transps\(3, 1\) then transps\(3, 2\) then transps\(3, 1\) != "
+        r"transps\(3, 2\) then transps\(3, 1\) then transps\(3, 2\)",
+    ),
+    "involution": (
+        lambda: _point_with_top_cells(2, [(0, 2, 3, 1)]),
+        r"identity != transps\(2, 1\) then transps\(2, 1\)",
+    ),
+    "degeneracy": (_reversed_degeneracy, r"identity != degens\(0, 1\) then faces\(1, 1, 0\)"),
+}
+
+
+@pytest.mark.parametrize("case", ONE_RELATION_BROKEN)
+def test_relations_catch_a_set_that_breaks_one_relation(case):
+    build, words = ONE_RELATION_BROKEN[case]
+    assert not _functorial_on_every_map(build())
+    with pytest.raises(cset.CsetError, match=rf"relation fails on \d-cells: {words}"):
+        build().validate()
 
 
 def test_census_examples():
