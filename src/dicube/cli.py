@@ -21,7 +21,7 @@ import time
 
 from . import acceptance, cat, cset, cube, invariants as inv
 from . import lattice as lat, sd, spaces, t1
-from .config import Budget, BudgetExceeded
+from .config import Budget, BudgetExceeded, check_ints, json_errors
 
 
 class UsageError(ValueError):
@@ -62,6 +62,17 @@ def cmd_cube(args):
     lines = [phi.text() for phi in cube.enumerate_maps(args.dom, args.cod, cls=args.cls)]
     inputs = {"dom": args.dom, "cod": args.cod, "class": args.cls}
     return inputs, {"count": len(lines), "morphisms": lines}
+
+
+def cmd_cube_decide(args):
+    with json_errors(cube.CubeError, "function table"):
+        with open(args.table) as handle:
+            data = json.load(handle)
+        values = tuple(map(tuple, data["values"]))
+        check_ints([data["dom"], data["cod"], *(b for v in values for b in v)])
+        table = cube.FunctionTable(data["dom"], data["cod"], values)
+    phi, witness = cube.from_function(table)
+    return {"table": args.table}, {"map": phi.text() if phi else None, "witness": witness}
 
 
 def cmd_lattice(args):
@@ -205,6 +216,9 @@ def build_parser():
     pe.add_argument("--cod", type=int, required=True)
     pe.add_argument("--class", dest="cls", choices=["epi", "mono", "iso", "neither"], default=None)
     pe.set_defaults(fn=cmd_cube, name="cube enumerate")
+    pd = psub.add_parser("decide", help="decide whether a function table is a cube map")
+    pd.add_argument("--table", required=True, help='JSON {"dom", "cod", "values"}')
+    pd.set_defaults(fn=cmd_cube_decide, name="cube decide")
 
     p = sub.add_parser("lattice", help="lattice checks and exports")
     psub = p.add_subparsers(dest="sub", required=True)

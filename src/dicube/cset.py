@@ -208,12 +208,6 @@ class CubicalSet:
         and degeneracy relations, the Coxeter relations of the transpositions,
         and transpositions passing faces and degeneracies (`_relations`)."""
         self.structural_check()
-        for n in range(0, self.trunc):
-            degenerate = set(self.degens[(n, i)][x] for i in range(1, n + 2) for x in self.cells(n))
-            for i in range(1, n + 1):
-                tbl = self.transps.get((n + 1, i))
-                if tbl and any(tbl[x] not in degenerate for x in degenerate):
-                    raise CsetError("degenerate cells not closed under transpositions")
 
         def table(n, word):
             values = self.cells(n)

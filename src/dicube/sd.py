@@ -3,14 +3,17 @@ sd3 C -> C, supports of subdivision vertices, and local lifting of the
 double collapse through representables.
 
 Every cubical set, the cubical set of a lattice included, is subdivided by
-one engine: `cset.colimit` glues subdivided representable blocks, whose
-nodes are the pairs (nondegenerate cell of C, cell of its block).  Every
-cell of C is C(s)(z) for an epi s and a nondegenerate z, unique up to a
-cube automorphism (Eilenberg-Zilber), so the blocks over degenerate cells
-add nothing to the colimit over the category of elements: a node
-(C(s)(z), u) is the node (z, sd(s) u).  The gluing data gives carrier
-cells, subdivided subpresheaves, the collapse map, and induced maps of
-subdivided cubical functions.
+listing its cells by carriers.  sd C is the colimit of the subdivided
+blocks sd[1]^n over the cells of C; each of its cells is represented by a
+nondegenerate n-cell c of C and an interior cell u of c's block, one lying
+on no proper face of [1]^n, and these pairs are unique up to the
+permutations of [1]^n acting on both (Eilenberg-Zilber).  So a cell is
+listed once, by its carrier c, the least cell of its permutation orbit,
+and the least u of its orbit under c's stabilizer; a pair (c, u) with u on
+the boundary moves to its carrier through the face of [1]^n that carries
+u, C's face action and the normal form of the face of c.  The listing
+gives carrier cells, subdivided subpresheaves, the collapse map, and
+induced maps of subdivided cubical functions.
 
 A local lift factors the double collapse sd9 C -> C on a star-shaped piece
 S through a representable R: down is the first collapse on one piece of
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations, product
 
 from . import cube
 from . import lattice as lat
@@ -70,8 +74,57 @@ def _block_map(n_from, n_to, phi, k, trunc):
     )
 
 
+@lru_cache(maxsize=None)
+def _faces(n):
+    """The faces [1]^p -> [1]^n of the n-cube by increasing p, the identity
+    last: each coordinate constant or free, the free ones in order."""
+    out = []
+    for spec in product((0, 1, None), repeat=n):
+        free = iter(range(1, n + 1))
+        outputs = tuple(cube.proj(next(free)) if b is None else ("c", b) for b in spec)
+        out.append(cube.CubeMap(spec.count(None), n, outputs))
+    return tuple(sorted(out, key=lambda delta: delta.dom))
+
+
+@lru_cache(maxsize=None)
+def _block_carriers(n, k, trunc):
+    """Per dimension j, the (face, v) of each j-cell u of the block over
+    [1]^n: `_faces(n)[face]` is the least face whose subdivision holds u,
+    and v the interior cell of that face's block it sends to u.  Interior
+    cells are carried by the identity, the last face, as themselves."""
+    carriers = [[None] * size for size in _block(n, k, trunc)[1].sizes]
+    for f, delta in enumerate(_faces(n)):
+        for level, image in zip(carriers, _block_map(delta.dom, n, delta, k, trunc)):
+            for v, u in enumerate(image):
+                if level[u] is None:
+                    level[u] = (f, v)
+    return tuple(map(tuple, carriers))
+
+
+@lru_cache(maxsize=None)
+def _listing(n, stab, k, trunc):
+    """Per dimension j, (listed, position): the interior j-cells of the
+    block over [1]^n that are least in their orbit under the permutations
+    `stab`, in order, and each interior cell's position among them (None
+    on the boundary)."""
+    interior = len(_faces(n)) - 1
+    moves = [_block_map(n, n, sigma, k, trunc) for sigma in stab]
+    out = []
+    for j, carried in enumerate(_block_carriers(n, k, trunc)):
+        least = [min(m[j][u] for m in moves) if f == interior else None for u, (f, _) in enumerate(carried)]
+        listed = sorted({u for u in least if u is not None})
+        rank = {u: r for r, u in enumerate(listed)}
+        out.append((tuple(listed), tuple(None if u is None else rank[u] for u in least)))
+    return tuple(out)
+
+
 class Subdivision:
-    """sd_{k+1} C together with its gluing data."""
+    """sd_{k+1} C listed by carriers.  The j-cells run over (n, c, u) in
+    order: c a nondegenerate n-cell of C least in its orbit under the
+    permutations of [1]^n, u an interior j-cell of its block least in its
+    orbit under c's stabilizer.  `cset.keys[j]` holds the (carrier, u) pair
+    of each j-cell; a generator table resolves u's image through
+    `_resolve`."""
 
     def __init__(self, base, k):
         self.base = base
@@ -81,73 +134,61 @@ class Subdivision:
         self._normal = cs._normal_forms(base)
         nondeg = [base.nondegenerate(n) for n in levels]
         top = max((n for n in levels if nondeg[n]), default=0)
-        blocks = [_block(n, k, trunc)[1] for n in range(top + 1)]
-        # node (nondegenerate cell of C, cell of its block), numbered by the
-        # block cell's dimension j, then by (n, i, u); the nodes of (j, n, i)
-        # start at start[(j, n, i)]
-        nodes, start = [], {}
-        for j in levels:
-            for n in range(top + 1):
-                # nodes share their (n, i) and (j, u) tuples: sd9 of the 3-cube
-                # glues 413,284 of them
-                us = [(j, u) for u in blocks[n].cells(j)]
-                for i in nondeg[n]:
-                    start[(j, n, i)] = len(nodes)
-                    c = (n, i)
-                    nodes.extend((c, u) for u in us)
+        # each nondegenerate n-cell is C(sigma)(c) for the least cell c of its
+        # orbit under the permutations sigma of [1]^n; c's stabilizer picks
+        # its listed block cells
+        self._orbit, stabs = {}, {}
+        for n in range(top + 1):
+            perms = [cube.CubeMap(n, n, tuple(map(cube.proj, p))) for p in permutations(range(1, n + 1))]
+            moved = [base.action(sigma) for sigma in perms]
+            for i in nondeg[n]:
+                if (n, i) not in self._orbit:
+                    stabs[(n, i)] = tuple(sigma for sigma, tbl in zip(perms, moved) if tbl[i] == i)
+                    for sigma, tbl in zip(perms, moved):
+                        self._orbit.setdefault((n, tbl[i]), ((n, i), sigma))
+        self._carried = [_block_carriers(n, k, trunc) for n in range(top + 1)]
+        # per dimension j and carrier c: c's first j-cell, the positions of
+        # its block's interior cells, and its listed cells
+        self._start = [{} for _ in levels]
+        keys = [[] for _ in levels]
+        for c, stab in stabs.items():
+            for j, (listed, position) in enumerate(_listing(c[0], stab, k, trunc)):
+                self._start[j][c] = (len(keys[j]), position, listed)
+                keys[j].extend((c, u) for u in listed)
+        self._routes = {}
 
-        def relations():
-            # (C(g)(c), u) ~ (c, sd(g) u) for each face or transposition g out of
-            # a nondegenerate c, read as (z, sd(s) u) for C(g)(c)'s normal form
-            for n in range(top + 1):
-                for family, key, g in cs._elementary_maps_into(n, trunc):
-                    if family == "degens":
-                        continue
-                    moved = getattr(base, family)[key]
-                    tables = _block_map(g.dom, n, g, k, trunc)
-                    for i in nondeg[n]:
-                        m, z, s = self._normal[g.dom][moved[i]]
-                        aliases = _block_map(g.dom, m, s, k, trunc)
-                        for j in levels:
-                            lhs, rhs = start[(j, m, z)], start[(j, n, i)]
-                            for v, w in zip(aliases[j], tables[j]):
-                                yield lhs + v, rhs + w
+        def table(family, key, g):
+            out = []
+            for c, (_, _, listed) in self._start[g.cod].items():
+                moved = getattr(_block(c[0], k, trunc)[1], family)[key]
+                out.extend(self._resolve(c, g.dom, moved[u]) for u in listed)
+            return tuple(out)
 
-        def act(phi, xs):
-            # the nodes of dimension phi.cod are block after block, base
-            # cell after base cell, in block-cell order
-            for n in range(top + 1):
-                tbl = blocks[n].action(phi)
-                for i in nondeg[n]:
-                    first = start[(phi.dom, n, i)]
-                    yield from (first + v for v in tbl)
+        self.cset = cs._tabulate(trunc, tuple(map(len, keys)), table, keys=tuple(map(tuple, keys)))
 
-        dims = [u[0] for _, u in nodes]
-        self.cset, self._cell_index, members = cs.colimit(trunc, dims, relations(), act)
-        self._start = start
-        # the nodes (c, u) of each cell, over nondegenerate cells c
-        self._members = [[[nodes[x] for x in cls] for cls in level] for level in members]
-        # carrier: the minimal-dimension member cell; all members must
-        # contain it in their atoms, so a cell lies in sd(B) iff B holds its carrier
-        self._carrier = {}
-        for j, level in enumerate(self._members):
-            for idx, cls in enumerate(level):
-                c0, *cells = sorted({node[0] for node in cls})
-                a0 = cs.atom(base, c0)
-                for c in cells:
-                    a = cs.atom(base, c)
-                    if c[0] == c0[0] and a.sel != a0.sel:
-                        raise SdError("internal: ambiguous carrier")
-                    if not a0.issubset(a):
-                        raise SdError("internal: carrier not minimal")
-                self._carrier[(j, idx)] = c0
+    def _resolve(self, c, j, u):
+        """The index of the j-cell of node (c, u): c a nondegenerate n-cell
+        of the base and u a j-cell of its block.  The face carrying u, C's
+        face action, the normal form of the face of c and the orbit of its
+        nondegenerate cell are read once per (c, face, j)."""
+        f, v = self._carried[c[0]][j][u]
+        route = self._routes.get((c, f, j))
+        if route is None:
+            (n, i), delta = c, _faces(c[0])[f]
+            m, z, s = self._normal[delta.dom][self.base.act(delta, i)]
+            carrier, sigma = self._orbit[(m, z)]
+            first, position, _ = self._start[j][carrier]
+            phi = cube.compose(sigma, s)
+            moves = None if phi.is_identity() else _block_map(delta.dom, m, phi, self.k, self.base.trunc)[j]
+            route = self._routes[(c, f, j)] = (first, position, moves)
+        first, position, moves = route
+        return first + position[v if moves is None else moves[v]]
 
     def carrier_cell(self, cell):
         """The cell of the base whose subdivided block minimally carries `cell`."""
-        found = self._carrier.get(cell)
-        if found is None:
+        if not self.cset.has_cell(cell):
             raise SdError(f"no cell {cell} in the subdivision")
-        return found
+        return self.cset.keys[cell[0]][cell[1]][0]
 
     def class_of(self, c, u):
         """The subdivided cell represented by block cell u over base cell c."""
@@ -159,7 +200,7 @@ class Subdivision:
         m, z, s = self._normal[n][i]
         if m < n:
             ub = _block_map(n, m, s, self.k, self.base.trunc)[j][ub]
-        return (j, self._cell_index[self._start[(j, m, z)] + ub])
+        return (j, self._resolve((m, z), j, ub))
 
     def supp_vertex(self, v):
         """Minimal subpresheaf B of the base with v a vertex of sd B."""
@@ -169,29 +210,20 @@ class Subdivision:
         """The collapse sd3 C -> C (middle evaluation); requires k == 2."""
         if self.k != 2:
             raise SdError("the collapse is defined for threefold subdivision")
-        return self._descend(self._eps_node, self.base, "internal: collapse not well defined")
+        trunc = self.base.trunc
+        return self._descend(
+            lambda c, j, u: self.base.act(_collapse_component(c[0], j, u, trunc), c[1]), self.base
+        )
 
-    def _descend(self, target, cod, error):
-        """The cubical function to cod sending each cell to the one index
-        `target(c, u)` that all of its nodes (c, u) agree on."""
-        maps = []
-        for j in range(self.cset.trunc + 1):
-            level = []
-            for i in self.cset.cells(j):
-                targets = {target(c, u) for c, u in self._members[j][i]}
-                if len(targets) != 1:
-                    raise SdError(error)
-                level.append(targets.pop())
-            maps.append(tuple(level))
-        f = cs.CubicalFunction(self.cset, cod, tuple(maps))
+    def _descend(self, target, cod):
+        """The cubical function to cod sending each j-cell, listed as
+        (c, u), to `target(c, j, u)`."""
+        maps = tuple(
+            tuple(target(c, j, u) for c, u in level) for j, level in enumerate(self.cset.keys)
+        )
+        f = cs.CubicalFunction(self.cset, cod, maps)
         f.validate()
         return f
-
-    def _eps_node(self, c, u):
-        """Node (c, u) collapses to c moved by u's component, which is
-        decided once per block cell."""
-        n, i = c
-        return self.base.act(_collapse_component(n, *u, self.base.trunc), i)
 
     def induced(self, f, sd_cod):
         """sd f : sd(dom) -> sd(cod) for a cubical function f from the base."""
@@ -199,15 +231,13 @@ class Subdivision:
             raise SdError("function domain does not match the subdivided base")
         if sd_cod.base is not f.cod:
             raise SdError("function codomain does not match the subdivided codomain")
-        return self._descend(
-            lambda c, u: sd_cod.class_of(f(c), u)[1],
-            sd_cod.cset,
-            "internal: induced map not well defined",
-        )
+        return self._descend(lambda c, j, u: sd_cod.class_of(f(c), (j, u))[1], sd_cod.cset)
 
 
 def subdivide(C, k):
-    """sd_{k+1} C with gluing data; `k = 0` returns an isomorphic copy."""
+    """sd_{k+1} C listed by carriers; `k = 0` returns an isomorphic copy."""
+    if type(k) is not int:
+        raise SdError(f"subdivision parameter must be an int, got {k!r}")
     if k < 0:
         raise SdError("subdivision parameter must be >= 0")
     return Subdivision(C, k)
@@ -346,18 +376,18 @@ def local_lift(d9, S):
         raise SdError("subpresheaf is not contained in a closed star")
 
     A = d9.eps2.image_of(S)
-    levels, carrier = range(r1.cset.trunc + 1), r1._carrier
+    levels, keys = range(r1.cset.trunc + 1), r1.cset.keys
 
     # least atom of C whose subdivision meets A: each such atom contains the
     # atom of the carrier of a cell of A, so it is the carrier atom that lies
     # inside all the others
-    carriers = {carrier[(j, i)] for j in levels for i in A.sel[j]}
+    carriers = {keys[j][i][0] for j in levels for i in A.sel[j]}
     atoms = list({a.sel: a for a in (cs.atom(C, c) for c in carriers)}.values())
     c_s = next((a for a in atoms if all(a.issubset(b) for b in atoms)), None)
     if c_s is None:
         raise SdError("no least atom meets the collapsed subpresheaf")
     # A ∩ sd(c_s): the cells of A whose carrier lies in c_s
-    B = cs.Subpresheaf(r1.cset, [{i for i in A.sel[j] if c_s.contains(carrier[(j, i)])} for j in levels])
+    B = cs.Subpresheaf(r1.cset, [{i for i in A.sel[j] if c_s.contains(keys[j][i][0])} for j in levels])
 
     # the intersection is a representable: find its top cell and coordinatize
     tops = [B.sel[j].intersection(r1.cset.nondegenerate(j)) for j in levels]

@@ -96,6 +96,22 @@ def test_reports_do_not_depend_on_hash_seed(argv):
     assert len(outputs) == 1
 
 
+@pytest.mark.parametrize("k", ["3", "9"])
+def test_saved_subdivision_does_not_depend_on_hash_seed(tmp_path, k):
+    # the report only counts cells; the saved tables pin their order
+    files = set()
+    for seed in ("0", "1", "2"):
+        path = tmp_path / f"sd{k}-{seed}.json"
+        subprocess.run(
+            [sys.executable, "-m", "dicube.cli", "cset", "sd", "klein", "--k", k, "--save", str(path)],
+            capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            check=True,
+        )
+        files.add(path.read_text())
+    assert len(files) == 1
+
+
 def test_dot_of_a_point_at_truncation_zero(capsys):
     code, out, err = run_cli(capsys, "cset", "dot", "cube0", "--trunc", "0")
     assert (code, err) == (0, "")
@@ -317,6 +333,7 @@ MONOID = ("cat", "classes", "--monoid")
 CAT = ("cat", "nerve", "--cat")
 LATTICE = ("lattice", "check")
 BAD_SUITES = ("0", "11", "-1", "x")
+DECIDE = ("cube", "decide", "--table")
 
 
 @pytest.mark.parametrize(
@@ -365,8 +382,19 @@ BAD_SUITES = ("0", "11", "-1", "x")
         *(
             pytest.param(None, command, "[" * 10_000, id=f"{what}-nested-too-deep")
             for what, command in
-            (("cset", CSET), ("monoid", MONOID), ("cat", CAT), ("lattice", LATTICE))
+            (("cset", CSET), ("monoid", MONOID), ("cat", CAT), ("lattice", LATTICE), ("table", DECIDE))
         ),
+        pytest.param(None, DECIDE, "{", id="table-not-json"),
+        pytest.param(None, DECIDE, "[0, 1]", id="table-not-an-object"),
+        pytest.param(None, DECIDE, '{"dom": 1, "cod": 1}', id="table-no-values"),
+        pytest.param(None, DECIDE, '{"dom": 1, "cod": 1, "values": [[1], [0]]}', id="table-not-monotone"),
+        pytest.param(None, DECIDE, '{"dom": 1, "cod": 1, "values": [[0], [2]]}', id="table-bit-2"),
+        pytest.param(None, DECIDE, '{"dom": 1, "cod": 1, "values": [[0], ["1"]]}', id="table-string-bit"),
+        pytest.param(None, DECIDE, '{"dom": 1, "cod": 1, "values": [[0], [true]]}', id="table-bool-bit"),
+        pytest.param(None, DECIDE, '{"dom": 2, "cod": 1, "values": [[0], [1]]}', id="table-short"),
+        pytest.param(None, DECIDE, '{"dom": 1, "cod": 2, "values": [[0], [1]]}', id="table-narrow"),
+        pytest.param(None, DECIDE, '{"dom": 1, "cod": 1, "values": [0, 1]}', id="table-flat-values"),
+        pytest.param(None, DECIDE, '{"dom": -1, "cod": 1, "values": [[0]]}', id="table-negative-dom"),
         pytest.param(None, ("inv", "tau", "--vertex", "5", "--space", "circle"), None, id="tau-vertex-5"),
         pytest.param(None, ("inv", "tau", "--vertex", "-1", "--space", "circle"), None, id="tau-vertex-neg"),
         pytest.param(None, ("inv", "h1", "--monoid", "zmod0", "--space", "circle"), None, id="h1-zmod0"),
@@ -393,6 +421,33 @@ def test_bad_input_is_usage_error(tmp_path, capsys, monkeypatch, budget_env, com
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def _decide(tmp_path, capsys, dom, cod, values):
+    (tmp_path / "table.json").write_text(json.dumps({"dom": dom, "cod": cod, "values": values}))
+    code, out, err = run_cli(capsys, "cube", "decide", "--table", str(tmp_path / "table.json"))
+    assert (code, err) == (0, "")
+    return json.loads(out)["result"]
+
+
+def test_cube_decide_names_the_map_of_every_cube_map_table(tmp_path, capsys):
+    for phi in cube.enumerate_maps(2, 2):
+        values = [list(phi(p)) for p in cube.points(2)]
+        assert _decide(tmp_path, capsys, 2, 2, values) == {"map": phi.text(), "witness": None}
+
+
+@pytest.mark.parametrize(
+    "dom, cod, values, witness",
+    [
+        (1, 2, [[0, 0], [1, 1]], ["interval", [0], [1]]),
+        (2, 1, [[0], [0], [0], [1]], ["join", [0, 1], [1, 0]]),
+        (2, 1, [[0], [1], [1], [1]], ["meet", [0, 1], [1, 0]]),
+    ],
+)
+def test_cube_decide_reports_the_witness_of_a_monotone_table_that_is_no_cube_map(
+    tmp_path, capsys, dom, cod, values, witness
+):
+    assert _decide(tmp_path, capsys, dom, cod, values) == {"map": None, "witness": witness}
 
 
 def test_discrete0_is_the_empty_category(capsys):

@@ -274,6 +274,7 @@ REFERENCE_SETS = {
     "torus(4)": lambda: spaces.torus(4),
     "klein(4)": lambda: spaces.klein(4),
     "representable(2, 4)": lambda: cset.representable(2, 4),
+    "representable(2, 3)": lambda: cset.representable(2, 3),
 }
 
 
@@ -303,6 +304,22 @@ def test_relations_agree_with_every_cube_map_on_single_entry_mutants(family, nam
         verdicts.append(_validates(_copy(C, **mutant)))
         assert verdicts[-1] == _functorial_on_every_map(_copy(C, **mutant)), (key, x)
     assert not all(verdicts)
+
+
+@pytest.mark.parametrize("name", ["torus(3)", "klein(3)", "sd3 klein(3)", "representable(2, 3)"])
+def test_relations_reject_a_transposition_sending_a_degenerate_cell_to_a_nondegenerate_one(name):
+    # validation has no separate degenerate-closure check: the groups of
+    # (degens, transps) words force transpositions to keep cells degenerate
+    C = REFERENCE_SETS[name]()
+    rng = random.Random(name)
+    keys = sorted(key for key in C.transps if 0 < len(C.nondegenerate(key[0])) < C.sizes[key[0]])
+    for _ in range(3):
+        n, i = key = rng.choice(keys)
+        tbl = list(C.transps[key])
+        degenerate = sorted(set(C.cells(n)) - set(C.nondegenerate(n)))
+        tbl[rng.choice(degenerate)] = rng.choice(C.nondegenerate(n))
+        with pytest.raises(cset.CsetError, match="relation fails"):
+            _copy(C, transps={key: tuple(tbl)}).validate()
 
 
 @pytest.mark.parametrize("name", ["torus(4)", "klein(4)", "representable(2, 4)", "sd3 klein(3)"])

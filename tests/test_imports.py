@@ -65,8 +65,8 @@ COLLIDED_METHODS = {
     "(Pi0Result.class_of is a field)",
     "classes": "UnionFind.classes: cset.CubicalSet.orbits reads uf.classes (TauResult.classes is a field)",
     "leq": "FiniteLattice.leq: lattice.product reads L.leq (Poset.leq is a field)",
-    "table": "CubeMap.table: only the tests read it, with cube.from_function, which ROADMAP item 13 "
-    "keeps for a command-line caller (FinMonoid.table is a field)",
+    "table": "CubeMap.table: only the tests read it, to feed cube.from_function, which "
+    "cli.cmd_cube_decide reads (FinMonoid.table is a field)",
 }
 
 
