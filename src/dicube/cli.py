@@ -71,7 +71,7 @@ def cmd_cube_decide(args):
         values = tuple(map(tuple, data["values"]))
         check_ints([data["dom"], data["cod"], *(b for v in values for b in v)])
         table = cube.FunctionTable(data["dom"], data["cod"], values)
-    phi, witness = cube.from_function(table)
+    phi, witness = cube.from_function(table, args.budget)
     return {"table": args.table}, {"map": phi.text() if phi else None, "witness": witness}
 
 

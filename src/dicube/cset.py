@@ -10,8 +10,10 @@ action of an arbitrary cube-category morphism is assembled from a
 canonical decomposition into generators; validation (by `_relations`)
 and quotients walk only the generator tables, and list no hom-set.
 Every cell is an epi acting on a nondegenerate cell (Eilenberg-Zilber), as
-`_normal_forms` records; the tensor product glues over nondegenerate pairs
-only and resolves every triple through the normal forms of its cells.
+`_normal_forms` records; the tensor product lists each of its cells once,
+as a permutation orbit of nodes over nondegenerate pairs, and resolves
+every triple through the normal forms of its cells.  `quotient` is the one
+builder that glues, by a union-find per dimension.
 
 Cells are plain integer indices per dimension; constructors carry
 canonical keys so results are reproducible bit for bit.
@@ -22,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import permutations, product
 from operator import itemgetter
 
 from . import cube
@@ -125,14 +127,6 @@ class CubicalSet:
 
     # -- actions -----------------------------------------------------------
 
-    def elementary_action(self, g):
-        """The table of C(g) for an elementary cube map g."""
-        found = _generator_keys(self.trunc).get(g)
-        if found is None:
-            raise CsetError(f"not an elementary map: {g.text()}")
-        family, key = found
-        return getattr(self, family)[key]
-
     def action(self, phi):
         """The table of C(phi): C_cod -> C_dom for any cube map phi."""
         if phi.cod > self.trunc or phi.dom > self.trunc:
@@ -141,9 +135,10 @@ class CubicalSet:
         if cached is not None:
             return cached
         values = list(range(self.sizes[phi.cod]))
-        # phi = g1 o g2 o ... o gr, so C(phi) = C(gr) o ... o C(g1).
-        for g in cube.decompose(phi):
-            tbl = self.elementary_action(g)
+        # phi = g1 o g2 o ... o gr, so C(phi) = C(gr) o ... o C(g1); every gi
+        # stays within the truncation, so each has a generator table
+        for family, key in map(_generator_keys(self.trunc).__getitem__, cube.decompose(phi)):
+            tbl = getattr(self, family)[key]
             values = [tbl[v] for v in values]
         result = tuple(values)
         self._action_cache[(phi.dom, phi.cod, phi.outputs)] = result
@@ -302,7 +297,7 @@ def _normal_forms(C):
 
 
 # ---------------------------------------------------------------------------
-# generic builders: keyed cells and colimits
+# generic builders: keyed cells
 
 
 def build_presheaf(trunc, keys_by_dim, positions):
@@ -323,50 +318,6 @@ def build_presheaf(trunc, keys_by_dim, positions):
         return tuple(map(index[g.dom].__getitem__, map(image, keys[g.cod])))
 
     return _tabulate(trunc, tuple(map(len, keys)), table, keys=keys)
-
-
-def colimit(trunc, dims, pairs, act):
-    """Glue nodes into cells and induce the presheaf structure.
-
-    Nodes are the integers 0 .. len(dims) - 1, node x of dimension
-    dims[x]; `pairs` yields the node pairs to identify.  `act(phi, xs)`
-    gets the list of every node of dimension phi.cod in increasing order
-    and returns an iterable of the nodes that the cube map phi sends them
-    to, in the same order; it is called once per generator table, whose
-    entries are read off the (class, image class) pairs.  Every class must
-    stay in one dimension and act must send all members of a class into a
-    single class.  The classes of each dimension are numbered in the order
-    of their least node, which is also their key.  Returns the cubical set,
-    the class index of every node and the member nodes of every class.
-    """
-    uf = UnionFind(range(len(dims)))
-    for x, y in pairs:
-        uf.union(x, y)
-    # the root of a class is its least member, so it comes first here
-    cls = [None] * len(dims)
-    members = [[] for _ in range(trunc + 1)]
-    nodes = [[] for _ in range(trunc + 1)]
-    for x, n in enumerate(dims):
-        root = uf.find(x)
-        if dims[root] != n:
-            raise CsetError("internal: colimit class spans dimensions")
-        nodes[n].append(x)
-        if root == x:
-            cls[x] = len(members[n])
-            members[n].append([x])
-        else:
-            cls[x] = cls[root]
-            members[n][cls[x]].append(x)
-
-    def table(family, key, g):
-        xs = nodes[g.cod]
-        moved = {(cls[x], cls[y]) for x, y in zip(xs, act(g, xs))}
-        if len(moved) != len(members[g.cod]):
-            raise CsetError("internal: colimit action not well defined")
-        return tuple(map(dict(moved).__getitem__, range(len(moved))))
-
-    keys = tuple(tuple(cl[0] for cl in level) for level in members)
-    return _tabulate(trunc, tuple(map(len, keys)), table, keys=keys), cls, members
 
 
 def from_lattice(L, trunc):
@@ -610,8 +561,12 @@ def quotient(C, pairs):
     Presheaf colimits are computed level by level, so the congruence is
     generated by the pulled-back pairs (C(phi) a, C(phi) b) over every cube
     map phi into the dimension of a pair, found by a worklist through the
-    generator tables.  The returned projection maps each cell to its class;
-    classes are ordered by their smallest cell.
+    generator tables and joined by one union-find per dimension.  The
+    projection maps each cell to its class, classes ordered by their least
+    cell; as the pairs are closed under the generator tables, a table of
+    the quotient reads C's table at each least cell through the projection.
+    A class is keyed by its least cell's index among C's cells counted
+    dimension by dimension.
     """
     pairs = list(pairs)
     for a, b in pairs:
@@ -619,21 +574,26 @@ def quotient(C, pairs):
             raise CsetError(f"{a} or {b} is not a cell of this cubical set")
         if a[0] != b[0]:
             raise CsetError("cannot identify cells of different dimensions")
-    levels = range(C.trunc + 1)
-    offset = [sum(C.sizes[:n]) for n in levels]
-    dims = [n for n in levels for _ in C.cells(n)]
+    ufs = [UnionFind(C.cells(n)) for n in range(C.trunc + 1)]
     queue = [(n, a, b) for (n, a), (_, b) in pairs]
     seen = set(queue)
     for n, a, b in queue:  # reaches the pairs appended below too
+        ufs[n].union(a, b)
         pulled = {(m, tbl[a], tbl[b]) for m, tbl in C._tables[n]} - seen
         seen |= pulled
         queue += pulled
+    proj, least = [], []
+    for uf in ufs:
+        number = {}  # root -> class; a root is the least cell of its class, so met first
+        proj.append([number.setdefault(uf.find(x), len(number)) for x in uf.parent])
+        least.append(list(number))
 
-    def act(g, xs):
-        return [offset[g.dom] + v for v in C.elementary_action(g)]
+    def table(family, key, g):
+        tbl, image = getattr(C, family)[key], proj[g.dom]
+        return tuple(image[tbl[x]] for x in least[g.cod])
 
-    Q, cls, _ = colimit(C.trunc, dims, ((offset[n] + a, offset[n] + b) for n, a, b in queue), act)
-    proj = tuple(tuple(cls[offset[n] : offset[n] + C.sizes[n]]) for n in levels)
+    keys = tuple(tuple(sum(C.sizes[:n]) + x for x in cls) for n, cls in enumerate(least))
+    Q = _tabulate(C.trunc, tuple(map(len, least)), table, keys=keys)
     return Q, CubicalFunction(C, Q, proj)
 
 
@@ -643,11 +603,16 @@ def quotient(C, pairs):
 
 @lru_cache(maxsize=None)
 def _epis(n, k):
-    return tuple(
-        e
-        for e in cube.enumerate_maps(n, k)
-        if all(cube.is_proj(s) for s in e.outputs)
-    )
+    """The epis [1]^n -> [1]^k, projections onto k distinct inputs, in
+    lexicographic order; `_epis(n, n)` are the permutations of [1]^n."""
+    return tuple(cube.CubeMap(n, k, tuple(map(cube.proj, p))) for p in permutations(range(1, n + 1), k))
+
+
+def _inverse(s):
+    """The inverse of a permutation s of [1]^n: where output j of s reads
+    input i, output i of the inverse reads input j."""
+    order = sorted(range(s.dom), key=s.outputs.__getitem__)
+    return cube.CubeMap(s.dom, s.dom, tuple(cube.proj(j + 1) for j in order))
 
 
 @lru_cache(maxsize=None)
@@ -704,12 +669,18 @@ class TensorSet:
 def tensor(A, B):
     """Day-convolution tensor product, truncated at min(A.trunc, B.trunc).
 
-    Cells are the colimit classes of triples (a, b, e) with e an epi.  Every
-    cell of a factor is an epi acting on a nondegenerate cell
-    (Eilenberg-Zilber), so every triple resolves through its normal form
-    (`_tensor_node`) to a node over nondegenerate a and b; only these nodes
-    are made, numbered in sorted order, and they are glued by the
-    naturality relations of faces and transpositions on either factor.
+    Cells are classes of triples (a, b, e) with e an epi.  Every cell of a
+    factor is an epi acting on a nondegenerate cell (Eilenberg-Zilber), so
+    every triple resolves through its normal form (`_tensor_node`) to a node
+    ((p, z_a), (q, z_b), e) over nondegenerate cells, and two nodes name one
+    cell exactly when permutations s of [1]^p and t of [1]^q move one to the
+    other, (z_a, z_b, e) to (A(s) z_a, B(t) z_b, (s^-1 (x) t^-1) o e)
+    (Berger and Moerdijk, "On an extension of the notion of Reedy
+    category", 2011).  The nodes are walked in sorted order, and each one
+    that no earlier orbit holds is the least of its orbit: it is listed as
+    the next cell of its dimension, keyed by its position in the walk, and
+    its whole orbit joins that cell.  A listed node's tables resolve its
+    image under each generator.
     """
     trunc = min(A.trunc, B.trunc)
     normal = (_normal_forms(A), _normal_forms(B))
@@ -722,39 +693,37 @@ def tensor(A, B):
         for ia in A.nondegenerate(p)
         for ib in B.nondegenerate(q)
     )
-    node_id = {node: x for x, node in enumerate(nodes)}
+
+    @lru_cache(maxsize=None)
+    def symmetries(p, q):
+        # per pair of permutations s of [1]^p and t of [1]^q: the tables of
+        # A(s) and B(t), and s^-1 (x) t^-1
+        return [
+            (A.action(s), B.action(t), cube.tensor(_inverse(s), _inverse(t)))
+            for s, t in product(_epis(p, p), _epis(q, q))
+        ]
+
+    index, keys = {}, [[] for _ in range(trunc + 1)]
+    for x, node in enumerate(nodes):
+        if node not in index:
+            (p, za), (q, zb), e = node
+            level = keys[e.dom]
+            for moved_a, moved_b, inv in symmetries(p, q):
+                index[(p, moved_a[za]), (q, moved_b[zb]), cube.compose(inv, e)] = len(level)
+            level.append(x)
 
     def resolve(a, b, g, f):
-        # the node of (a, b, g o f): the actions of mu_a and mu_b move the
+        # the cell of (a, b, g o f): the actions of mu_a and mu_b move the
         # cells, and the epi e is left over
         mu_a, mu_b, e = _split(a[0], g, f)
         a, b = (mu_a.dom, A.action(mu_a)[a[1]]), (mu_b.dom, B.action(mu_b)[b[1]])
-        return node_id[_tensor_node(normal, a, b, e)]
+        return index[_tensor_node(normal, a, b, e)]
 
-    def relations():
-        # a face or transposition alpha into a nondegenerate cell x of either
-        # factor, a nondegenerate cell y of the other and an epi psi:
-        # (x alpha, y, psi) is glued to (x, y, (alpha (x) id) psi), factors in
-        # their order; a degeneracy relates two triples with one normal form
-        for X, Y, pair in ((A, B, lambda u, v: (u, v)), (B, A, lambda u, v: (v, u))):
-            levels = [[n for n in range(C.trunc + 1) if C.nondegenerate(n)] for C in (X, Y)]
-            for p, q in product(*levels):
-                for family, key, alpha in _elementary_maps_into(p, X.trunc):
-                    if family == "degens":
-                        continue
-                    moved = getattr(X, family)[key]
-                    shifted = cube.tensor(*pair(alpha, cube.identity(q)))
-                    k = alpha.dom + q
-                    epis = [psi for n in range(k, trunc + 1) for psi in _epis(n, k)]
-                    for psi, ix, iy in product(epis, X.nondegenerate(p), Y.nondegenerate(q)):
-                        lhs = _tensor_node(normal, *pair((alpha.dom, moved[ix]), (q, iy)), psi)
-                        yield node_id[lhs], resolve(*pair((p, ix), (q, iy)), shifted, psi)
+    def table(family, key, g):
+        return tuple(resolve(a, b, e, g) for a, b, e in map(nodes.__getitem__, keys[g.cod]))
 
-    def act(phi, xs):
-        return [resolve(a, b, e, phi) for a, b, e in (nodes[x] for x in xs)]
-
-    T, cls, _ = colimit(trunc, [e.dom for _, _, e in nodes], relations(), act)
-    return TensorSet(T, A, B, {node: cls[x] for x, node in enumerate(nodes)}, normal)
+    T = _tabulate(trunc, tuple(map(len, keys)), table, keys=tuple(map(tuple, keys)))
+    return TensorSet(T, A, B, index, normal)
 
 
 def cylinder(B):

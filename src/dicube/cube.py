@@ -24,6 +24,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+from .config import Budget
+
 CONST0 = ("c", 0)
 CONST1 = ("c", 1)
 
@@ -307,7 +309,7 @@ def from_vertices(dom, cod, vertices):
     return phi if phi.vertices == tuple(vertices) else None
 
 
-def from_function(table):
+def from_function(table, budget=None):
     """Decide whether a monotone table is a cube-category morphism.
 
     Returns (cube_map, None) when the table is an interval-preserving
@@ -315,8 +317,10 @@ def from_function(table):
     the table exactly; otherwise (None, witness), where the witness names
     a violated join, meet or interval image by its `points` tuples.  The
     decision runs on vertex indices, where join, meet and order are `|`,
-    `&` and bit inclusion.
+    `&` and bit inclusion.  Each check walks the pairs (x, y) of points of
+    [1]^dom, so the budget is charged their number, 4^dom, up front.
     """
+    Budget.of(budget).spend(len(table.values) ** 2)
     pts = points(table.dom)
     v = [point_index(w) for w in table.values]
     r = range(len(v))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 
 from . import cube
 from . import lattice as lat
@@ -139,7 +139,7 @@ class Subdivision:
         # its listed block cells
         self._orbit, stabs = {}, {}
         for n in range(top + 1):
-            perms = [cube.CubeMap(n, n, tuple(map(cube.proj, p))) for p in permutations(range(1, n + 1))]
+            perms = cs._epis(n, n)
             moved = [base.action(sigma) for sigma in perms]
             for i in nondeg[n]:
                 if (n, i) not in self._orbit:

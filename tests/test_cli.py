@@ -450,6 +450,17 @@ def test_cube_decide_reports_the_witness_of_a_monotone_table_that_is_no_cube_map
     assert _decide(tmp_path, capsys, dom, cod, values) == {"map": None, "witness": witness}
 
 
+def test_cube_decide_charges_the_pairs_of_points(tmp_path, capsys):
+    # the identity table of [1]^7 walks its 128 * 128 pairs of points
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"dom": 7, "cod": 7, "values": [list(p) for p in cube.points(7)]}))
+    code, out, err = run_cli(capsys, "--budget", "1", *DECIDE, str(path))
+    assert (code, out, err) == (3, "", "error: enumeration budget exceeded (16384 > 1)\n")
+    code, out, err = run_cli(capsys, "--budget", "16384", *DECIDE, str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"] == {"map": cube.identity(7).text(), "witness": None}
+
+
 def test_discrete0_is_the_empty_category(capsys):
     code, out, _ = run_cli(capsys, "cat", "nerve", "--cat", "discrete0")
     assert code == 0

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from dicube import cat, cset, cube, lattice as lat, sd, spaces
+from gluing import colimit
 
 
 def test_representable_counts():
@@ -767,8 +768,9 @@ def test_sd9_collapse_digest():
 
 
 def _cell_colimit(C, pairs, calls=None):
-    """`cset.colimit` on the cells of C, numbered dimension by dimension,
-    with the action of C; `calls` collects each (phi, nodes) it is asked."""
+    """The test-only `gluing.colimit` on the cells of C, numbered dimension
+    by dimension, with the action of C; `calls` collects each (phi, nodes)
+    it is asked."""
     offset = [sum(C.sizes[:n]) for n in range(C.trunc + 1)]
     dims = [n for n in range(C.trunc + 1) for _ in C.cells(n)]
 
@@ -778,7 +780,7 @@ def _cell_colimit(C, pairs, calls=None):
         tbl = C.action(phi)
         return [offset[phi.dom] + tbl[x - offset[phi.cod]] for x in xs]
 
-    return cset.colimit(C.trunc, dims, pairs, act)
+    return colimit(C.trunc, dims, pairs, act)
 
 
 def test_colimit_rejects_class_across_dimensions():
@@ -1019,7 +1021,7 @@ def _all_cells_subdivision(C, k):
                 first = node(n, i, phi.dom)
                 yield from (first + v for v in tbl)
 
-    Q, _, members = cset.colimit(C.trunc, dims, relations(), act)
+    Q, _, members = colimit(C.trunc, dims, relations(), act)
     return Q, [[min(owner[x] for x in cls) for cls in level] for level in members]
 
 
@@ -1027,6 +1029,11 @@ def _random_quotient(rng, n, collapse=0.3):
     """The n-cube glued along one to three random pairs of its faces; the
     second cell of a pair may be transposed, or, with probability collapse,
     a degenerate cell on a face of the first."""
+    return cset.quotient(*_random_gluing(rng, n, collapse))[0]
+
+
+def _random_gluing(rng, n, collapse):
+    """The n-cube and the pairs that `_random_quotient` glues it along."""
     R = cset.representable(n, n)
     pairs = []
     for _ in range(rng.randint(1, 3)):
@@ -1040,7 +1047,7 @@ def _random_quotient(rng, n, collapse=0.3):
             if d > 1 and rng.random() < 0.5:
                 b = R.transps[(d, 1)][b]
         pairs.append(((d, a), (d, b)))
-    return cset.quotient(R, pairs)[0]
+    return R, pairs
 
 
 BUILT_IN = (
@@ -1130,7 +1137,7 @@ def _all_cells_tensor(A, B):
     def act(phi, xs):
         return [resolve(a, b, e, phi) for a, b, e in (nodes[x] for x in xs)]
 
-    T, cls, _ = cset.colimit(trunc, [e.dom for _, _, e in nodes], pairs, act)
+    T, cls, _ = colimit(trunc, [e.dom for _, _, e in nodes], pairs, act)
     return T, {node: cls[x] for x, node in enumerate(nodes)}, len(nodes), len(pairs)
 
 
@@ -1151,9 +1158,9 @@ def _tensor_factor(name):
 TENSOR_RIGHT = ("point", "edge", "circle", "sphere2", "edge_boundary")
 TENSOR_CASES = (
     [(space, right) for space in BUILT_IN for right in TENSOR_RIGHT]
-    + [("klein@3", "circle@3"), ("sphere2@3", "circle@3"), ("cube3", "edge@3")]
+    + [("klein@3", "circle@3"), ("sphere2@3", "circle@3"), ("cube3", "edge@3"), ("cube3", "circle@3")]
     + [(f"nerve {target}@2", right) for target in ("zmod2", "idem2") for right in ("edge", "circle")]
-    + [("nerve arrow@3", "edge@3"), ("nerve arrow@3", "circle@3")]
+    + [("nerve arrow@3", "edge@3"), ("nerve arrow@3", "circle@3"), ("nerve zmod2@3", "circle@3")]
     + [(f"random square {seed}", "edge") for seed in range(8)]
     + [(f"random cube {seed}", "edge@3") for seed in range(4)]
 )
@@ -1208,13 +1215,19 @@ def test_cylinder_is_built_once_per_set(name):
         )
 
 
-# (nodes, relation pairs) of the colimit: over every cell pair, then over
-# nondegenerate pairs only
+# (nodes, relation pairs) of the all-cells reference gluing, and the nodes
+# over nondegenerate pairs that `cset.tensor` lists by orbit, which are the
+# nodes the gluing over nondegenerate pairs had
 TENSOR_COLIMIT_SIZES = {
-    "torus(3)": ((228, 2996), (24, 40)),
-    "cylinder(cube2)": ((244, 2176), (76, 200)),
-    "circle(3) (x) klein(3)": ((402, 6114), (66, 244)),
+    "torus(3)": ((228, 2996), 24),
+    "cylinder(cube2)": ((244, 2176), 76),
+    "circle(3) (x) klein(3)": ((402, 6114), 66),
 }
+
+
+class _NoUnionFind:
+    def __init__(self, *args):
+        raise AssertionError("cset.tensor built a UnionFind")
 
 
 @pytest.mark.parametrize("name", sorted(TENSOR_COLIMIT_SIZES))
@@ -1224,18 +1237,11 @@ def test_tensor_colimit_sizes(name, monkeypatch):
         "cylinder(cube2)": (spaces.cube_space(2), cset.representable(1, 2)),
         "circle(3) (x) klein(3)": (spaces.circle(3), spaces.klein(3)),
     }[name]
-    sizes = []
-    colimit = cset.colimit
-
-    def counting(trunc, dims, pairs, act):
-        pairs = list(pairs)
-        sizes.append((len(dims), len(pairs)))
-        return colimit(trunc, dims, pairs, act)
-
-    monkeypatch.setattr(cset, "colimit", counting)
-    _, _, *reference = _all_cells_tensor(A, B)
-    cset.tensor(A, B)
-    assert (tuple(reference), sizes[-1]) == TENSOR_COLIMIT_SIZES[name]
+    ref, _, *reference = _all_cells_tensor(A, B)
+    monkeypatch.setattr(cset, "UnionFind", _NoUnionFind)
+    ts = cset.tensor(A, B)
+    assert (tuple(reference), len(ts._node_index)) == TENSOR_COLIMIT_SIZES[name]
+    assert cset.to_json(ts.cset) == cset.to_json(ref)
 
 
 @pytest.mark.parametrize(
@@ -1626,6 +1632,34 @@ def test_quotient_matches_worklist_closure(space):
         assert proj_fn.maps == ref_proj
         assert Q.validate()
 
+
+def _assert_quotient_projects(C, pairs):
+    """The quotient and its projection validate, the projection is onto and
+    identifies each given pair."""
+    Q, proj = cset.quotient(C, pairs)
+    assert proj.validate() and Q.validate() and proj.is_epi()
+    assert all(proj(a) == proj(b) for a, b in pairs)
+
+
+@pytest.mark.parametrize("name", BUILT_IN)
+def test_quotient_projection_validates_on_the_catalog(name):
+    C = spaces.by_name(name)
+    _assert_quotient_projects(C, [((0, v), (0, 0)) for v in C.cells(0)])
+    rng = random.Random(name)
+    dims = [n for n in range(C.trunc + 1) if C.sizes[n]]
+    for _ in range(6):
+        pairs = []
+        for _ in range(rng.randint(1, 3)):
+            n = rng.choice(dims)
+            pairs.append(((n, rng.randrange(C.sizes[n])), (n, rng.randrange(C.sizes[n]))))
+        _assert_quotient_projects(C, pairs)
+
+
+@pytest.mark.parametrize("n, seeds", [(2, 18), (3, 4)])
+@pytest.mark.parametrize("collapse", [0.3, 1.0])
+def test_quotient_projection_validates_on_random_gluings(n, seeds, collapse):
+    for seed in range(seeds):
+        _assert_quotient_projects(*_random_gluing(random.Random(seed), n, collapse))
 
 
 # SHA-256 of outputs of the subdivision, recorded before cube maps moved

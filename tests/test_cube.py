@@ -4,6 +4,7 @@ import itertools
 import pytest
 
 from dicube import cube
+from dicube.config import Budget, BudgetExceeded
 from dicube.cube import CONST0, CONST1, CubeMap, FunctionTable, proj
 
 
@@ -159,6 +160,16 @@ def test_from_function_round_trip():
                 back, witness = cube.from_function(phi.table())
                 assert witness is None
                 assert back == phi
+
+
+def test_from_function_charges_the_pairs_of_points_up_front():
+    budget = Budget(16)
+    assert cube.from_function(cube.identity(2).table(), budget) == (cube.identity(2), None)
+    assert budget.used == 16
+    # the charge comes before the checks, a non-monotone table included
+    for values in (cube.identity(2).table().values, ((1,), (0,), (1,), (1,))):
+        with pytest.raises(BudgetExceeded, match=r"\(16 > 15\)"):
+            cube.from_function(FunctionTable(2, len(values[0]), values), 15)
 
 
 def test_from_vertices_inverts_the_vertex_table():

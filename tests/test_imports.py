@@ -50,9 +50,9 @@ UNREAD_KEPT = {
 # read of the name cannot tell the two apart, so each was checked by hand;
 # the reason says where each method of that name is read.
 COLLIDED_METHODS = {
-    "find": "UnionFind.find: cset.colimit reads uf.find (str.find shares the name)",
+    "find": "UnionFind.find: cset.quotient reads uf.find (str.find shares the name)",
     "index": "FiniteLattice.index: sd._block_map reads SLt.index (tuple.index shares the name)",
-    "union": "UnionFind.union: cset.colimit and invariants read uf.union (set.union shares the name)",
+    "union": "UnionFind.union: cset.quotient and invariants read uf.union (set.union shares the name)",
     "issubset": "Subpresheaf.issubset: sd.local_lift reads S.issubset (frozenset.issubset shares the name)",
     "of": "Budget.of: oracle reads Budget.of; Interval.of: lattice.boolean_intervals reads Interval.of",
     "size": "FinMonoid.size: cat.cat_from_monoid reads M.size; FiniteLattice.size: lattice.product "

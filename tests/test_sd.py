@@ -1,12 +1,14 @@
 """The listing of sd C by carriers against gluing: the colimit of the
-subdivided blocks over the nondegenerate cells of C, computed by
-`cset.colimit`, with its carrier and collapse checks made member by member."""
+subdivided blocks over the nondegenerate cells of C, computed by the
+test-only engine `gluing.colimit`, with its carrier and collapse checks
+made member by member."""
 
 from types import SimpleNamespace
 
 import pytest
 
 from dicube import cat, cset, cube, sd, spaces
+from gluing import colimit
 
 
 def _glued_subdivision(C, k):
@@ -52,7 +54,7 @@ def _glued_subdivision(C, k):
                 first = start[(phi.dom, n, i)]
                 yield from (first + v for v in tbl)
 
-    Q, index, classes = cset.colimit(trunc, [u[0] for _, u in nodes], relations(), act)
+    Q, index, classes = colimit(trunc, [u[0] for _, u in nodes], relations(), act)
     members = [[[nodes[x] for x in cls] for cls in level] for level in classes]
     carriers = []
     for level in members:
