@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from . import cset, cube, t1
+from . import cset, t1
 from .config import Budget, check_ints, find_bijection, json_errors
 
 
@@ -140,6 +140,9 @@ def product_monoid(A, B):
 
 def submonoid(M, elements):
     elements = sorted(set(elements))
+    for e in elements:
+        if not 0 <= e < M.size:
+            raise CatError(f"submonoid element {e} is not an element of the monoid")
     if M.unit not in elements:
         raise CatError("submonoid must contain the unit")
     index = {e: i for i, e in enumerate(elements)}
@@ -499,13 +502,19 @@ def cube_functors(S, n, budget=None):
     return sorted(tables)
 
 
+# The highest nerve truncation: t1 of the n-cube is read off a
+# representable (`_cube_t1`), which is built without a charge to the budget.
+ENUMERATION_BOUND = 4
+
+
 def nerve(S, trunc, budget=None):
     """The cubical nerve of S: its n-cells are the functors out of t1 of the
     n-cube (`cube_functors`), and cube maps act by precomposition.  A
-    truncation above `cube.ENUMERATION_BOUND` is refused before enumerating."""
-    bound = cube.ENUMERATION_BOUND
-    if trunc > bound:
-        raise CatError(f"nerve truncation {trunc} exceeds the enumeration bound {bound}")
+    truncation outside 0..`ENUMERATION_BOUND` is refused before enumerating."""
+    if trunc < 0:
+        raise CatError(f"nerve truncation {trunc} is negative")
+    if trunc > ENUMERATION_BOUND:
+        raise CatError(f"nerve truncation {trunc} exceeds the enumeration bound {ENUMERATION_BOUND}")
     S = as_cat(S)
     b = Budget.of(budget)
     keys_by_dim = [cube_functors(S, n, b) for n in range(trunc + 1)]
@@ -845,6 +854,8 @@ def gauge_classes(P, G, budget=None):
     order; the class index of a functor (None for a non-functor); and
     |fixed| * |G|^(objects - components), the forest's edge count.
     """
+    if not G.is_group():
+        raise CatError("gauge fixing needs a group target")
     forest = cset.UnionFind(range(P.n_obj))
     tree = tuple(G.unit if forest.union(s, t) else None for s, t in P.gens)
     fixed = enumerate_functors(P, G, budget, Functor((None,) * P.n_obj, tree))

@@ -59,7 +59,7 @@ def _save(path, render, result, key=None):
 
 
 def cmd_cube(args):
-    lines = [phi.text() for phi in cube.enumerate_maps(args.dom, args.cod, cls=args.cls)]
+    lines = [phi.text() for phi in cube.enumerate_maps(args.dom, args.cod, args.cls, args.budget)]
     inputs = {"dom": args.dom, "cod": args.cod, "class": args.cls}
     return inputs, {"count": len(lines), "morphisms": lines}
 

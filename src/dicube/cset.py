@@ -6,8 +6,8 @@ d_{eps,i}, degeneracies s_i and adjacent transpositions t_i.
 `_elementary_maps_into` is the one list of these generator tables: it pairs
 each elementary cube map with the family (`faces`, `degens`, `transps`)
 and key of its table, and every builder and checker here walks it.  The
-action of an arbitrary cube-category morphism is assembled from a
-canonical decomposition into generators; validation (by `_relations`)
+action of an arbitrary cube-category morphism is assembled one elementary
+factor at a time (`cube.peel`); validation (by `_relations`)
 and quotients walk only the generator tables, and list no hom-set.
 Every cell is an epi acting on a nondegenerate cell (Eilenberg-Zilber), as
 `_normal_forms` records; the tensor product lists each of its cells once,
@@ -128,20 +128,24 @@ class CubicalSet:
     # -- actions -----------------------------------------------------------
 
     def action(self, phi):
-        """The table of C(phi): C_cod -> C_dom for any cube map phi."""
+        """The table of C(phi): C_cod -> C_dom for any cube map phi, memoized.
+        With g elementary (`cube.peel`), C(g o rest) is C(g) then C(rest)
+        and C(rest o g) is C(rest) then C(g)."""
         if phi.cod > self.trunc or phi.dom > self.trunc:
             raise CsetError("action beyond truncation")
-        cached = self._action_cache.get((phi.dom, phi.cod, phi.outputs))
-        if cached is not None:
-            return cached
-        values = list(range(self.sizes[phi.cod]))
-        # phi = g1 o g2 o ... o gr, so C(phi) = C(gr) o ... o C(g1); every gi
-        # stays within the truncation, so each has a generator table
-        for family, key in map(_generator_keys(self.trunc).__getitem__, cube.decompose(phi)):
-            tbl = getattr(self, family)[key]
-            values = [tbl[v] for v in values]
-        result = tuple(values)
-        self._action_cache[(phi.dom, phi.cod, phi.outputs)] = result
+        key = (phi.dom, phi.cod, phi.outputs)
+        result = self._action_cache.get(key)
+        if result is None:
+            step = cube.peel(phi)
+            if step is None:
+                result = tuple(self.cells(phi.dom))
+            else:
+                g, rest, outer = step
+                family, gkey = _generator_keys(self.trunc)[g]
+                table, rest_table = getattr(self, family)[gkey], self.action(rest)
+                first, then = (table, rest_table) if outer else (rest_table, table)
+                result = tuple(map(then.__getitem__, first))
+            self._action_cache[key] = result
         return result
 
     def act(self, phi, x):
@@ -244,8 +248,9 @@ def _relations(trunc):
     lists (family, key, g) triples, g1 into [1]^n and each next g into the
     last one's domain; their tables apply in turn.  Sound, as a group holds
     words of one map; complete, as each relation of the presentation but
-    the braids equates two such words and rewriting to the `cube.decompose`
-    normal form never rises above a word's dimensions (tests check it)."""
+    the braids equates two such words and rewriting to the normal form that
+    `cube.peel` reaches never rises above a word's dimensions (tests check
+    it)."""
     groups = {}
     for n in range(trunc + 1):
         groups[cube.identity(n)] = [()]
@@ -333,9 +338,9 @@ def from_lattice(L, trunc):
     """
     if not L.is_distributive:
         raise CsetError("from_lattice requires a distributive lattice")
-    spans = [(iv.rank, lat.interval_span(L, iv.lo, iv.hi)) for iv in lat.boolean_intervals(L)]
+    intervals = lat.boolean_intervals(L)
     keys_by_dim = [
-        sorted({tuple(span[v] for v in e.vertices) for rank, span in spans for e in _epis(n, rank)})
+        sorted({tuple(iv.span[v] for v in e.vertices) for iv in intervals for e in _epis(n, iv.rank)})
         for n in range(trunc + 1)
     ]
 

@@ -13,9 +13,9 @@ Such a map is fixed by where it sends the vertices of [1]^dom, and
 `CubeMap.vertices` is that vertex table: the `points(cod)` index of the
 image of each vertex, in `points(dom)` order.  It is the one way a cube
 map moves vertex indices; the presheaf builders act on cells through it.
-`from_vertices` is its inverse.  On vertex indices join, meet and order
-are `|`, `&` and bit inclusion, and `from_function` decides the
-characterization above on raw tables that way.
+`from_vertices` is its inverse, and `from_function` decides the
+characterization above by that read-off.  `peel` splits one elementary
+factor off a map, which is how cubical sets act by any map.
 """
 
 from __future__ import annotations
@@ -190,87 +190,49 @@ def classify(phi):
     return "neither"
 
 
-ENUMERATION_BOUND = 4
-
-
-def enumerate_maps(m, n, cls=None):
-    """All normal forms [1]^m -> [1]^n in lexicographic output order."""
+def enumerate_maps(m, n, cls=None, budget=None):
+    """All normal forms [1]^m -> [1]^n in lexicographic output order: the
+    tuples over (0, 1, p1, ..., pm) with no repeated projection.  The
+    budget is charged the (m + 2)^n tuples examined, up front."""
     if m < 0 or n < 0:
         raise CubeError(f"dimensions must be nonnegative, got {m} and {n}")
-    if m > ENUMERATION_BOUND or n > ENUMERATION_BOUND:
-        raise CubeError(f"enumeration bound {ENUMERATION_BOUND} exceeded")
     if cls not in (None, "iso", "epi", "mono", "neither"):
         raise CubeError(f"unknown map class {cls!r}")
-    specs = [CONST0, CONST1] + [proj(i) for i in range(1, m + 1)]
-    out = []
-
-    def rec(prefix, used):
-        if len(prefix) == n:
-            out.append(CubeMap(m, n, tuple(prefix)))
-            return
-        for spec in specs:
-            if is_proj(spec) and spec[1] in used:
-                continue
-            prefix.append(spec)
-            if is_proj(spec):
-                used.add(spec[1])
-            rec(prefix, used)
-            if is_proj(spec):
-                used.discard(spec[1])
-            prefix.pop()
-
-    rec([], set())
-    return [phi for phi in out if cls is None or classify(phi) == cls]
+    Budget.of(budget).spend((m + 2) ** n)
+    specs = (CONST0, CONST1, *map(proj, range(1, m + 1)))
+    maps = (
+        CubeMap(m, n, outputs)
+        for outputs in itertools.product(specs, repeat=n)
+        if len(set(outputs) - {CONST0, CONST1}) == sum(map(is_proj, outputs))
+    )
+    return [phi for phi in maps if cls is None or classify(phi) == cls]
 
 
 @lru_cache(maxsize=None)
-def decompose(phi):
-    """Elementary factors g1..gr with phi == g1 o g2 o ... o gr, as a tuple.
-
-    Factors are cofaces, codegeneracies and principal transpositions; all
-    intermediate dimensions stay within max(dom, cod).  Memoized per map:
-    the recomposition check runs on the first call for each map.
-    """
-    factors = []
-    cur = phi
-    # Peel cofaces off the outside, one constant output at a time.
-    while any(is_const(spec) for spec in cur.outputs):
-        j = next(k for k, spec in enumerate(cur.outputs) if is_const(spec))
-        sign = cur.outputs[j][1]
-        factors.append(coface(sign, j + 1, cur.cod))
-        cur = CubeMap(cur.dom, cur.cod - 1, cur.outputs[:j] + cur.outputs[j + 1 :])
-    # Peel the permutation part: bubble-sort the projection indices.
-    perm_factors = []
-    outputs = list(cur.outputs)
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(outputs) - 1):
-            if outputs[j][1] > outputs[j + 1][1]:
-                perm_factors.append(transposition(j + 1, cur.cod))
-                outputs[j], outputs[j + 1] = outputs[j + 1], outputs[j]
-                changed = True
-    factors.extend(perm_factors)
-    cur = CubeMap(cur.dom, cur.cod, tuple(outputs))
-    # Peel codegeneracies for the unused inputs, innermost last.
-    degen_factors = []
-    while cur.dom > cur.cod:
-        used = cur.used_inputs()
-        i = next(k for k in range(1, cur.dom + 1) if k not in used)
-        degen_factors.append(codegeneracy(i, cur.dom))
-        outputs = tuple(
-            spec if spec[1] < i else proj(spec[1] - 1) for spec in cur.outputs
-        )
-        cur = CubeMap(cur.dom - 1, cur.cod, outputs)
-    factors.extend(reversed(degen_factors))
-    if not cur.is_identity():
-        raise CubeError(f"decomposition failed for {phi.text()}")
-    check = identity(phi.dom)
-    for g in reversed(factors):
-        check = compose(g, check)
-    if check != phi:
-        raise CubeError(f"decomposition does not recompose for {phi.text()}")
-    return tuple(factors)
+def peel(phi):
+    """One elementary factor g of phi: (g, rest, True) with phi == g o rest,
+    g the coface of the first constant output or else the transposition at
+    the first descent; otherwise (g, rest, False) with phi == rest o g, g
+    the codegeneracy of the first unused input; None for an identity.  All
+    within max(dom, cod); memoized, so each equation is checked once."""
+    outs = phi.outputs
+    first = lambda ks: next(ks, None)
+    if (j := first(k for k, spec in enumerate(outs) if is_const(spec))) is not None:
+        rest = CubeMap(phi.dom, phi.cod - 1, outs[:j] + outs[j + 1 :])
+        step = coface(outs[j][1], j + 1, phi.cod), rest, True
+    elif (j := first(k for k in range(phi.cod - 1) if outs[k][1] > outs[k + 1][1])) is not None:
+        rest = CubeMap(phi.dom, phi.cod, outs[:j] + (outs[j + 1], outs[j]) + outs[j + 2 :])
+        step = transposition(j + 1, phi.cod), rest, True
+    elif phi.dom > phi.cod:
+        i = min(set(range(1, phi.dom + 1)) - phi.used_inputs())
+        rest = CubeMap(phi.dom - 1, phi.cod, tuple(proj(k - (k > i)) for _, k in outs))
+        step = codegeneracy(i, phi.dom), rest, False
+    else:
+        return None
+    g, rest, outer = step
+    if (compose(g, rest) if outer else compose(rest, g)) != phi:
+        raise CubeError(f"peeling does not recompose for {phi.text()}")
+    return step
 
 
 @dataclass(frozen=True)
@@ -316,32 +278,30 @@ def from_function(table, budget=None):
     lattice homomorphism, in which case the map's evaluation reproduces
     the table exactly; otherwise (None, witness), where the witness names
     a violated join, meet or interval image by its `points` tuples.  The
-    decision runs on vertex indices, where join, meet and order are `|`,
-    `&` and bit inclusion.  Each check walks the pairs (x, y) of points of
-    [1]^dom, so the budget is charged their number, 4^dom, up front.
+    decision is `from_vertices`' read-off; the pairs of points are walked
+    to check monotonicity and to name the witness of a rejected table, so
+    the budget is charged their number, 4^dom, up front.  On vertex
+    indices join, meet and order are `|`, `&` and bit inclusion.
     """
     Budget.of(budget).spend(len(table.values) ** 2)
-    pts = points(table.dom)
     v = [point_index(w) for w in table.values]
     r = range(len(v))
     if any(v[x] & v[y] != v[x] for x in r for y in r if x & y == x):
         raise CubeError("table is not monotone")
+    phi = from_vertices(table.dom, table.cod, v)
+    if phi is not None:
+        return phi, None
+    pts = points(table.dom)
     for x in r:
         for y in r:
             if v[x | y] != v[x] | v[y]:
                 return None, ("join", pts[x], pts[y])
             if v[x & y] != v[x] & v[y]:
                 return None, ("meet", pts[x], pts[y])
-    # Interval preservation: the image of [x, y] must be all of
-    # [f(x), f(y)], order-convexity included.
-    for x in r:
-        for y in r:
-            if x & y != x:
-                continue
-            image = {v[z] for z in r if x & z == x and z & y == z}
-            if image != {w for w in range(1 << table.cod) if v[x] & w == v[x] and w & v[y] == w}:
-                return None, ("interval", pts[x], pts[y])
-    phi = from_vertices(table.dom, table.cod, v)
-    if phi is None:
-        raise CubeError("internal: homomorphic table without normal form")
-    return phi, None
+    # A homomorphism preserves intervals exactly when every atom goes to
+    # f(0) or to a cover of f(0); the first atom that does not is also the
+    # first y whose [0, y] has too small an image.
+    for a in (1 << k for k in range(table.dom)):
+        raised = v[a] ^ v[0]
+        if raised & (raised - 1):
+            return None, ("interval", pts[0], pts[a])

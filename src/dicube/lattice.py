@@ -208,18 +208,18 @@ def boolean_rank(L, lo, hi):
 
 @dataclass(frozen=True)
 class Interval:
-    lattice: FiniteLattice
     lo: int
     hi: int
     elements: tuple
     rank: object  # int when Boolean, else None
+    span: object  # the `interval_span` when Boolean, else None
 
     @staticmethod
     def of(L, lo, hi):
         span = interval_span(L, lo, hi)
         if span is None:
-            return Interval(L, lo, hi, interval_elements(L, lo, hi), None)
-        return Interval(L, lo, hi, tuple(sorted(span)), len(span).bit_length() - 1)
+            return Interval(lo, hi, interval_elements(L, lo, hi), None, None)
+        return Interval(lo, hi, tuple(sorted(span)), len(span).bit_length() - 1, span)
 
 
 def boolean_intervals(L):

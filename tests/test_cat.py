@@ -89,6 +89,25 @@ def test_nerve_zmod3_charge():
     assert b.used == 8_776
 
 
+def test_nerve_of_a_negative_truncation_names_it():
+    with pytest.raises(cat.CatError, match="nerve truncation -1 is negative"):
+        cat.nerve(cat.zmod(2), -1)
+
+
+def test_gauge_fixing_into_a_non_group_is_a_cat_error():
+    P = cat.presentation_of(cat.cat_from_monoid(cat.zmod(2)))
+    with pytest.raises(cat.CatError, match="gauge fixing needs a group"):
+        cat.gauge_classes(P, cat.idempotent2())
+
+
+def test_submonoid_names_an_element_outside_the_monoid():
+    with pytest.raises(cat.CatError, match="element 7 "):
+        cat.submonoid(cat.zmod(4), [0, 7])
+    with pytest.raises(cat.CatError, match="element -1 "):
+        cat.submonoid(cat.zmod(4), [-1, 0])
+    assert cat.submonoid(cat.zmod(4), [0, 2]).size == 2
+
+
 def test_cube_functors_rejects_a_square_that_does_not_commute(monkeypatch):
     # one edge of the square goes to the generator of Z/2 and the other
     # three to the unit, so the two paths around the square disagree

@@ -68,6 +68,18 @@ def test_nerve_beyond_the_enumeration_bound_is_refused_before_enumerating(capsys
     assert err == "error: nerve truncation 5 exceeds the enumeration bound 4\n"
 
 
+def test_nerve_of_a_negative_truncation_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "cat", "nerve", "--cat", "zmod2", "--trunc", "-1")
+    assert (code, out, err) == (2, "", "error: nerve truncation -1 is negative\n")
+
+
+def test_cube_enumerate_charges_the_budget(capsys):
+    code, out, err = run_cli(capsys, "--budget", "100", "cube", "enumerate", "--dom", "4", "--cod", "4")
+    assert (code, out, err) == (3, "", "error: enumeration budget exceeded (1296 > 100)\n")
+    code, out, _ = run_cli(capsys, "--budget", "1296", "cube", "enumerate", "--dom", "4", "--cod", "4")
+    assert code == 0 and json.loads(out)["result"]["count"] == 648
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from dicube import cat, cset, cube, lattice as lat, sd, spaces
+from dicube.config import Budget, BudgetExceeded
 from gluing import colimit
 
 
@@ -237,11 +238,24 @@ def _functoriality_pairs(trunc):
     )
 
 
+def test_representable_acts_by_precomposing_vertex_tables():
+    """On representable(3, 4) the action of each of the 1,559 cube maps
+    between dimensions <= 4 sends the cell with vertex table k to the cell
+    with vertex table k o phi, read off the keys with no factorization."""
+    R = cset.representable(3, 4)
+    maps = [phi for m in range(5) for n in range(5) for phi in cube.enumerate_maps(m, n)]
+    assert len(maps) == 1559
+    for phi in maps:
+        index = R.key_index(phi.dom)
+        expected = tuple(index[tuple(key[v] for v in phi.vertices)] for key in R.keys[phi.cod])
+        assert R.action(phi) == expected, phi.text()
+
+
 def _functorial_on_every_map(C):
     """Reference check: C(phi o g) == C(g) o C(phi) for every cube map phi
-    and generator g into its domain, with C(phi) assembled from
-    `cube.decompose`; by induction over the decompositions this is
-    functoriality on the truncated cube category."""
+    and generator g into its domain, with C(phi) assembled by peeling
+    factors off phi (`cube.peel`); by induction over the peeled factors
+    this is functoriality on the truncated cube category."""
     for phi, steps in _functoriality_pairs(C.trunc):
         base = C.action(phi)
         for g, whole in steps:
@@ -377,10 +391,10 @@ def test_validate_and_quotient_list_no_cube_maps(monkeypatch):
     cset._relations.cache_clear()
 
     def refuse(*args):
-        raise AssertionError("a cube map was enumerated, decomposed or acted by")
+        raise AssertionError("a cube map was enumerated, peeled or acted by")
 
     monkeypatch.setattr(cube, "enumerate_maps", refuse)
-    monkeypatch.setattr(cube, "decompose", refuse)
+    monkeypatch.setattr(cube, "peel", refuse)
     monkeypatch.setattr(cset.CubicalSet, "action", refuse)
     for C in sets:
         assert _copy(C).validate()
@@ -933,6 +947,17 @@ def test_local_lift_without_a_hit_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(sd, "_first_assignment", lambda *args: None)
     with pytest.raises(sd.SdError, match="^internal: "):
         sd.local_lift(d9, cset.closed_star(d9.cset, 0))
+
+
+def test_local_lift_charges_the_budget_it_is_given():
+    d9 = sd.sd9(spaces.circle())
+    star = cset.closed_star(d9.cset, 0)
+    budget = Budget()
+    lift = sd.local_lift(d9, star, budget)
+    assert budget.used > 0
+    assert sd.local_lift(d9, star, budget.used).dim == lift.dim
+    with pytest.raises(BudgetExceeded):
+        sd.local_lift(d9, star, budget.used - 1)
 
 
 def test_local_lift_rejects_a_star_of_another_space():

@@ -125,9 +125,17 @@ def test_enumerate_order_deterministic():
     ]
 
 
-def test_enumerate_bound():
-    with pytest.raises(cube.CubeError):
-        cube.enumerate_maps(5, 1)
+def test_enumerate_charges_the_tuples_up_front():
+    # no cap on the dimensions: (5, 1) lists 0, 1 and the five projections
+    assert [phi.text() for phi in cube.enumerate_maps(5, 1)] == [
+        f"5->1: [{spec}]" for spec in ("0", "1", "p1", "p2", "p3", "p4", "p5")
+    ]
+    # (4, 4) examines 6^4 = 1,296 tuples for its 648 maps, charged before listing
+    with pytest.raises(BudgetExceeded, match=r"\(1296 > 1295\)"):
+        cube.enumerate_maps(4, 4, budget=1295)
+    budget = Budget(1296)
+    assert len(cube.enumerate_maps(4, 4, budget=budget)) == 648
+    assert budget.used == 1296
 
 
 def test_enumerate_rejects_an_unknown_class():
@@ -218,6 +226,79 @@ def test_from_vertices_accepts_exactly_the_cube_maps():
     assert accepted == sum(len(cube.enumerate_maps(m, n)) for m, n in PINNED_SHAPES)
 
 
+def _from_function_by_passes(table, budget=None):
+    """The pass-based decision that `cube.from_function` replaced: joins and
+    meets over every pair of points, then the image of every interval,
+    about 6^dom steps.  Kept as a reference for outcomes and witnesses."""
+    Budget.of(budget).spend(len(table.values) ** 2)
+    pts = cube.points(table.dom)
+    v = [cube.point_index(w) for w in table.values]
+    r = range(len(v))
+    if any(v[x] & v[y] != v[x] for x in r for y in r if x & y == x):
+        raise cube.CubeError("table is not monotone")
+    for x in r:
+        for y in r:
+            if v[x | y] != v[x] | v[y]:
+                return None, ("join", pts[x], pts[y])
+            if v[x & y] != v[x] & v[y]:
+                return None, ("meet", pts[x], pts[y])
+    # Interval preservation: the image of [x, y] must be all of
+    # [f(x), f(y)], order-convexity included.
+    for x in r:
+        for y in r:
+            if x & y != x:
+                continue
+            image = {v[z] for z in r if x & z == x and z & y == z}
+            if image != {w for w in range(1 << table.cod) if v[x] & w == v[x] and w & v[y] == w}:
+                return None, ("interval", pts[x], pts[y])
+    phi = cube.from_vertices(table.dom, table.cod, v)
+    if phi is None:
+        raise cube.CubeError("internal: homomorphic table without normal form")
+    return phi, None
+
+
+def _outcome(decide, table):
+    try:
+        return decide(table)
+    except cube.CubeError as exc:
+        return str(exc)
+
+
+def _monotone_tables(m, n):
+    """Every monotone table [1]^m -> [1]^n: n monotone Boolean functions of
+    m bits, one per output coordinate."""
+    columns = [
+        bits
+        for bits in itertools.product((0, 1), repeat=2**m)
+        if all(bits[x] <= bits[y] for x in range(2**m) for y in range(2**m) if x & y == x)
+    ]
+    return [FunctionTable(m, n, tuple(zip(*cols))) for cols in itertools.product(columns, repeat=n)]
+
+
+def test_from_function_agrees_with_the_pass_based_reference():
+    """Outcome and witness agree on every table with dom, cod <= 2, on the
+    20^3 = 8,000 monotone tables [1]^3 -> [1]^3, and on the 6^4 = 1,296
+    monotone tables [1]^2 -> [1]^4, where two atoms can each go past a
+    cover of f(0) (the doubled diagonal) and the first one is named."""
+    tables = [
+        FunctionTable(m, n, values)
+        for m in range(3)
+        for n in range(3)
+        for values in itertools.product(cube.points(n), repeat=2**m)
+    ]
+    tables += _monotone_tables(3, 3) + _monotone_tables(2, 4)
+    assert len(tables) == 301 + 8_000 + 1_296
+    kinds = set()
+    for table in tables:
+        outcome = _outcome(cube.from_function, table)
+        assert outcome == _outcome(_from_function_by_passes, table), table
+        kinds.add(outcome if isinstance(outcome, str) else (outcome[1] or ("map",))[0])
+    # every kind of verdict is met
+    assert kinds == {"map", "join", "meet", "interval", "table is not monotone"}
+    doubled = FunctionTable(2, 4, tuple((a, a, b, b) for a, b in cube.points(2)))
+    assert cube.from_function(doubled) == (None, ("interval", (0, 0), (0, 1)))
+
+
 def test_from_vertices_rejects_malformed_tables():
     assert cube.from_vertices(1, 2, (0, 3)) is None  # the diagonal
     assert cube.from_vertices(1, 1, (0, 1, 1)) is None  # wrong length
@@ -248,16 +329,38 @@ def test_parallel_epis_differ_by_permutations():
                     ), (e1.text(), e2.text())
 
 
-def test_decompose_round_trips():
-    for m in range(5):
-        for n in range(5):
+def test_peel_round_trips():
+    """Peeling every map up to dimension 5 reaches an identity within
+    max(dom, cod): one coface per constant output, one transposition per
+    inversion of the projections and one codegeneracy per unused input, in
+    that order, as many factors as the bubble-sort factorization that
+    `peel` replaced; the factors recompose to the map."""
+    order = {"faces": 0, "transps": 1, "degens": 2}
+    count = 0
+    for m in range(6):
+        for n in range(6):
             for phi in cube.enumerate_maps(m, n):
-                factors = cube.decompose(phi)
-                assert isinstance(factors, tuple)
-                rebuilt = cube.identity(m)
-                for g in reversed(factors):
+                outer, inner, kinds, cur = [], [], [], phi
+                while (step := cube.peel(cur)) is not None:
+                    g, cur, is_outer = step
+                    assert max(g.dom, g.cod, cur.dom, cur.cod) <= max(m, n)
+                    assert is_outer == (g.dom <= g.cod)  # only codegeneracies go inside
+                    (outer if is_outer else inner).append(g)
+                    kinds.append("faces" if g.dom < g.cod else "degens" if g.dom > g.cod else "transps")
+                projs = [spec[1] for spec in phi.outputs if cube.is_proj(spec)]
+                inversions = sum(a > b for a, b in itertools.combinations(projs, 2))
+                assert cur.is_identity() and cur.dom == len(projs)
+                assert kinds == sorted(kinds, key=order.__getitem__), phi.text()
+                assert [kinds.count(k) for k in order] == [n - len(projs), inversions, m - len(projs)]
+                rebuilt = cur
+                for g in reversed(outer):
                     rebuilt = cube.compose(g, rebuilt)
+                for g in reversed(inner):
+                    rebuilt = cube.compose(rebuilt, g)
                 assert rebuilt == phi
+                count += 1
+    assert count == 12_867
+    assert cube.peel(cube.identity(3)) is None
 
 
 def test_text_round_trip():

@@ -175,6 +175,9 @@ def test_boolean_intervals_match_the_all_pairs_scan():
         ]
         found = [(iv.lo, iv.hi, iv.rank) for iv in lat.boolean_intervals(L)]
         assert found == scan, name
+        # each Boolean interval keeps the span it was found by
+        for iv in lat.boolean_intervals(L):
+            assert iv.span == lat.interval_span(L, iv.lo, iv.hi), (name, iv.lo, iv.hi)
 
 
 def test_interval_span_is_the_atom_join_per_vertex():
