@@ -115,9 +115,7 @@ class CubeMap:
         )
 
     def text(self):
-        parts = []
-        for spec in self.outputs:
-            parts.append(str(spec[1]) if is_const(spec) else f"p{spec[1]}")
+        parts = (str(spec[1]) if is_const(spec) else f"p{spec[1]}" for spec in self.outputs)
         return f"{self.dom}->{self.cod}: [{', '.join(parts)}]"
 
 
@@ -129,13 +127,8 @@ def compose(g, f):
     """The composite g o f for f: m -> n, g: n -> p."""
     if f.cod != g.dom:
         raise CubeError(f"cannot compose {g.text()} after {f.text()}")
-    outputs = []
-    for spec in g.outputs:
-        if is_const(spec):
-            outputs.append(spec)
-        else:
-            outputs.append(f.outputs[spec[1] - 1])
-    return CubeMap(f.dom, g.cod, tuple(outputs))
+    outputs = tuple(spec if is_const(spec) else f.outputs[spec[1] - 1] for spec in g.outputs)
+    return CubeMap(f.dom, g.cod, outputs)
 
 
 def tensor(f, g):
@@ -193,12 +186,20 @@ def classify(phi):
 def enumerate_maps(m, n, cls=None, budget=None):
     """All normal forms [1]^m -> [1]^n in lexicographic output order: the
     tuples over (0, 1, p1, ..., pm) with no repeated projection.  The
-    budget is charged the (m + 2)^n tuples examined, up front."""
+    budget is charged up front the (m + 2)^n tuples examined, or the m + 2
+    specs when n = 0; the power is raised no further than past the limit,
+    so a charge that fails is never built in full."""
     if m < 0 or n < 0:
         raise CubeError(f"dimensions must be nonnegative, got {m} and {n}")
     if cls not in (None, "iso", "epi", "mono", "neither"):
         raise CubeError(f"unknown map class {cls!r}")
-    Budget.of(budget).spend((m + 2) ** n)
+    b = Budget.of(budget)
+    charge = m + 2
+    for _ in range(n - 1):
+        if charge > b.limit:
+            break
+        charge *= m + 2
+    b.spend(charge)
     specs = (CONST0, CONST1, *map(proj, range(1, m + 1)))
     maps = (
         CubeMap(m, n, outputs)
@@ -305,3 +306,4 @@ def from_function(table, budget=None):
         raised = v[a] ^ v[0]
         if raised & (raised - 1):
             return None, ("interval", pts[0], pts[a])
+    raise CubeError("internal: homomorphic table with no read-off")

@@ -343,7 +343,7 @@ def _yoneda(j, d, trunc):
     return tuple(cube.from_vertices(j, d, key) for key in cs.representable(d, trunc).keys[j])
 
 
-def local_lift(d9, S, budget=None):
+def local_lift(d9, S):
     """Factor the double collapse g = eps1 o eps2 through a representable on S.
 
     S must be a nonempty subpresheaf of sd9(C) contained in the closed
@@ -360,9 +360,9 @@ def local_lift(d9, S, budget=None):
        vertex v of S ranges over the vertices p of R with down(p) = g(v);
        a cell of S, checked once its last vertex is set, goes to the cell
        of R with its assigned vertex table, which must exist and go to g of
-       the cell under down.  Each value tried is charged to `budget`
-       (read through `Budget.of`); the lift exists, so a search without a
-       hit is an internal error.
+       the cell under down.  Each value tried is charged to a default
+       `Budget`; the lift exists, so a search without a hit is an internal
+       error.
     4. up and down are validated, and down o up is checked cell by cell.
     """
     C, r1 = d9.base, d9.r1
@@ -434,7 +434,7 @@ def local_lift(d9, S, budget=None):
         return True
 
     candidates = [[p for p in R.cells(0) if down.maps[0][p] == g(0, v)] for v in order]
-    assign = _first_assignment(candidates, fits, Budget.of(budget))
+    assign = _first_assignment(candidates, fits, Budget())
     if assign is None:
         raise SdError("internal: no lift of the star through the representable")
     up_values = {

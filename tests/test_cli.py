@@ -75,9 +75,25 @@ def test_nerve_of_a_negative_truncation_is_usage_error(capsys):
 
 def test_cube_enumerate_charges_the_budget(capsys):
     code, out, err = run_cli(capsys, "--budget", "100", "cube", "enumerate", "--dom", "4", "--cod", "4")
-    assert (code, out, err) == (3, "", "error: enumeration budget exceeded (1296 > 100)\n")
+    # the charge stops growing once it passes the limit: 6^3 = 216 > 100
+    assert (code, out, err) == (3, "", "error: enumeration budget exceeded (216 > 100)\n")
     code, out, _ = run_cli(capsys, "--budget", "1296", "cube", "enumerate", "--dom", "4", "--cod", "4")
     assert code == 0 and json.loads(out)["result"]["count"] == 648
+
+
+@pytest.mark.parametrize(
+    "dom, cod, charge",
+    [("100000000", "0", 100000002), ("1", "100000000", 3**13), ("1", "20000", 3**13)],
+)
+def test_cube_enumerate_of_huge_dimensions_fails_the_budget_at_once(capsys, dom, cod, charge):
+    """Neither the specs nor the whole power (m + 2)^n are built before the
+    budget refuses: one stderr line, exit 3, in well under a second."""
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "--budget", "1000000", "cube", "enumerate", "--dom", dom, "--cod", cod
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (3, "", f"error: enumeration budget exceeded ({charge} > 1000000)\n")
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from dicube import cat, cset, cube, lattice as lat, sd, spaces
-from dicube.config import Budget, BudgetExceeded
 from gluing import colimit
 
 
@@ -947,17 +946,6 @@ def test_local_lift_without_a_hit_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(sd, "_first_assignment", lambda *args: None)
     with pytest.raises(sd.SdError, match="^internal: "):
         sd.local_lift(d9, cset.closed_star(d9.cset, 0))
-
-
-def test_local_lift_charges_the_budget_it_is_given():
-    d9 = sd.sd9(spaces.circle())
-    star = cset.closed_star(d9.cset, 0)
-    budget = Budget()
-    lift = sd.local_lift(d9, star, budget)
-    assert budget.used > 0
-    assert sd.local_lift(d9, star, budget.used).dim == lift.dim
-    with pytest.raises(BudgetExceeded):
-        sd.local_lift(d9, star, budget.used - 1)
 
 
 def test_local_lift_rejects_a_star_of_another_space():

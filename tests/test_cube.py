@@ -136,6 +136,9 @@ def test_enumerate_charges_the_tuples_up_front():
     budget = Budget(1296)
     assert len(cube.enumerate_maps(4, 4, budget=budget)) == 648
     assert budget.used == 1296
+    # n = 0 builds no tuple beyond the empty one, but is charged its m + 2 specs
+    budget = Budget(7)
+    assert len(cube.enumerate_maps(5, 0, budget=budget)) == 1 and budget.used == 7
 
 
 def test_enumerate_rejects_an_unknown_class():
@@ -178,6 +181,14 @@ def test_from_function_charges_the_pairs_of_points_up_front():
     for values in (cube.identity(2).table().values, ((1,), (0,), (1,), (1,))):
         with pytest.raises(BudgetExceeded, match=r"\(16 > 15\)"):
             cube.from_function(FunctionTable(2, len(values[0]), values), 15)
+
+
+def test_from_function_names_a_homomorphism_with_no_read_off_as_internal(monkeypatch):
+    """A table that passes every check but is refused by `from_vertices`
+    is an internal error, never a silent None."""
+    monkeypatch.setattr(cube, "from_vertices", lambda dom, cod, vertices: None)
+    with pytest.raises(cube.CubeError, match="internal: homomorphic table with no read-off"):
+        cube.from_function(cube.identity(2).table())
 
 
 def test_from_vertices_inverts_the_vertex_table():
