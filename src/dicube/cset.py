@@ -88,6 +88,12 @@ class CubicalSet:
         maps = (_elementary_maps_into(n, self.trunc) for n in range(self.trunc + 1))
         return [[(g.dom, getattr(self, f)[key]) for f, key, g in level] for level in maps]
 
+    @cached_property
+    def _vertices(self):
+        """Per dimension n, each n-cell's 2^n vertices in `cube.points(n)` order."""
+        corner = lambda p: self.action(cube.CubeMap(0, len(p), tuple(("c", b) for b in p)))
+        return [tuple(zip(*map(corner, cube.points(n)))) for n in range(self.trunc + 1)]
+
     def __post_init__(self):
         self.structural_check()
 

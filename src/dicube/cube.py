@@ -21,6 +21,7 @@ factor off a map, which is how cubical sets act by any map.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -184,29 +185,28 @@ def classify(phi):
 
 
 def enumerate_maps(m, n, cls=None, budget=None):
-    """All normal forms [1]^m -> [1]^n in lexicographic output order: the
-    tuples over (0, 1, p1, ..., pm) with no repeated projection.  The
-    budget is charged up front the (m + 2)^n tuples examined, or the m + 2
-    specs when n = 0; the power is raised no further than past the limit,
-    so a charge that fails is never built in full."""
+    """All normal forms [1]^m -> [1]^n in lexicographic output order over
+    (0, 1, p1, ..., pm), each output offered the projections not yet used.
+    The budget is charged the hom-set size up front, the sum over k of the
+    C(n, k) P(m, k) 2^(n - k) maps with k projections, taken no further
+    than past the limit, so a charge that fails is never built in full."""
     if m < 0 or n < 0:
         raise CubeError(f"dimensions must be nonnegative, got {m} and {n}")
     if cls not in (None, "iso", "epi", "mono", "neither"):
         raise CubeError(f"unknown map class {cls!r}")
     b = Budget.of(budget)
-    charge = m + 2
-    for _ in range(n - 1):
+    charge, bits = 0, (b.limit + 1).bit_length()
+    for k in range(min(m, n) + 1):
         if charge > b.limit:
             break
-        charge *= m + 2
+        charge += math.comb(n, k) * math.perm(m, k) << min(n - k, bits)
     b.spend(charge)
-    specs = (CONST0, CONST1, *map(proj, range(1, m + 1)))
-    maps = (
-        CubeMap(m, n, outputs)
-        for outputs in itertools.product(specs, repeat=n)
-        if len(set(outputs) - {CONST0, CONST1}) == sum(map(is_proj, outputs))
-    )
-    return [phi for phi in maps if cls is None or classify(phi) == cls]
+    # the one map into [1]^0 reads no spec, and m may be too large to list
+    specs = (CONST0, CONST1, *map(proj, range(1, m + 1))) if n else ()
+    rows = [()]
+    for _ in range(n):
+        rows = [row + (s,) for row in rows for s in specs if is_const(s) or s not in row]
+    return [phi for phi in (CubeMap(m, n, row) for row in rows) if cls is None or classify(phi) == cls]
 
 
 @lru_cache(maxsize=None)

@@ -23,8 +23,8 @@ first-hit search over the assignments of R's vertices to S's vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import product
 
 from . import cube
@@ -44,6 +44,21 @@ def _block(n, k, trunc):
     SL = lat.subdivide_lattice(lat.boolean(n), k)
     BL = cs.from_lattice(SL, trunc)
     return SL, BL
+
+
+def _chain(n, k, rank):
+    """The label of vertex `rank` of the block over [1]^n, or None: the
+    chains t_0 <= ... <= t_k of `cube.points(n)` indices, sorted, and
+    (left + 1)^(bits t lacks) of them go on from t with `left` more points."""
+    label, low = (), 0
+    for left in range(k, -1, -1):
+        for t in range(1 << n):
+            count = (left + 1) ** (n - t.bit_count()) if t & low == low else 0
+            if 0 <= rank < count:
+                label, low = label + (t,), t
+                break
+            rank -= count
+    return label if len(label) == k + 1 else None
 
 
 @lru_cache(maxsize=None)
@@ -192,14 +207,19 @@ class Subdivision:
 
     def class_of(self, c, u):
         """The subdivided cell represented by block cell u over base cell c."""
-        (n, i), (j, ub) = c, u
+        (n, i), (j, ub), trunc = c, u, self.base.trunc
         if not self.base.has_cell(c):
             raise SdError(f"no cell {c} in the base")
-        if not _block(n, self.k, self.base.trunc)[1].has_cell(u):
-            raise SdError(f"no cell {u} in the block of {c}")
         m, z, s = self._normal[n][i]
-        if m < n:
-            ub = _block_map(n, m, s, self.k, self.base.trunc)[j][ub]
+        if j == 0 and m < n:  # s's vertex table moves the chain label, unbuilt
+            label = _chain(n, self.k, ub)
+            if label is None:
+                raise SdError(f"no cell {u} in the block of {c}")
+            ub = _block(m, self.k, trunc)[0].index[tuple(s.vertices[b] for b in label)]
+        elif not _block(n, self.k, trunc)[1].has_cell(u):
+            raise SdError(f"no cell {u} in the block of {c}")
+        elif m < n:
+            ub = _block_map(n, m, s, self.k, trunc)[j][ub]
         return (j, self._resolve((m, z), j, ub))
 
     def supp_vertex(self, v):
@@ -207,19 +227,22 @@ class Subdivision:
         return cs.atom(self.base, self.carrier_cell((0, v)))
 
     def eps(self):
-        """The collapse sd3 C -> C (middle evaluation); requires k == 2."""
+        """The collapse sd3 C -> C (middle evaluation); requires k == 2.  The
+        action tables of a listing's collapse components serve every carrier
+        of that listing."""
         if self.k != 2:
             raise SdError("the collapse is defined for threefold subdivision")
-        trunc = self.base.trunc
-        return self._descend(
-            lambda c, j, u: self.base.act(_collapse_component(c[0], j, u, trunc), c[1]), self.base
+        tables = lru_cache(maxsize=None)(
+            lambda n, j, us: [self.base.action(_collapse_component(n, j, u, self.base.trunc)) for u in us]
         )
+        return self._descend(lambda c, j, listed: [t[c[1]] for t in tables(c[0], j, listed)], self.base)
 
-    def _descend(self, target, cod):
-        """The cubical function to cod sending each j-cell, listed as
-        (c, u), to `target(c, j, u)`."""
+    def _descend(self, images, cod):
+        """The cubical function to cod sending the j-cells listed under each
+        carrier c, (c, u) for u in `listed`, to `images(c, j, listed)`."""
         maps = tuple(
-            tuple(target(c, j, u) for c, u in level) for j, level in enumerate(self.cset.keys)
+            tuple(y for c, (_, _, listed) in starts.items() for y in images(c, j, listed))
+            for j, starts in enumerate(self._start)
         )
         f = cs.CubicalFunction(self.cset, cod, maps)
         f.validate()
@@ -231,7 +254,7 @@ class Subdivision:
             raise SdError("function domain does not match the subdivided base")
         if sd_cod.base is not f.cod:
             raise SdError("function codomain does not match the subdivided codomain")
-        return self._descend(lambda c, j, u: sd_cod.class_of(f(c), (j, u))[1], sd_cod.cset)
+        return self._descend(lambda c, j, us: (sd_cod.class_of(f(c), (j, u))[1] for u in us), sd_cod.cset)
 
 
 def subdivide(C, k):
@@ -254,10 +277,13 @@ class DoubleSubdivision:
     r2: Subdivision
     eps1: cs.CubicalFunction
     eps2: cs.CubicalFunction
+    _downs: dict = field(default_factory=dict, repr=False)  # local_lift's down per top cell of sd3 C
 
     @property
     def cset(self):
         return self.r2.cset
+
+    collapse = cached_property(lambda self: self.eps1.compose_after(self.eps2))  # g = eps1 o eps2
 
 
 def sd9(C):
@@ -364,6 +390,9 @@ def local_lift(d9, S):
        `Budget`; the lift exists, so a search without a hit is an internal
        error.
     4. up and down are validated, and down o up is checked cell by cell.
+    Read once per set: the cells' vertex tables; once per double
+    subdivision: g, and down per top cell (B is its atom); per call: S's
+    checks, steps 1 and 3, up and its checks.
     """
     C, r1 = d9.base, d9.r1
     E = d9.cset
@@ -398,55 +427,44 @@ def local_lift(d9, S):
 
     R = cs.representable(top_dim, C.trunc)
     index = [R.key_index(j) for j in range(R.trunc + 1)]
-    eps1, eps2 = d9.eps1.maps, d9.eps2.maps
-
-    def g(j, x):
-        return eps1[j][eps2[j][x]]
-
-    down_maps = []
-    for j in range(R.trunc + 1):
-        images = [r1.cset.act(phi, top) for phi in _yoneda(j, top_dim, C.trunc)]
-        if sorted(images) != sorted(B.sel[j]):
+    g, down = d9.collapse.maps, d9._downs.get((top_dim, top))
+    if down is None:
+        images = [[r1.cset.act(phi, top) for phi in _yoneda(j, top_dim, C.trunc)] for j in levels]
+        if any(sorted(level) != sorted(cells) for level, cells in zip(images, B.sel)):
             raise SdError("internal: intersection is not a full representable")
-        down_maps.append(tuple(eps1[j][bi] for bi in images))
-    down = cs.CubicalFunction(R, C, tuple(down_maps))
-    down.validate()
+        down = cs.CubicalFunction(R, C, [[d9.eps1.maps[j][b] for b in images[j]] for j in levels])
+        down.validate()
+        d9._downs[(top_dim, top)] = down
 
-    # vertex tables of S's cells, as positions in the search order; a cell
-    # of R is its vertex table, and R's vertex p has the table (p,)
-    order = sorted(S.sel[0])
+    # a cell of S is checked once its vertex table's last vertex is set; a
+    # cell of R is its vertex table, and `at` maps S's vertices to R's
+    order, at = sorted(S.sel[0]), [None] * E.sizes[0]
     position = {v: k for k, v in enumerate(order)}
-    tables, checks = {}, [[] for _ in order]
-    for j in range(E.trunc + 1):
-        corners = [
-            E.action(cube.CubeMap(0, j, tuple(("c", b) for b in p))) for p in cube.points(j)
-        ]
-        for x in S.sel[j]:
-            table = tuple(position[corner[x]] for corner in corners)
-            tables[(j, x)] = table
-            checks[max(table)].append((j, table, g(j, x)))
+    checks = [[] for _ in order]
+    for j, level in enumerate(S.sel):
+        for x in level:
+            table = E._vertices[j][x]
+            checks[position[max(table)]].append((j, x, table, g[j][x]))
 
     def fits(k, assign):
-        for j, table, target in checks[k]:
-            cell = index[j].get(tuple(assign[t] for t in table))
+        at[order[k]] = assign[k]
+        for j, _, table, target in checks[k]:
+            cell = index[j].get(tuple(map(at.__getitem__, table)))
             if cell is None or down.maps[j][cell] != target:
                 return False
         return True
 
-    candidates = [[p for p in R.cells(0) if down.maps[0][p] == g(0, v)] for v in order]
+    candidates = [[p for p in R.cells(0) if down.maps[0][p] == g[0][v]] for v in order]
     assign = _first_assignment(candidates, fits, Budget())
     if assign is None:
         raise SdError("internal: no lift of the star through the representable")
-    up_values = {
-        (j, x): (j, index[j][tuple(assign[t] for t in table)])
-        for (j, x), table in tables.items()
-    }
+    up_values, at = {}, dict(zip(order, assign))
+    for j, x, table, target in (check for level in checks for check in level):
+        cell = index[j][tuple(map(at.__getitem__, table))]
+        if down.maps[j][cell] != target:
+            raise SdError("local lift does not commute with the double collapse")
+        up_values[(j, x)] = (j, cell)
     up = SubFunction(S, R, up_values)
     up.validate()
-
-    for j in range(E.trunc + 1):
-        for i in S.sel[j]:
-            if down.maps[j][up_values[(j, i)][1]] != g(j, i):
-                raise SdError("local lift does not commute with the double collapse")
 
     return LocalLift(top_dim, up, down, R)

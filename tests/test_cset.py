@@ -973,10 +973,17 @@ print(hashlib.sha256(json.dumps(lifts).encode()).hexdigest())
 """
 
 
+# SHA-256 of the sd9 klein part of `LIFT_DIGEST`'s outcomes, recorded
+# before `local_lift` read vertex tables, g and down from per-set and
+# per-subdivision memos.
+KLEIN_LIFT_DIGEST = "bf20f042c855bddd66774205a7b1904900522be7546c9f7ba47aac1d03d5c761"
+
+
 def test_klein_lift_digest_does_not_depend_on_hash_seed():
+    text = json.dumps(_lift_outcomes(spaces.klein()))
+    assert hashlib.sha256(text.encode()).hexdigest() == KLEIN_LIFT_DIGEST
     src = str(Path(sd.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    digests = set()
     for seed in ("0", "1", "2"):
         proc = subprocess.run(
             [sys.executable, "-c", _KLEIN_LIFT_DIGEST_SCRIPT],
@@ -985,8 +992,108 @@ def test_klein_lift_digest_does_not_depend_on_hash_seed():
             env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
             check=True,
         )
-        digests.add(proc.stdout)
-    assert len(digests) == 1
+        assert proc.stdout.strip() == KLEIN_LIFT_DIGEST, seed
+
+
+def _corner_tables(C):
+    """Per dimension n, each n-cell's vertices read one corner at a time."""
+    return [
+        tuple(
+            tuple(C.act(cube.CubeMap(0, n, tuple(("c", b) for b in p)), x) for p in cube.points(n))
+            for x in C.cells(n)
+        )
+        for n in range(C.trunc + 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda n=n, t=t: cset.representable(n, t) for n in range(4) for t in range(max(n, 1), 4)]
+    + [lambda name=name: spaces.by_name(name) for name in CATALOG + ("cube3",)]
+    + [lambda: spaces.klein(3), lambda: sd.sd9(spaces.torus()).cset],
+)
+def test_vertex_tables_are_the_corner_actions(make):
+    C = make()
+    assert C._vertices == _corner_tables(C)
+    assert C._vertices is C._vertices
+
+
+def test_a_warm_local_lift_builds_no_cube_map(monkeypatch):
+    d9 = sd.sd9(spaces.klein())
+    stars = [cset.closed_star(d9.cset, v) for v in d9.cset.cells(0)]
+    cold = [sd.local_lift(d9, S) for S in stars]
+    built, real = [], cube.CubeMap
+    monkeypatch.setattr(cube, "CubeMap", lambda *args: built.append(args) or real(*args))
+    warm = [sd.local_lift(d9, S) for S in stars]
+    assert built == []
+    assert [(a.up.values, a.down) for a in warm] == [(b.up.values, b.down) for b in cold]
+    cube.identity(1)  # the wrapper does count what is built
+    assert built == [(1, 1, (cube.proj(1),))]
+
+
+def test_stars_with_one_top_cell_share_one_down():
+    d9 = sd.sd9(spaces.klein())
+    lifts = [sd.local_lift(d9, cset.closed_star(d9.cset, v)) for v in d9.cset.cells(0)]
+    top_of = {id(down): key for key, down in d9._downs.items()}
+    shared = Counter(top_of[id(lift.down)] for lift in lifts)
+    assert len(shared) == len(d9._downs) < len(lifts)
+    assert max(shared.values()) > 1
+    for (dim, top), down in d9._downs.items():
+        assert down.dom is cset.representable(dim, d9.base.trunc) and down.validate()
+        # down sends the top cell of R to the first collapse of the top cell
+        top_of_r = cset.rep_cell(down.dom, cube.identity(dim))
+        assert down.maps[dim][top_of_r] == d9.eps1.maps[dim][top]
+
+
+def _not_closed(E):
+    sel = list(cset.closed_star(E, 3).sel)
+    sel[0] = sel[0] - {min(sel[0])}
+    return cset.Subpresheaf(E, sel)
+
+
+@pytest.mark.parametrize(
+    "piece, error, text",
+    [
+        (lambda E: cset.Subpresheaf(E, (frozenset(),) * 3), sd.SdError, "local lift of an empty subpresheaf"),
+        (lambda E: cset.closure(E, [(0, 0), (0, 9)]), sd.SdError, "subpresheaf is not contained in a closed star"),
+        (_not_closed, cset.CsetError, "subpresheaf not closed under faces table (1, 1, 0)"),
+        (
+            lambda E: cset.closed_star(sd.sd9(spaces.circle()).cset, 0),
+            sd.SdError,
+            "subpresheaf is not of the double subdivision",
+        ),
+    ],
+    ids=["empty", "scattered", "not closed", "another space"],
+)
+def test_local_lift_rejects_bad_pieces_cold_and_warm(piece, error, text):
+    d9 = sd.sd9(cset.representable(1, 2))
+    for warm in (False, True):
+        with pytest.raises(error) as info:
+            sd.local_lift(d9, piece(d9.cset))
+        assert str(info.value) == text, warm
+        for v in d9.cset.cells(0):
+            sd.local_lift(d9, cset.closed_star(d9.cset, v))
+
+
+def test_chains_are_the_block_lattice_labels():
+    for n in range(4):
+        for k in range(4):
+            labels = sd._block(n, k, 3)[0].labels
+            assert [sd._chain(n, k, r) for r in range(len(labels))] == list(labels), (n, k)
+            assert sd._chain(n, k, len(labels)) is None and sd._chain(n, k, -1) is None
+
+
+def test_class_of_a_vertex_over_a_degenerate_cell_builds_no_block(monkeypatch):
+    s = sd.subdivide(spaces.circle(), 23)
+    calls, real = [], sd._block
+    monkeypatch.setattr(sd, "_block", lambda *args: calls.append(args) or real(*args))
+    # the 2-cells of the circle are degenerate; its block has 25^2 vertices
+    assert s.class_of((2, 0), (0, 0)) == (0, 0)
+    assert s.class_of((2, 0), (0, 624)) == s.class_of((1, 0), (0, 24))
+    for ub in (625, -1):
+        with pytest.raises(sd.SdError, match=r"^no cell \(0, -?\d+\) in the block of \(2, 0\)$"):
+            s.class_of((2, 0), (0, ub))
+    assert all(n < 2 for n, _, _ in calls)
 
 
 def test_normal_forms_resolve_every_cell():

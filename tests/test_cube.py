@@ -130,15 +130,29 @@ def test_enumerate_charges_the_tuples_up_front():
     assert [phi.text() for phi in cube.enumerate_maps(5, 1)] == [
         f"5->1: [{spec}]" for spec in ("0", "1", "p1", "p2", "p3", "p4", "p5")
     ]
-    # (4, 4) examines 6^4 = 1,296 tuples for its 648 maps, charged before listing
-    with pytest.raises(BudgetExceeded, match=r"\(1296 > 1295\)"):
-        cube.enumerate_maps(4, 4, budget=1295)
-    budget = Budget(1296)
+    # (4, 4) is charged its hom-set, 648 maps, before listing
+    with pytest.raises(BudgetExceeded, match=r"\(648 > 647\)"):
+        cube.enumerate_maps(4, 4, budget=647)
+    budget = Budget(648)
     assert len(cube.enumerate_maps(4, 4, budget=budget)) == 648
-    assert budget.used == 1296
-    # n = 0 builds no tuple beyond the empty one, but is charged its m + 2 specs
-    budget = Budget(7)
-    assert len(cube.enumerate_maps(5, 0, budget=budget)) == 1 and budget.used == 7
+    assert budget.used == 648
+    # n = 0 has one map, charged 1 and listed without m's projections
+    budget = Budget(1)
+    assert len(cube.enumerate_maps(10**8, 0, budget=budget)) == 1 and budget.used == 1
+
+
+def test_enumerate_charges_the_hom_set_size():
+    """The charge is sum_k C(n, k) P(m, k) 2^(n - k), the number of maps
+    listed, up to dimension 5 each way and at (7, 7); a sum past the limit
+    stops there, as the doubling of 2^n stops past it."""
+    for m in range(6):
+        for n in range(6):
+            budget = Budget(10**9)
+            assert len(cube.enumerate_maps(m, n, budget=budget)) == budget.used, (m, n)
+    with pytest.raises(BudgetExceeded, match=r"\(671568 > 671567\)"):
+        cube.enumerate_maps(7, 7, budget=671567)
+    with pytest.raises(BudgetExceeded, match=r"\(1048576 > 1000000\)"):
+        cube.enumerate_maps(0, 10**8, budget=10**6)
 
 
 def test_enumerate_rejects_an_unknown_class():
