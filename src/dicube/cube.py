@@ -195,11 +195,16 @@ def enumerate_maps(m, n, cls=None, budget=None):
     if cls not in (None, "iso", "epi", "mono", "neither"):
         raise CubeError(f"unknown map class {cls!r}")
     b = Budget.of(budget)
-    charge, bits = 0, (b.limit + 1).bit_length()
+    charge = 0
     for k in range(min(m, n) + 1):
         if charge > b.limit:
             break
-        charge += math.comb(n, k) * math.perm(m, k) << min(n - k, bits)
+        term = math.comb(n, k) * math.perm(m, k)
+        for _ in range(n - k):
+            if term > b.limit:
+                break
+            term *= 2
+        charge += term
     b.spend(charge)
     # the one map into [1]^0 reads no spec, and m may be too large to list
     specs = (CONST0, CONST1, *map(proj, range(1, m + 1))) if n else ()

@@ -23,7 +23,7 @@ first-hit search over the assignments of R's vertices to S's vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 
@@ -44,21 +44,6 @@ def _block(n, k, trunc):
     SL = lat.subdivide_lattice(lat.boolean(n), k)
     BL = cs.from_lattice(SL, trunc)
     return SL, BL
-
-
-def _chain(n, k, rank):
-    """The label of vertex `rank` of the block over [1]^n, or None: the
-    chains t_0 <= ... <= t_k of `cube.points(n)` indices, sorted, and
-    (left + 1)^(bits t lacks) of them go on from t with `left` more points."""
-    label, low = (), 0
-    for left in range(k, -1, -1):
-        for t in range(1 << n):
-            count = (left + 1) ** (n - t.bit_count()) if t & low == low else 0
-            if 0 <= rank < count:
-                label, low = label + (t,), t
-                break
-            rank -= count
-    return label if len(label) == k + 1 else None
 
 
 @lru_cache(maxsize=None)
@@ -207,19 +192,14 @@ class Subdivision:
 
     def class_of(self, c, u):
         """The subdivided cell represented by block cell u over base cell c."""
-        (n, i), (j, ub), trunc = c, u, self.base.trunc
+        (n, i), (j, ub) = c, u
         if not self.base.has_cell(c):
             raise SdError(f"no cell {c} in the base")
-        m, z, s = self._normal[n][i]
-        if j == 0 and m < n:  # s's vertex table moves the chain label, unbuilt
-            label = _chain(n, self.k, ub)
-            if label is None:
-                raise SdError(f"no cell {u} in the block of {c}")
-            ub = _block(m, self.k, trunc)[0].index[tuple(s.vertices[b] for b in label)]
-        elif not _block(n, self.k, trunc)[1].has_cell(u):
+        if not _block(n, self.k, self.base.trunc)[1].has_cell(u):
             raise SdError(f"no cell {u} in the block of {c}")
-        elif m < n:
-            ub = _block_map(n, m, s, self.k, trunc)[j][ub]
+        m, z, s = self._normal[n][i]
+        if m < n:
+            ub = _block_map(n, m, s, self.k, self.base.trunc)[j][ub]
         return (j, self._resolve((m, z), j, ub))
 
     def supp_vertex(self, v):
@@ -277,13 +257,13 @@ class DoubleSubdivision:
     r2: Subdivision
     eps1: cs.CubicalFunction
     eps2: cs.CubicalFunction
-    _downs: dict = field(default_factory=dict, repr=False)  # local_lift's down per top cell of sd3 C
 
     @property
     def cset(self):
         return self.r2.cset
 
     collapse = cached_property(lambda self: self.eps1.compose_after(self.eps2))  # g = eps1 o eps2
+    _downs = cached_property(lambda self: {})  # local_lift's down per top cell of sd3 C
 
 
 def sd9(C):

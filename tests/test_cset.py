@@ -1075,27 +1075,6 @@ def test_local_lift_rejects_bad_pieces_cold_and_warm(piece, error, text):
             sd.local_lift(d9, cset.closed_star(d9.cset, v))
 
 
-def test_chains_are_the_block_lattice_labels():
-    for n in range(4):
-        for k in range(4):
-            labels = sd._block(n, k, 3)[0].labels
-            assert [sd._chain(n, k, r) for r in range(len(labels))] == list(labels), (n, k)
-            assert sd._chain(n, k, len(labels)) is None and sd._chain(n, k, -1) is None
-
-
-def test_class_of_a_vertex_over_a_degenerate_cell_builds_no_block(monkeypatch):
-    s = sd.subdivide(spaces.circle(), 23)
-    calls, real = [], sd._block
-    monkeypatch.setattr(sd, "_block", lambda *args: calls.append(args) or real(*args))
-    # the 2-cells of the circle are degenerate; its block has 25^2 vertices
-    assert s.class_of((2, 0), (0, 0)) == (0, 0)
-    assert s.class_of((2, 0), (0, 624)) == s.class_of((1, 0), (0, 24))
-    for ub in (625, -1):
-        with pytest.raises(sd.SdError, match=r"^no cell \(0, -?\d+\) in the block of \(2, 0\)$"):
-            s.class_of((2, 0), (0, ub))
-    assert all(n < 2 for n, _, _ in calls)
-
-
 def test_normal_forms_resolve_every_cell():
     for C in (spaces.klein(3), spaces.sphere2(), sd.sd3(spaces.circle()).cset, _one_twist_square()):
         for n, level in enumerate(cset._normal_forms(C)):

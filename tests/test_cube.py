@@ -155,6 +155,14 @@ def test_enumerate_charges_the_hom_set_size():
         cube.enumerate_maps(0, 10**8, budget=10**6)
 
 
+def test_enumerate_takes_a_float_budget():
+    """A limit that is not an int caps the sum and its powers of 2 alike."""
+    budget = Budget(648.0)
+    assert len(cube.enumerate_maps(4, 4, budget=budget)) == 648 == budget.used
+    with pytest.raises(BudgetExceeded, match=r"\(1048576 > 1000000\.0\)"):
+        cube.enumerate_maps(0, 10**8, budget=1e6)
+
+
 def test_enumerate_rejects_an_unknown_class():
     with pytest.raises(cube.CubeError, match="'bad'"):
         cube.enumerate_maps(1, 1, cls="bad")
